@@ -4,22 +4,31 @@ A QuadScalar is a + b*sqrt(D) with rational a, b and a fixed squarefree
 positive integer D.  D = 1 encodes pure rationals (b is forced to 0).
 Sign determination is exact: compare a^2 against b^2*D with case analysis
 on the signs of a and b, so no floating point ever enters a side test.
+
+Only the public constructor validates, and it tests a given D for being
+squarefree once per process.  Arithmetic results are built directly from
+parts that are already Fractions and a D that was already checked.  When
+both operands are rational, or one of them is a plain int or Fraction, an
+operation costs at most one Fraction operation per part: a rational
+product is one Fraction product, not four.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 RationalLike = Union[int, Fraction]
 
-__all__ = ["QuadScalar", "quad_sign", "DivisionByZero"]
+__all__ = ["QuadScalar", "quad_sign", "DivisionByZero", "ZERO", "ONE"]
 
 
 class DivisionByZero(ZeroDivisionError):
     pass
 
 
+@lru_cache(maxsize=256)
 def _squarefree(d: int) -> bool:
     if d < 1:
         return False
@@ -31,119 +40,125 @@ def _squarefree(d: int) -> bool:
     return True
 
 
+_F0 = Fraction(0)
+
+
 class QuadScalar:
     """Immutable element a + b*sqrt(D) of Q(sqrt(D))."""
 
     __slots__ = ("a", "b", "D")
 
     def __init__(self, a: RationalLike, b: RationalLike = 0, D: int = 1):
-        a = Fraction(a)
-        b = Fraction(b)
+        a = a if type(a) is Fraction else Fraction(a)
+        b = b if type(b) is Fraction else Fraction(b)
         if D == 1:
-            a, b = a + b, Fraction(0)
+            a, b = (a + b if b else a), _F0
         elif not _squarefree(D):
             raise ValueError(f"D must be 1 or a squarefree integer > 1, got {D}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "D", D)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_D(self, D)
 
     def __setattr__(self, *_):
         raise AttributeError("QuadScalar is immutable")
 
     # -- helpers -----------------------------------------------------------
 
-    @staticmethod
-    def _coerce(x, D: int) -> "QuadScalar":
-        if isinstance(x, QuadScalar):
-            if x.D != D and x.b != 0 and D != 1:
-                raise ValueError(f"mixed quadratic fields: sqrt({x.D}) vs sqrt({D})")
-            return x
-        return QuadScalar(x, 0, D)
-
-    def _pair(self, other):
-        if isinstance(other, QuadScalar):
-            if self.b != 0 and other.b != 0 and self.D != other.D:
-                raise ValueError(
-                    f"mixed quadratic fields: sqrt({self.D}) vs sqrt({other.D})"
-                )
-            D = self.D if self.b != 0 else (other.D if other.b != 0 else self.D)
-            return other, D
-        if isinstance(other, (int, Fraction)):
-            return QuadScalar(other, 0, self.D), self.D
-        return None, None
+    def _field(self, o: "QuadScalar") -> int:
+        """D of a result of self and o when at least one is irrational."""
+        if not self.b:
+            return o.D
+        if o.b and o.D != self.D:
+            raise ValueError(f"mixed quadratic fields: sqrt({self.D}) vs sqrt({o.D})")
+        return self.D
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.b
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self.b:
             raise ValueError(f"{self} is irrational")
         return self.a
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        o, D = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return QuadScalar(self.a + o.a, self.b + o.b, D)
+        if isinstance(other, QuadScalar):
+            if not (self.b or other.b):
+                return _make(self.a + other.a, _F0, self.D)
+            return _make(self.a + other.a, self.b + other.b, self._field(other))
+        if isinstance(other, (int, Fraction)):
+            return _make(self.a + other, self.b, self.D)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadScalar(-self.a, -self.b, self.D)
+        return _make(-self.a, -self.b if self.b else _F0, self.D)
 
     def __sub__(self, other):
-        o, D = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return QuadScalar(self.a - o.a, self.b - o.b, D)
+        if isinstance(other, QuadScalar):
+            if not (self.b or other.b):
+                return _make(self.a - other.a, _F0, self.D)
+            return _make(self.a - other.a, self.b - other.b, self._field(other))
+        if isinstance(other, (int, Fraction)):
+            return _make(self.a - other, self.b, self.D)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o, D = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return QuadScalar(o.a - self.a, o.b - self.b, D)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        o, D = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return QuadScalar(
-            self.a * o.a + self.b * o.b * D, self.a * o.b + self.b * o.a, D
-        )
+        if isinstance(other, QuadScalar):
+            if not (self.b or other.b):
+                return _make(self.a * other.a, _F0, self.D)
+            D = self._field(other)
+            return _make(self.a * other.a + self.b * other.b * D,
+                         self.a * other.b + self.b * other.a, D)
+        if isinstance(other, (int, Fraction)):
+            return _make(self.a * other, self.b * other if self.b else _F0, self.D)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadScalar":
-        # (a + b sqrt D)^-1 = (a - b sqrt D) / (a^2 - b^2 D)
+        if not self.b:
+            if not self.a:
+                raise DivisionByZero("division by zero in Q(sqrt(D))")
+            return _make(1 / self.a, _F0, self.D)
+        # (a + b sqrt D)^-1 = (a - b sqrt D) / (a^2 - b^2 D), nonzero for
+        # squarefree D > 1 and b != 0
         n = self.a * self.a - self.b * self.b * self.D
-        if n == 0:
-            raise DivisionByZero("division by zero in Q(sqrt(D))")
-        return QuadScalar(self.a / n, -self.b / n, self.D)
+        return _make(self.a / n, -self.b / n, self.D)
 
     def __truediv__(self, other):
-        o, D = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return self * QuadScalar._coerce(o, D).inverse()
+        if isinstance(other, QuadScalar):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise DivisionByZero("division by zero in Q(sqrt(D))")
+            return _make(self.a / other, self.b / other if self.b else _F0, self.D)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o, D = self._pair(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction, QuadScalar)):
             return NotImplemented
-        return o * self.inverse()
+        return other * self.inverse()
 
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other):
-        o, _ = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        if isinstance(other, QuadScalar):
+            if not (self.b or other.b):
+                return self.a == other.a
+            self._field(other)
+            return self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction)):
+            return not self.b and self.a == other
+        return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
+        if not self.b:
             return hash(self.a)
         return hash((self.a, self.b, self.D))
 
@@ -167,16 +182,12 @@ class QuadScalar:
         return -1 if lhs > rhs else 1
 
     def __lt__(self, other):
-        o, D = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+        d = self.__sub__(other)
+        return d if d is NotImplemented else d.sign() < 0
 
     def __le__(self, other):
-        o, D = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
+        d = self.__sub__(other)
+        return d if d is NotImplemented else d.sign() <= 0
 
     def __gt__(self, other):
         return not self.__le__(other)
@@ -185,7 +196,7 @@ class QuadScalar:
         return not self.__lt__(other)
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return bool(self.a or self.b)
 
     # -- serialization -----------------------------------------------------
 
@@ -209,6 +220,26 @@ class QuadScalar:
         if isinstance(obj, (list, tuple)):
             return cls(Fraction(str(obj[0])), Fraction(str(obj[1])), D)
         return cls(Fraction(str(obj)), 0, D)
+
+
+_set_a = QuadScalar.a.__set__
+_set_b = QuadScalar.b.__set__
+_set_D = QuadScalar.D.__set__
+_new = object.__new__
+
+
+def _make(a: Fraction, b: Fraction, D: int) -> QuadScalar:
+    """a + b*sqrt(D) from Fraction parts and a D already validated; the
+    caller guarantees b == 0 when D == 1."""
+    q = _new(QuadScalar)
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_D(q, D)
+    return q
+
+
+ZERO = QuadScalar(0)
+ONE = QuadScalar(1)
 
 
 def quad_sign(x: QuadScalar) -> int:

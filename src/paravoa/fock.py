@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exactnum import QuadScalar
+from .exactnum import ONE, ZERO, QuadScalar
 from .lattice import GramLattice, HVec, LatVec, inner
 from .monoid import MonoidDescriptor, member
 
@@ -70,6 +70,12 @@ def make_word(modes, label) -> BasisWord:
     return BasisWord(modes=ms, label=tuple(label))
 
 
+def _coeff(c) -> QuadScalar:
+    if isinstance(c, QuadScalar):
+        return c
+    return ONE if c == 1 else QuadScalar(c)
+
+
 class FockState:
     """Finite linear combination of basis words with QuadScalar coefficients."""
 
@@ -79,14 +85,17 @@ class FockState:
         t = {}
         if terms:
             for w, c in terms.items():
-                c = c if isinstance(c, QuadScalar) else QuadScalar(c)
+                c = _coeff(c)
                 if c:
                     t[w] = c
         self.terms = t
 
     @classmethod
     def of(cls, word: BasisWord, coeff=1) -> "FockState":
-        return cls({word: coeff})
+        c = _coeff(coeff)
+        out = cls.__new__(cls)
+        out.terms = {word: c} if c else {}
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -101,7 +110,7 @@ class FockState:
         return len(self.terms)
 
     def __getitem__(self, w: BasisWord) -> QuadScalar:
-        return self.terms.get(w, QuadScalar(0))
+        return self.terms.get(w, ZERO)
 
     def __add__(self, other: "FockState") -> "FockState":
         t = dict(self.terms)
@@ -120,7 +129,8 @@ class FockState:
         return self + other.scale(-1)
 
     def scale(self, c) -> "FockState":
-        c = c if isinstance(c, QuadScalar) else QuadScalar(c)
+        if not isinstance(c, (QuadScalar, int, Fraction)):
+            c = QuadScalar(c)
         if not c:
             return FockState()
         out = FockState.__new__(FockState)
@@ -234,6 +244,17 @@ class FockSpace:
             names = tuple(f"b{i + 1}" for i in range(self.rank))
         self.names = tuple(names)
         self.zero_label = (0,) * self.label_rank
+        # pairings of each label generator with each mode and with each
+        # other generator, as integers over one common denominator, so a
+        # label pairing is integer arithmetic and a single Fraction
+        gm = [[sum((g[r] * self.mode_gram[r][i] for r in range(self.rank)),
+                   Fraction(0)) for i in range(self.rank)]
+              for g in self.gen_coords]
+        gg = [[sum((x * y for x, y in zip(row, h)), Fraction(0))
+               for h in self.gen_coords] for row in gm]
+        self._den = math.lcm(*(x.denominator for row in gm + gg for x in row))
+        self._gen_mode = tuple(tuple(int(x * self._den) for x in row) for row in gm)
+        self._gen_gen = tuple(tuple(int(x * self._den) for x in row) for row in gg)
 
     # -- constructors -------------------------------------------------
 
@@ -286,13 +307,21 @@ class FockSpace:
                 s += x[i] * y[j] * self.mode_gram[i][j]
         return s
 
+    def _label_pairing(self, l1, l2) -> int:
+        """(l1|l2) times the common denominator self._den."""
+        n = 0
+        for x, row in zip(l1, self._gen_gen):
+            if x:
+                for y, g in zip(l2, row):
+                    n += x * y * g
+        return n
+
     def label_inner(self, l1, l2) -> Fraction:
-        return self.pair_coords(self.label_coords(l1), self.label_coords(l2))
+        return Fraction(self._label_pairing(l1, l2), self._den)
 
     def pair_label_mode(self, label, i: int) -> Fraction:
-        c = self.label_coords(label)
-        return sum((c[j] * self.mode_gram[j][i] for j in range(self.rank)),
-                   Fraction(0))
+        return Fraction(sum(x * row[i] for x, row in zip(label, self._gen_mode)),
+                        self._den)
 
     def eps(self, l1, l2) -> int:
         e = 0
@@ -309,7 +338,9 @@ class FockSpace:
         return make_word(modes, label)
 
     def degree(self, w: BasisWord) -> Fraction:
-        return Fraction(w.mode_degree()) + self.label_inner(w.label, w.label) / 2
+        den2 = 2 * self._den
+        return Fraction(w.mode_degree() * den2 + self._label_pairing(w.label, w.label),
+                        den2)
 
     def state_degree(self, s: FockState) -> Optional[Fraction]:
         """Common degree of a homogeneous state, None if empty."""

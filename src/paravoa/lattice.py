@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import QuadScalar, quad_sign
+from .exactnum import QuadScalar, _squarefree, quad_sign
 
 __all__ = [
     "GramLattice",
@@ -74,6 +74,8 @@ class GramLattice:
             raise ValueError("diagonal Gram entries must be even (even lattice)")
         if not self.positive_definite:
             raise ValueError("Gram matrix must be positive-definite")
+        if self.D != 1 and not _squarefree(self.D):
+            raise ValueError(f"D must be 1 or a squarefree integer > 1, got {self.D}")
 
     @property
     def positive_definite(self) -> bool:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .exactnum import QuadScalar
+from .exactnum import ONE, ZERO
 from .fock import FockState
 
 __all__ = ["rank_of", "in_span", "quotient_dimension"]
@@ -67,14 +67,14 @@ def in_span(span_states, target: FockState) -> Optional[list]:
     pivots: dict = {}
     history: dict = {}  # pivot word -> combination dict index -> coeff
     for idx, s in enumerate(span_states):
-        combo = {idx: QuadScalar(1)}
+        combo = {idx: ONE}
         red = s
         for w in list(pivots):
             c = red[w]
             if c:
                 red = red - pivots[w].scale(c)
                 for k, v in history[w].items():
-                    combo[k] = combo.get(k, QuadScalar(0)) - v * c
+                    combo[k] = combo.get(k, ZERO) - v * c
         if red.is_zero():
             continue
         w = next(iter(red.terms))
@@ -86,7 +86,7 @@ def in_span(span_states, target: FockState) -> Optional[list]:
             if c:
                 pivots[pw] = pivots[pw] - red.scale(c)
                 for k, v in combo.items():
-                    history[pw][k] = history[pw].get(k, QuadScalar(0)) - v * c
+                    history[pw][k] = history[pw].get(k, ZERO) - v * c
         pivots[w] = red
         history[w] = combo
     t = target
@@ -96,7 +96,7 @@ def in_span(span_states, target: FockState) -> Optional[list]:
         if c:
             t = t - pivots[w].scale(c)
             for k, v in history[w].items():
-                out[k] = out.get(k, QuadScalar(0)) + v * c
+                out[k] = out.get(k, ZERO) + v * c
     if not t.is_zero():
         return None
     return sorted(((k, v) for k, v in out.items() if v), key=lambda p: p[0])

@@ -261,7 +261,8 @@ def saturate_witnesses(
 ) -> tuple[LatVec, LatVec]:
     """Witness pair (beta, beta') for the saturation argument: both strictly
     on the positive side of gamma, each forming a basis with alpha, and on
-    opposite sides of the line R*alpha (encoded by det[alpha, .] = +/-1)."""
+    opposite sides of the line R*alpha: det[alpha, beta] = +1 and
+    det[alpha, beta'] = -1."""
     if alpha == (0, 0) or not is_primitive(alpha):
         raise PreconditionViolated("alpha must be primitive")
     if side(L, gamma, alpha) != MINUS:
@@ -277,7 +278,8 @@ def saturate_witnesses(
     galpha = ga1 * m + ga2 * n  # < 0
 
     def pick(rhs: int) -> LatVec:
-        # solve m*y - n*x = rhs; shift along (m, n) to make (beta|gamma) > 0
+        # solve m*y - n*x = rhs, so det[alpha, beta] = rhs * det[a1, a2];
+        # shift along (m, n) to make (beta|gamma) > 0
         g0, x0, y0 = _ext_gcd(-n, m)
         assert g0 == 1 or g0 == -1
         if g0 == -1:
@@ -297,9 +299,8 @@ def saturate_witnesses(
         by = x * a1[1] + y * a2[1]
         return (bx, by)
 
-    beta = pick(1)
-    beta_p = pick(-1)
-    return beta, beta_p
+    # det[a1, a2] = +/-1 for the basis a1, a2
+    return pick(det), pick(-det)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:

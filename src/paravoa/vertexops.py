@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import QuadScalar
+from .exactnum import ZERO, QuadScalar
 from .fock import BasisWord, FockSpace, FockState, make_word
 from .lattice import (
     GramLattice,
@@ -124,7 +124,7 @@ def heis_mode(sp: FockSpace, h, m: int, v: FockState, ctx=None) -> FockState:
         return out
     if m == 0:
         for w, c in v:
-            s = QuadScalar(0)
+            s = ZERO
             for d in range(sp.rank):
                 if h[d]:
                     s = s + h[d] * sp.pair_label_mode(w.label, d)
@@ -135,7 +135,7 @@ def heis_mode(sp: FockSpace, h, m: int, v: FockState, ctx=None) -> FockState:
         for idx, (n, d) in enumerate(w.modes):
             if n != m:
                 continue
-            pairing = QuadScalar(0)
+            pairing = ZERO
             for e in range(sp.rank):
                 if h[e]:
                     pairing = pairing + h[e] * sp.mode_gram[e][d]
@@ -311,12 +311,11 @@ def check_lemma35(sp: FockSpace, beta, m: int, u: BasisWord, v: FockState,
     of degree in [0, ctx.max_degree]; requires beta orthogonal to u's modes
     and label."""
     for _, d in u.modes:
-        p = sum((beta[e] * sp.mode_gram[e][d] for e in range(sp.rank)),
-                QuadScalar(0))
+        p = sum((beta[e] * sp.mode_gram[e][d] for e in range(sp.rank)), ZERO)
         if p:
             raise PreconditionViolated("beta must be orthogonal to u's mode directions")
     lp = sum((beta[d] * sp.pair_label_mode(u.label, d) for d in range(sp.rank)),
-             QuadScalar(0))
+             ZERO)
     if lp:
         raise PreconditionViolated("beta must be orthogonal to u's label")
     cap = ctx.max_degree if ctx is not None else 6
@@ -424,7 +423,8 @@ class TensorState:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = c if isinstance(c, QuadScalar) else QuadScalar(c)
+        if not isinstance(c, (QuadScalar, int, Fraction)):
+            c = QuadScalar(c)
         if not c:
             return TensorState()
         out = TensorState.__new__(TensorState)

@@ -25,6 +25,7 @@ from .monoid import MonoidDescriptor, PreconditionViolated, classify, member
 from .vertexops import (
     TruncationCtx,
     TruncationOverflow,
+    _binom,
     exp_mode,
     heis_mode,
     state_mode,
@@ -220,11 +221,12 @@ def eq33_certificate(sp: FockSpace, a: FockState, b: FockState,
                      pool: list[BasisWord], ctx: TruncationCtx,
                      mmax: int = 2) -> dict:
     """Try to express a*b - sum_j C(wt b - 1, j) b_{j-1} a as a combination
-    of residue elements built from the pool; honest Unresolved on failure."""
+    of residue elements built from the pool; honest Unresolved on failure.
+    For the vacuum b (weight 0) the sum is the single term C(-1, 0) 1_{-1} a."""
     wb = _weight_of(sp, b)
     rhs = FockState()
     for j in range(max(wb, 1)):
-        c = math.comb(wb - 1, j)
+        c = _binom(wb - 1, j)
         if c:
             rhs = rhs + state_mode(sp, b, j - 1, a).scale(c)
     diff = star(sp, a, b, ctx) - rhs

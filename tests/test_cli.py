@@ -1,4 +1,6 @@
 import json
+import time
+from importlib import resources
 
 import pytest
 
@@ -52,6 +54,34 @@ def test_config_rejects_odd_gram():
         SessionConfig({"lattice": {"gram": [[1, 0], [0, 2]]}}, "test")
 
 
+def a2_with_D(tmp_path, D):
+    """Path of a copy of the bundled a2 config with the field D replaced."""
+    obj = json.loads(resources.files("paravoa").joinpath("configs/a2.json").read_text())
+    obj["lattice"]["D"] = D
+    p = tmp_path / f"a2-D{D}.json"
+    p.write_text(json.dumps(obj))
+    return str(p)
+
+
+@pytest.mark.parametrize("D", [4, 0])
+def test_config_rejects_bad_field(capsys, tmp_path, D):
+    code, out, err = run(capsys, "--config", a2_with_D(tmp_path, D), "classify", "P2")
+    assert code == 2 and not out
+    assert "bad lattice spec" in err and f"got {D}" in err
+    assert err.count("\n") == 1
+
+
+def test_large_field_costs_what_it_should(capsys, tmp_path):
+    # D is checked squarefree once; arithmetic never repeats the check
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "--config", a2_with_D(tmp_path, 999999000001),
+                       "borel", "1~1,1")
+    assert time.perf_counter() - t0 < 10
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["unionCoversBox"] and obj["intersectionIsZero"]
+
+
 def test_scalar_and_vector_parsing():
     s = parse_scalar("1/2~3", 2)
     assert str(s.a) == "1/2" and str(s.b) == "3"
@@ -87,6 +117,13 @@ def test_borel_irrational(capsys):
 
 def test_saturate(capsys):
     code, out, _ = run(capsys, "--config", "a2", "saturate", "1,1", "0,-1")
+    assert code == 0
+    obj = json.loads(out)
+    assert all(obj["checks"].values())
+
+
+def test_saturate_beta_det_holds_for_every_direction(capsys):
+    code, out, _ = run(capsys, "--config", "diag22", "saturate", "--", "0,-1", "1,1")
     assert code == 0
     obj = json.loads(out)
     assert all(obj["checks"].values())

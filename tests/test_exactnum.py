@@ -49,6 +49,7 @@ def test_division_by_zero():
 def test_rational_mode_forces_b_zero():
     x = QuadScalar(2, 5, 1)
     assert x.a == 7 and x.b == 0
+    assert type(x.a) is Fraction and type(x.b) is Fraction
 
 
 frac = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
@@ -79,15 +80,77 @@ def test_sign_matches_float(x):
 
 
 def test_mixed_field_rejected():
-    with pytest.raises(ValueError):
-        QuadScalar(1, 1, 2) + QuadScalar(1, 1, 3)
+    x, y = QuadScalar(1, 1, 2), QuadScalar(1, 1, 3)
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y,
+               lambda: x == y, lambda: x < y):
+        with pytest.raises(ValueError):
+            op()
 
 
 def test_rational_coexists_with_any_field():
     assert QuadScalar(2, 0, 3) + q(1, 1) == q(3, 1)
+    # a rational operand takes the other operand's field, whatever its own D
+    assert (QuadScalar(2, 0, 3) * q(1, 1)).D == 2
+    assert (q(1, 1) * QuadScalar(2, 0, 3)).D == 2
 
 
 def test_comparison_operators():
     assert q(0, 1) > q(1, 0)  # sqrt(2) > 1
     assert q(3, -2) > 0
     assert q(2, -3) < 0
+
+
+# -- fast paths against the general two-part formula -------------------------
+
+FIELD_D = 2
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+parts = st.tuples(rationals, st.one_of(st.just(Fraction(0)), rationals))
+# right-hand operands: QuadScalars (rational or not), ints and Fractions
+rhs = st.one_of(
+    parts.map(lambda p: q(p[0], p[1], FIELD_D)),
+    st.integers(min_value=-50, max_value=50),
+    rationals,
+)
+
+
+def two_parts(x):
+    if isinstance(x, QuadScalar):
+        return x.a, x.b
+    return Fraction(x), Fraction(0)
+
+
+def assert_parts(r, a, b):
+    assert type(r) is QuadScalar
+    assert type(r.a) is Fraction and type(r.b) is Fraction
+    assert (r.a, r.b) == (a, b)
+
+
+@given(parts, rhs)
+def test_arithmetic_matches_two_part_formula(p, y):
+    x = q(p[0], p[1], FIELD_D)
+    (a1, b1), (a2, b2) = two_parts(x), two_parts(y)
+    D = FIELD_D
+    assert_parts(x + y, a1 + a2, b1 + b2)
+    assert_parts(y + x, a1 + a2, b1 + b2)
+    assert_parts(x - y, a1 - a2, b1 - b2)
+    assert_parts(y - x, a2 - a1, b2 - b1)
+    assert_parts(x * y, a1 * a2 + b1 * b2 * D, a1 * b2 + b1 * a2)
+    assert_parts(y * x, a1 * a2 + b1 * b2 * D, a1 * b2 + b1 * a2)
+    assert_parts(-x, -a1, -b1)
+    assert (x == y) is (a1 == a2 and b1 == b2)
+    n = a2 * a2 - b2 * b2 * D
+    if n:
+        assert_parts(x / y, (a1 * a2 - b1 * b2 * D) / n, (b1 * a2 - a1 * b2) / n)
+    else:
+        with pytest.raises(DivisionByZero):
+            x / y
+    m = a1 * a1 - b1 * b1 * D
+    if m:
+        assert_parts(x.inverse(), a1 / m, -b1 / m)
+        assert_parts(y / x, (a2 * a1 - b2 * b1 * D) / m, (b2 * a1 - a2 * b1) / m)
+
+
+def test_bad_field_rejected_by_public_constructor():
+    for D in (0, -2, 4, 12):
+        with pytest.raises(ValueError):
+            QuadScalar(1, 1, D)

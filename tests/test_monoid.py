@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -164,6 +165,27 @@ def test_saturate_witnesses_a2():
     for w in (b, bp):
         assert side(A2, gamma, w) == PLUS
         assert is_basis_pair(alpha, w)
+
+
+def test_saturate_witnesses_orientation_sweep():
+    # beta comes first with det[alpha, beta] = +1, for every direction
+    rng = random.Random(20260826)
+    for L in (A2, DIAG22):
+        done = 0
+        while done < 40:
+            x, y = rng.randint(-4, 4), rng.randint(-4, 4)
+            s = rng.choice((0, rng.randint(-3, 3)))
+            gamma = (QuadScalar(x, 0, L.D), QuadScalar(y, s, L.D))
+            alpha = (rng.randint(-4, 4), rng.randint(-4, 4))
+            if not (gamma[0] or gamma[1]) or alpha == (0, 0):
+                continue
+            if math.gcd(*alpha) != 1 or side(L, gamma, alpha) != MINUS:
+                continue
+            b, bp = saturate_witnesses(L, gamma, alpha)
+            assert side(L, gamma, b) == PLUS and side(L, gamma, bp) == PLUS
+            assert alpha[0] * b[1] - alpha[1] * b[0] == 1
+            assert alpha[0] * bp[1] - alpha[1] * bp[0] == -1
+            done += 1
 
 
 def test_saturate_witnesses_precondition():

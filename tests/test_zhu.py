@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,13 @@ from paravoa.fock import FULL_L, FockSpace, FockState, enumerate_basis
 from paravoa.lattice import GramLattice
 from paravoa.linalg import in_span, quotient_dimension, rank_of
 from paravoa.monoid import MonoidDescriptor, PreconditionViolated
-from paravoa.vertexops import TruncationCtx, TruncationOverflow, heis_mode
+from paravoa.vertexops import (
+    TruncationCtx,
+    TruncationOverflow,
+    heis_mode,
+    state_mode,
+    word_mode,
+)
 from paravoa.zhu import (
     circle,
     eq33_certificate,
@@ -187,3 +194,44 @@ def test_state_json_round_structure():
     s = h1(SPD) + SPD.exp_state((1, 0)).scale(-2)
     out = state_json(s)
     assert {e["word"] for e in out} == {"a1(-1)e[0,0]", "e[1,0]"}
+
+
+def test_eq33_vacuum_b_is_resolved_empty():
+    # a * 1 = a = 1_{-1} a, so the difference vanishes with no residues
+    rep = eq33_certificate(SPD, SPD.exp_state((1, 0)), SPD.vacuum(), [],
+                           TruncationCtx(4))
+    assert rep == {"status": "resolved", "combination": []}
+
+
+# -- coefficient type of engine outputs --------------------------------------
+
+
+def assert_quad_coeffs(state):
+    for c in state.terms.values():
+        assert type(c) is QuadScalar
+        assert type(c.a) is Fraction and type(c.b) is Fraction
+
+
+def test_engine_outputs_carry_quadscalar_coefficients():
+    sp = FockSpace.full_lattice(A2)
+    words = [w for d in range(3) for w in enumerate_basis(A2, FULL_L, d)
+             if A2.norm(w.label) <= 2]
+    for a in words[:6]:
+        for b in words[:6]:
+            assert_quad_coeffs(word_mode(sp, a, -1, FockState.of(b)))
+    # the two kinds of span element of c1_quotient_dims
+    om = sp.virasoro()
+    span = [state_mode(sp, om, 0, FockState.of(w)) for w in words[1:6]]
+    span += [word_mode(sp, a, -1, FockState.of(b))
+             for a in words[1:4] for b in words[1:4]]
+    for s in span:
+        assert_quad_coeffs(s)
+    target = span[0].scale(3) + span[1].scale(Fraction(-1, 2))
+    combo = in_span(span, target)
+    assert combo is not None
+    for _, c in combo:
+        assert type(c) is QuadScalar and type(c.a) is Fraction
+    rebuilt = FockState()
+    for i, c in combo:
+        rebuilt = rebuilt + span[i].scale(c)
+    assert rebuilt == target
