@@ -17,7 +17,7 @@ from typing import Optional
 
 from .exactnum import QuadScalar
 from .fock import FULL_L, FockSpace, FockState, enumerate_basis
-from .lattice import GramLattice
+from .lattice import GramLattice, is_primitive
 from .monoid import (
     MonoidDescriptor,
     PreconditionViolated,
@@ -106,8 +106,9 @@ def parse_scalar(s: str, D: int) -> QuadScalar:
     """'a' or 'a~b' meaning a + b*sqrt(D), components as fractions."""
     if "~" in s:
         a, b = s.split("~", 1)
-        return QuadScalar(Fraction(a), Fraction(b), D)
-    return QuadScalar(Fraction(s), 0, D)
+        return QuadScalar(parse_fraction(a, "scalar part"),
+                          parse_fraction(b, "scalar part"), D)
+    return QuadScalar(parse_fraction(s, "scalar"), 0, D)
 
 
 def parse_vec(s: str) -> tuple[int, int]:
@@ -115,6 +116,22 @@ def parse_vec(s: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ConfigError(f"expected 'x,y' integer vector, got {s!r}")
     return (int(parts[0]), int(parts[1]))
+
+
+def parse_alpha(s: str) -> tuple[int, int]:
+    """An 'x,y' lattice vector that must be primitive (so not zero)."""
+    v = parse_vec(s)
+    if v == (0, 0) or not is_primitive(v):
+        raise ConfigError(f"alpha must be a primitive lattice vector, got {s!r}")
+    return v
+
+
+def parse_fraction(s: str, what: str) -> Fraction:
+    """A rational 'p', 'p/q' or decimal argument; ConfigError if malformed."""
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad {what} {s!r}: {exc}") from exc
 
 
 def parse_hvec(s: str, D: int):
@@ -189,14 +206,14 @@ def _character_target(cfg: SessionConfig, args):
     if name in cfg.descriptors:
         P = cfg.descriptors[name]
         if args.t is not None or args.i is not None:
-            mods = irreducibles(L, P, {"ts": [Fraction(args.t or "0")]})
+            mods = irreducibles(L, P, {"ts": [parse_fraction(args.t or "0", "--t")]})
             i = int(args.i or 0)
             for m in mods:
                 if m.i == i:
                     return m
             raise ConfigError(f"no module with coset index {i}")
         return Selector(kind="V_P", L=L, P=P)
-    alpha = parse_vec(args.alpha) if args.alpha else None
+    alpha = parse_alpha(args.alpha) if args.alpha else None
     if name in ("VL", "V_L"):
         return Selector(kind="V_L", L=L)
     if name in ("VH", "V_H"):
@@ -217,7 +234,7 @@ def _default_alpha(cfg: SessionConfig):
 
 
 def cmd_character(cfg: SessionConfig, args) -> int:
-    q = character(_character_target(cfg, args), Fraction(args.cap))
+    q = character(_character_target(cfg, args), parse_fraction(args.cap, "--cap"))
     out = {"target": args.target, "cap": args.cap, "series": q.to_json()}
     emit(out, args.pretty,
          ["  ".join(f"q^{t['exp']}:{t['dim']}" for t in q.to_json()) or "(empty)"])
@@ -226,9 +243,10 @@ def cmd_character(cfg: SessionConfig, args) -> int:
 
 def cmd_verify_iso(cfg: SessionConfig, args) -> int:
     L = cfg.lattice
-    alpha = parse_vec(args.alpha) if args.alpha else _default_alpha(cfg)
+    alpha = parse_alpha(args.alpha) if args.alpha else _default_alpha(cfg)
+    char_cap = parse_fraction(args.char_cap, "--char-cap")
     hom = check_phi_hom(L, alpha, int(args.cap), cfg.ctx())
-    chars = check_tensor_character(L, alpha, Fraction(args.char_cap))
+    chars = check_tensor_character(L, alpha, char_cap)
     ok = not hom["failures"] and hom["omega_ok"] and hom["dims_ok"] and chars["equal"]
     out = {"hom": {k: hom[k] for k in ("check", "instances", "failures",
                                        "omega_ok", "dims_ok")},
@@ -286,10 +304,10 @@ def cmd_fusion(cfg: SessionConfig, args) -> int:
     P = cfg.descriptor(args.descriptor)
     rep = classify(L, P)
     if rep.type == "TYPE_I":
-        lams = [tuple(int(x) for x in s.split(",")) for s in (args.lams or "0,0").split(";")]
+        lams = [parse_vec(s) for s in (args.lams or "0,0").split(";")]
         mods = irreducibles(L, P, {"lams": lams})
     else:
-        ts = [Fraction(t) for t in (args.ts or "0").split(",")]
+        ts = [parse_fraction(t, "--ts") for t in (args.ts or "0").split(",")]
         mods = irreducibles(L, P, {"ts": ts})
     table = []
     for m1 in mods:
@@ -316,7 +334,7 @@ def cmd_c1_dims(cfg: SessionConfig, args) -> int:
     cap = int(args.cap)
     ctx = TruncationCtx(max(cap, cfg.max_degree))
     if args.target in ("VH", "V_H"):
-        alpha = parse_vec(args.alpha) if args.alpha else _default_alpha(cfg)
+        alpha = parse_alpha(args.alpha) if args.alpha else _default_alpha(cfg)
         dims = c1_quotient_dims(L, "V_H", cap, ctx, alpha=alpha)
     else:
         dims = c1_quotient_dims(L, "V_P", cap, ctx,

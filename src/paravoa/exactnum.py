@@ -190,10 +190,12 @@ class QuadScalar:
         return d if d is NotImplemented else d.sign() <= 0
 
     def __gt__(self, other):
-        return not self.__le__(other)
+        d = self.__sub__(other)
+        return d if d is NotImplemented else d.sign() > 0
 
     def __ge__(self, other):
-        return not self.__lt__(other)
+        d = self.__sub__(other)
+        return d if d is NotImplemented else d.sign() >= 0
 
     def __bool__(self):
         return bool(self.a or self.b)

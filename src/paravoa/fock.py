@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .exactnum import ONE, ZERO, QuadScalar
 from .lattice import GramLattice, HVec, LatVec, inner
@@ -45,9 +45,11 @@ class SINGLE:
     lam: HVec
 
 
-@dataclass(frozen=True)
-class BasisWord:
-    """Canonical word: modes sorted descending in n (ties by direction)."""
+class BasisWord(NamedTuple):
+    """Canonical word: modes sorted descending in n (ties by direction).
+
+    A named tuple, so hashing and equality (every dict lookup of a state
+    or of the mode cache) run in C."""
 
     modes: tuple[tuple[int, int], ...]  # (n, direction), n >= 1
     label: tuple
@@ -68,6 +70,35 @@ def make_word(modes, label) -> BasisWord:
         if n < 1:
             raise ValueError("word modes must be creation modes b(-n), n >= 1")
     return BasisWord(modes=ms, label=tuple(label))
+
+
+def _add_into(t: dict, items, c=None) -> None:
+    """t += c*y in place, for y given as (key, coefficient) pairs and c None
+    meaning 1.  Keys may be any hashable; coefficients that cancel are
+    dropped, and a key new to t goes to its end, as `x + y` orders it."""
+    if c is not None:
+        if not c:
+            return
+        if c == 1:
+            c = None
+    get = t.get
+    for k, x in items:
+        if c is not None:
+            x = x * c
+        s = get(k)
+        if s is not None:
+            x = s + x
+        if x:
+            t[k] = x
+        elif s is not None:
+            del t[k]
+
+
+def _adopt(cls, terms: dict):
+    """A FockState or TensorState that takes ownership of the dict terms."""
+    out = cls.__new__(cls)
+    out.terms = terms
+    return out
 
 
 def _coeff(c) -> QuadScalar:
@@ -114,19 +145,13 @@ class FockState:
 
     def __add__(self, other: "FockState") -> "FockState":
         t = dict(self.terms)
-        for w, c in other.terms.items():
-            s = t.get(w)
-            s = c if s is None else s + c
-            if s:
-                t[w] = s
-            elif w in t:
-                del t[w]
-        out = FockState.__new__(FockState)
-        out.terms = t
-        return out
+        _add_into(t, other.terms.items())
+        return _adopt(FockState, t)
 
     def __sub__(self, other: "FockState") -> "FockState":
-        return self + other.scale(-1)
+        t = dict(self.terms)
+        _add_into(t, other.terms.items(), -1)
+        return _adopt(FockState, t)
 
     def scale(self, c) -> "FockState":
         if not isinstance(c, (QuadScalar, int, Fraction)):
@@ -360,14 +385,13 @@ class FockSpace:
     def virasoro(self) -> FockState:
         """omega = 1/2 sum_ij (Q^-1)[i][j] b_i(-1) b_j(-1) vac."""
         inv = _invert(self.mode_gram)
-        out = FockState()
+        t: dict = {}
         for i in range(self.rank):
             for j in range(self.rank):
                 c = inv[i][j] * Fraction(1, 2)
                 if c:
-                    w = self.word(((1, i), (1, j)))
-                    out = out + FockState.of(w, c)
-        return out
+                    _add_into(t, ((self.word(((1, i), (1, j))), QuadScalar(c)),))
+        return _adopt(FockState, t)
 
     def basis(self, degree: int, labels=((),)) -> list[BasisWord]:
         """Words of exact degree with labels drawn from the given tuples."""

@@ -26,7 +26,7 @@ from .lattice import (
 )
 from .linalg import quotient_dimension
 from .monoid import MonoidDescriptor, classify, member
-from .vertexops import TruncationCtx, state_mode, word_mode
+from .vertexops import TruncationCtx, _translate, word_mode
 
 __all__ = [
     "ModuleLabel",
@@ -376,10 +376,9 @@ def c1_quotient_dims(L: GramLattice, algebra: str, cap: int,
     for d in range(cap + 1):
         span = []
         # L(-1) v for v of positive degree d-1
-        om = sp.virasoro()
         for v in by_deg.get(d - 1, ()):
             if sp.degree(v) > 0:
-                span.append(state_mode(sp, om, 0, FockState.of(v)))
+                span.append(_translate(sp, v))
         # a_{-1} b over positive-degree homogeneous pairs
         for d1 in range(1, d):
             for a in by_deg[d1]:

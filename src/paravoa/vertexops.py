@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import ZERO, QuadScalar
-from .fock import BasisWord, FockSpace, FockState, make_word
+from .exactnum import ONE, ZERO, QuadScalar
+from .fock import BasisWord, FockSpace, FockState, _add_into, _adopt, make_word
 from .lattice import (
     GramLattice,
     LatVec,
@@ -113,15 +113,15 @@ def _max_depth(v) -> int:
 
 def heis_mode(sp: FockSpace, h, m: int, v: FockState, ctx=None) -> FockState:
     """Action of h(m), with h given by coordinates in sp's mode basis."""
-    out = FockState()
+    out: dict = {}
     if m < 0:
         n = -m
         for w, c in v:
             for d in range(sp.rank):
                 if h[d]:
                     nw = make_word(w.modes + ((n, d),), w.label)
-                    out = out + FockState.of(nw, c * h[d])
-        return out
+                    _add_into(out, ((nw, c * h[d]),))
+        return _adopt(FockState, out)
     if m == 0:
         for w, c in v:
             s = ZERO
@@ -129,8 +129,8 @@ def heis_mode(sp: FockSpace, h, m: int, v: FockState, ctx=None) -> FockState:
                 if h[d]:
                     s = s + h[d] * sp.pair_label_mode(w.label, d)
             if s:
-                out = out + FockState.of(w, c * s)
-        return out
+                _add_into(out, ((w, c * s),))
+        return _adopt(FockState, out)
     for w, c in v:
         for idx, (n, d) in enumerate(w.modes):
             if n != m:
@@ -141,13 +141,32 @@ def heis_mode(sp: FockSpace, h, m: int, v: FockState, ctx=None) -> FockState:
                     pairing = pairing + h[e] * sp.mode_gram[e][d]
             if pairing:
                 rest = BasisWord(w.modes[:idx] + w.modes[idx + 1:], w.label)
-                out = out + FockState.of(rest, c * pairing * m)
-    return out
+                _add_into(out, ((rest, c * pairing * m),))
+    return _adopt(FockState, out)
+
+
+def _translate(sp: FockSpace, w: BasisWord) -> FockState:
+    """L(-1) w by the translation derivation of the lattice Fock space:
+    h(-n) -> n h(-n-1) on each mode and e^lam -> lam(-1) e^lam.  Equal to
+    omega_0 w, at the cost of one pass over the word."""
+    out: dict = {}
+    modes = w.modes
+    for i, (n, d) in enumerate(modes):
+        raised = make_word(modes[:i] + ((n + 1, d),) + modes[i + 1:], w.label)
+        _add_into(out, ((raised, ONE * n),))
+    if any(w.label):
+        lam = heis_mode(sp, sp.label_coords(w.label), -1, FockState.of(w))
+        _add_into(out, lam.terms.items())
+    return _adopt(FockState, out)
 
 
 def _acc(d: dict, p: int, st: FockState):
+    """d[p] += st; st is fresh, and d's states are owned by the caller."""
     cur = d.get(p)
-    d[p] = st if cur is None else cur + st
+    if cur is None:
+        d[p] = st
+    else:
+        _add_into(cur.terms, st.terms.items())
 
 
 def exp_mode(sp: FockSpace, a, n: int, v: FockState, ctx=None) -> FockState:
@@ -162,7 +181,7 @@ def exp_mode(sp: FockSpace, a, n: int, v: FockState, ctx=None) -> FockState:
             )
     target = -n - 1
     acoords = sp.label_coords(a)
-    out = FockState()
+    out: dict = {}
     for w, c in v:
         # E^+(-a, z) = exp(sum_{k>0} (-a(k)/k) z^-k): terminates by itself
         series = {0: FockState.of(w, c)}
@@ -187,9 +206,8 @@ def exp_mode(sp: FockSpace, a, n: int, v: FockState, ctx=None) -> FockState:
         newlab = tuple(x + y for x, y in zip(a, w.label))
         shifted: dict = {}
         for p, st in series.items():
-            moved = FockState(
-                {BasisWord(wd.modes, newlab): cc for wd, cc in st}
-            ).scale(sgn)
+            moved = _adopt(FockState, {BasisWord(wd.modes, newlab): cc * sgn
+                                       for wd, cc in st})
             if moved:
                 _acc(shifted, p + int(t0), moved)
         # E^-(-a, z) = exp(sum_{m>0} (a(-m)/m) z^m): only the powers that
@@ -199,7 +217,7 @@ def exp_mode(sp: FockSpace, a, n: int, v: FockState, ctx=None) -> FockState:
             if need < 0:
                 continue
             if need == 0:
-                out = out + st
+                _add_into(out, st.terms.items())
                 continue
             cur = {0: st}
             i = 1
@@ -213,9 +231,9 @@ def exp_mode(sp: FockSpace, a, n: int, v: FockState, ctx=None) -> FockState:
                 cur = {q: s3.scale(Fraction(1, i)) for q, s3 in nxt.items() if s3}
                 got = cur.get(need)
                 if got:
-                    out = out + got
+                    _add_into(out, got.terms.items())
                 i += 1
-    return out
+    return _adopt(FockState, out)
 
 
 def _unit(sp: FockSpace, d: int):
@@ -240,7 +258,7 @@ def _word_mode_w(sp: FockSpace, u: BasisWord, k: int, w: BasisWord) -> FockState
     hd = _unit(sp, d)
     du = sp.degree(rest)
     dw = sp.degree(w)
-    res = FockState()
+    res: dict = {}
     # (h(-n)u')_k = sum_j C(n+j-1,j) [ h(-n-j) u'_{k+j}
     #                                  - (-1)^n u'_{-n+k-j} h(j) ]
     jmax = du + dw - k - 1
@@ -248,30 +266,33 @@ def _word_mode_w(sp: FockSpace, u: BasisWord, k: int, w: BasisWord) -> FockState
     while j <= jmax:
         inner = _word_mode_w(sp, rest, k + j, w)
         if inner:
-            res = res + heis_mode(sp, hd, -(n + j), inner).scale(_binom(n + j - 1, j))
+            _add_into(res, heis_mode(sp, hd, -(n + j), inner).terms.items(),
+                      _binom(n + j - 1, j))
         j += 1
     sgn = -1 if n % 2 else 1
-    for j in range(0, _max_depth(FockState.of(w)) + 1):
-        hv = heis_mode(sp, hd, j, FockState.of(w))
+    ws = FockState.of(w)
+    for j in range(0, _max_depth(ws) + 1):
+        hv = heis_mode(sp, hd, j, ws)
         if hv:
             t = word_mode(sp, rest, -n + k - j, hv)
-            res = res - t.scale(sgn * _binom(n + j - 1, j))
-    cache[key] = res
+            _add_into(res, t.terms.items(), -sgn * _binom(n + j - 1, j))
+    # cached, and so never mutated from here on
+    res = cache[key] = _adopt(FockState, res)
     return res
 
 
 def word_mode(sp: FockSpace, u: BasisWord, k: int, v: FockState) -> FockState:
-    out = FockState()
+    out: dict = {}
     for w, c in v:
-        out = out + _word_mode_w(sp, u, k, w).scale(c)
-    return out
+        _add_into(out, _word_mode_w(sp, u, k, w).terms.items(), c)
+    return _adopt(FockState, out)
 
 
 def state_mode(sp: FockSpace, a: FockState, k: int, v: FockState) -> FockState:
-    out = FockState()
+    out: dict = {}
     for u, c in a:
-        out = out + word_mode(sp, u, k, v).scale(c)
-    return out
+        _add_into(out, word_mode(sp, u, k, v).terms.items(), c)
+    return _adopt(FockState, out)
 
 
 def general_mode(sp: FockSpace, u: BasisWord, n: int, v: FockState,
@@ -295,14 +316,15 @@ def check_commutator(sp: FockSpace, a: FockState, b: FockState, m: int, n: int,
     )
     da = max((sp.degree(w) for w, _ in a), default=Fraction(0))
     db = max((sp.degree(w) for w, _ in b), default=Fraction(0))
-    rhs = FockState()
+    rhs: dict = {}
     j = 0
     while j <= da + db - 1:
         ajb = state_mode(sp, a, j, b)
         if ajb:
-            rhs = rhs + state_mode(sp, ajb, m + n - j, v).scale(_binom(m, j))
+            _add_into(rhs, state_mode(sp, ajb, m + n - j, v).terms.items(),
+                      _binom(m, j))
         j += 1
-    return lhs - rhs
+    return lhs - _adopt(FockState, rhs)
 
 
 def check_lemma35(sp: FockSpace, beta, m: int, u: BasisWord, v: FockState,
@@ -408,19 +430,13 @@ class TensorState:
 
     def __add__(self, other):
         t = dict(self.terms)
-        for k, c in other.terms.items():
-            s = t.get(k)
-            s = c if s is None else s + c
-            if s:
-                t[k] = s
-            elif k in t:
-                del t[k]
-        out = TensorState.__new__(TensorState)
-        out.terms = t
-        return out
+        _add_into(t, other.terms.items())
+        return _adopt(TensorState, t)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        t = dict(self.terms)
+        _add_into(t, other.terms.items(), -1)
+        return _adopt(TensorState, t)
 
     def scale(self, c):
         if not isinstance(c, (QuadScalar, int, Fraction)):
@@ -446,22 +462,20 @@ class TensorState:
 def phi_map(v: FockState) -> TensorState:
     """Split adapted-basis words: direction-0 modes to the left Heisenberg
     factor, direction-1 modes plus the label to the right lattice factor."""
-    out = TensorState()
+    out: dict = {}
     for w, c in v:
         left = tuple((n, 0) for n, d in w.modes if d == 0)
         right = tuple((n, 0) for n, d in w.modes if d == 1)
         if len(w.label) != 1:
             raise BadLabel("adapted words carry a single integer label coordinate")
-        out = out + TensorState.of(
-            BasisWord(left, ()), BasisWord(right, (w.label[0],)), c
-        )
-    return out
+        _add_into(out, (((BasisWord(left, ()), BasisWord(right, (w.label[0],))), c),))
+    return _adopt(TensorState, out)
 
 
 def tensor_mode(sp1: FockSpace, sp2: FockSpace, A: TensorState, n: int,
                 B: TensorState) -> TensorState:
     """(x (x) y)_n (v (x) w) = sum_i x_i v (x) y_{n-i-1} w."""
-    out = TensorState()
+    out: dict = {}
     for (x, y), ca in A:
         for (v, w), cb in B:
             c = ca * cb
@@ -474,10 +488,10 @@ def tensor_mode(sp1: FockSpace, sp2: FockSpace, A: TensorState, n: int,
                     rightv = _word_mode_w(sp2, y, n - i - 1, w)
                     if rightv:
                         for wl, cl in left:
-                            for wr, cr in rightv:
-                                out = out + TensorState.of(wl, wr, c * cl * cr)
+                            _add_into(out, (((wl, wr), c * cl * cr)
+                                            for wr, cr in rightv))
                 i += 1
-    return out
+    return _adopt(TensorState, out)
 
 
 def _solve2(col1, col2, rhs) -> tuple[Fraction, Fraction]:
@@ -489,34 +503,38 @@ def _solve2(col1, col2, rhs) -> tuple[Fraction, Fraction]:
     return x, y
 
 
+def _rebase(out: dict, w: BasisWord, c, dirs, label) -> None:
+    """out += c * w with each mode direction d rewritten as the combination
+    dirs[d] of the two target directions, and the label replaced."""
+    expanded = [((), c)]
+    for nn, d in w.modes:
+        vec = dirs[d]
+        nxt = []
+        for modes, coeff in expanded:
+            for i in (0, 1):
+                if vec[i]:
+                    nxt.append((modes + ((nn, i),), coeff * vec[i]))
+        expanded = nxt
+    for modes, coeff in expanded:
+        _add_into(out, ((make_word(modes, label), coeff),))
+
+
 def from_adapted(L: GramLattice, alpha: LatVec, beta: LatVec,
                  v: FockState) -> FockState:
     """Rewrite adapted-basis states (modes beta, alpha; labels p) as full
     lattice-basis states (modes a1, a2; labels p*alpha)."""
-    dirs = (beta, alpha)
-    out = FockState()
+    out: dict = {}
     for w, c in v:
-        expanded = [((), c)]
-        for nn, d in w.modes:
-            vec = dirs[d]
-            nxt = []
-            for modes, coeff in expanded:
-                for i in (0, 1):
-                    if vec[i]:
-                        nxt.append((modes + ((nn, i),), coeff * vec[i]))
-            expanded = nxt
         p = w.label[0]
-        lab = (p * alpha[0], p * alpha[1])
-        for modes, coeff in expanded:
-            out = out + FockState.of(make_word(modes, lab), coeff)
-    return out
+        _rebase(out, w, c, (beta, alpha), (p * alpha[0], p * alpha[1]))
+    return _adopt(FockState, out)
 
 
 def to_adapted(L: GramLattice, alpha: LatVec, beta: LatVec,
                v: FockState) -> FockState:
     """Inverse of from_adapted; BadLabel if some label is not in Z*alpha."""
     coeffs = [_solve2(beta, alpha, e) for e in ((1, 0), (0, 1))]
-    out = FockState()
+    out: dict = {}
     for w, c in v:
         lab = w.label
         if alpha[0]:
@@ -525,18 +543,8 @@ def to_adapted(L: GramLattice, alpha: LatVec, beta: LatVec,
             p = Fraction(lab[1], alpha[1])
         if p.denominator != 1 or (p * alpha[0], p * alpha[1]) != lab:
             raise BadLabel(f"label {lab} is not an integer multiple of {alpha}")
-        expanded = [((), c)]
-        for nn, d in w.modes:
-            xy = coeffs[d]
-            nxt = []
-            for modes, coeff in expanded:
-                for i in (0, 1):
-                    if xy[i]:
-                        nxt.append((modes + ((nn, i),), coeff * xy[i]))
-            expanded = nxt
-        for modes, coeff in expanded:
-            out = out + FockState.of(make_word(modes, (int(p),)), coeff)
-    return out
+        _rebase(out, w, c, coeffs, (int(p),))
+    return _adopt(FockState, out)
 
 
 def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
@@ -578,24 +586,23 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
             du, dv = adapted.degree(u), adapted.degree(v)
             nmin = math.ceil(du + dv - 1 - ctx.max_degree)
             for n in range(nmin, int(du + dv)):
-                res = FockState()
+                res: dict = {}
                 for w, c in fv:
-                    res = res + state_mode(full, fu, n, FockState.of(w)).scale(c)
-                lhs = phi_map(to_adapted(L, alpha, beta, res))
+                    part = state_mode(full, fu, n, FockState.of(w))
+                    _add_into(res, part.terms.items(), c)
+                lhs = phi_map(to_adapted(L, alpha, beta, _adopt(FockState, res)))
                 rhs = tensor_mode(sp1, sp2, pu, n, pv)
                 instances += 1
                 if lhs != rhs:
                     failures.append({"u": u.to_str(), "v": v.to_str(), "n": n})
 
     omega_img = phi_map(adapted.virasoro())
-    expect = TensorState()
+    expect: dict = {}
     vac2 = sp2.word((), (0,))
-    for w, c in sp1.virasoro():
-        expect = expect + TensorState.of(w, vac2, c)
+    _add_into(expect, (((w, vac2), c) for w, c in sp1.virasoro()))
     vac1 = sp1.word(())
-    for w, c in sp2.virasoro():
-        expect = expect + TensorState.of(vac1, w, c)
-    omega_ok = omega_img == expect
+    _add_into(expect, (((vac1, w), c) for w, c in sp2.virasoro()))
+    omega_ok = omega_img == _adopt(TensorState, expect)
 
     dims_ok = True
     for d in range(degree_cap + 1):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactnum import QuadScalar
-from .fock import BasisWord, FockSpace, FockState
+from .fock import BasisWord, FockSpace, FockState, _add_into, _adopt
 from .lattice import GramLattice, LatVec, PLUS, side
 from .linalg import in_span
 from .monoid import MonoidDescriptor, PreconditionViolated, classify, member
@@ -71,12 +71,10 @@ def star(sp: FockSpace, a: FockState, b: FockState,
     if a.is_zero() or b.is_zero():
         return FockState()
     wa = _weight_of(sp, a)
-    out = FockState()
+    out: dict = {}
     for j in range(wa + 1):
-        c = math.comb(wa, j)
-        if c:
-            out = out + state_mode(sp, a, j - 1, b).scale(c)
-    return out
+        _add_into(out, state_mode(sp, a, j - 1, b).terms.items(), math.comb(wa, j))
+    return _adopt(FockState, out)
 
 
 def reduce_35(sp: FockSpace, a: FockState, b: FockState, m: int, n: int,
@@ -92,12 +90,11 @@ def reduce_35(sp: FockSpace, a: FockState, b: FockState, m: int, n: int,
         raise TruncationOverflow(
             f"top degree {wa + db + m + 1} exceeds ceiling {ctx.max_degree}"
         )
-    out = FockState()
+    out: dict = {}
     for j in range(wa + n + 1):
-        c = math.comb(wa + n, j)
-        if c:
-            out = out + state_mode(sp, a, j - 2 - m, b).scale(c)
-    return out
+        _add_into(out, state_mode(sp, a, j - 2 - m, b).terms.items(),
+                  math.comb(wa + n, j))
+    return _adopt(FockState, out)
 
 
 def state_json(s: FockState) -> list:
@@ -224,12 +221,12 @@ def eq33_certificate(sp: FockSpace, a: FockState, b: FockState,
     of residue elements built from the pool; honest Unresolved on failure.
     For the vacuum b (weight 0) the sum is the single term C(-1, 0) 1_{-1} a."""
     wb = _weight_of(sp, b)
-    rhs = FockState()
+    rhs: dict = {}
     for j in range(max(wb, 1)):
         c = _binom(wb - 1, j)
         if c:
-            rhs = rhs + state_mode(sp, b, j - 1, a).scale(c)
-    diff = star(sp, a, b, ctx) - rhs
+            _add_into(rhs, state_mode(sp, b, j - 1, a).terms.items(), c)
+    diff = star(sp, a, b, ctx) - _adopt(FockState, rhs)
     if diff.is_zero():
         return {"status": "resolved", "combination": []}
     gens = []

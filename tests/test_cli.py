@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -9,6 +10,8 @@ from paravoa.cli import (
     SessionConfig,
     load_config,
     main,
+    parse_alpha,
+    parse_fraction,
     parse_hvec,
     parse_scalar,
     parse_vec,
@@ -209,3 +212,50 @@ def test_pretty_goes_to_stderr(capsys):
     assert code == 0
     json.loads(out)  # stdout stays pure JSON
     assert "TYPE_II" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--config", "a2", "character", "VH", "--alpha", "0,0"),
+    ("--config", "a2", "character", "VH", "--alpha", "2,-2"),
+    ("--config", "diag22", "verify-iso", "--alpha", "2,0"),
+    ("--config", "diag22", "verify-iso", "--alpha", "0,0"),
+    ("--config", "diag22", "c1-dims", "VH", "--alpha", "0,0"),
+    ("--config", "diag22", "c1-dims", "VH", "--alpha", "3,3"),
+], ids=lambda a: " ".join(a[2:]))
+def test_alpha_must_be_primitive(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: alpha must be a primitive") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--config", "a2", "character", "VL", "--cap", "1/0"),
+    ("--config", "a2", "character", "VL", "--cap", "x"),
+    ("--config", "diag22", "character", "P2", "--t", "1/0"),
+    ("--config", "diag22", "verify-iso", "--char-cap", "3/0"),
+    ("--config", "diag22", "fusion", "P2", "--ts", "0,1/0"),
+    ("--config", "diag22", "fusion", "P2", "--ts", "0,,1"),
+    ("--config", "diag22", "borel", "1/0,1"),
+    ("--config", "diag22", "borel", "1,1~1/0"),
+], ids=lambda a: " ".join(a[2:]))
+def test_bad_fraction_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad ") and err.count("\n") == 1
+
+
+def test_fusion_lams_need_two_components(capsys):
+    code, out, err = run(capsys, "--config", "a2", "fusion", "P1", "--lams", "1")
+    assert code == 2 and out == "" and err.startswith("error: expected 'x,y'")
+    code, out, _ = run(capsys, "--config", "a2", "fusion", "P1", "--lams", "1,0;0,0")
+    assert code == 0 and len(json.loads(out)["modules"]) == 2
+
+
+def test_parse_helpers():
+    assert parse_alpha("1,-2") == (1, -2)
+    for bad in ("0,0", "2,4", "1"):
+        with pytest.raises(ConfigError):
+            parse_alpha(bad)
+    assert parse_fraction("3/6", "--cap") == Fraction(1, 2)
+    with pytest.raises(ConfigError, match="--cap"):
+        parse_fraction("1/0", "--cap")

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,18 @@ def test_comparison_operators():
     assert q(0, 1) > q(1, 0)  # sqrt(2) > 1
     assert q(3, -2) > 0
     assert q(2, -3) < 0
+    assert q(1, 0) >= 1 and q(1, 0) <= 1 and not q(1, 0) > 1
+    assert q(0, -1) >= Fraction(-3, 2)  # -sqrt(2) >= -3/2
+
+
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+def test_ordering_against_unsupported_type_raises(op):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError):
+            eval(f"x {op} None", {"x": q(1, 0)})
+        with pytest.raises(TypeError):
+            eval(f"None {op} x", {"x": q(1, 0)})
 
 
 # -- fast paths against the general two-part formula -------------------------

@@ -9,6 +9,7 @@ from paravoa.lattice import GramLattice
 from paravoa.monoid import MonoidDescriptor, PreconditionViolated
 from paravoa.vertexops import (
     BadLabel,
+    _translate,
     TensorState,
     TruncationCtx,
     TruncationOverflow,
@@ -342,3 +343,77 @@ def test_phi_hom_a2():
     assert rep["failures"] == []
     assert rep["omega_ok"]
     assert rep["dims_ok"]
+
+
+# -- closed-form L(-1) and the mode cache --------------------------------------
+
+
+def reduced_forms(maxdet: int = 15) -> list:
+    """Reduced even positive-definite forms [[2a,b],[b,2c]] with
+    |b| <= a <= c and det <= maxdet (Cohen, A Course in Computational
+    Algebraic Number Theory, 5.3)."""
+    out = []
+    a = 1
+    while 3 * a * a <= maxdet:
+        c = a
+        while 4 * a * c - a * a <= maxdet:
+            out.extend(((2 * a, b), (b, 2 * c)) for b in range(-a, a + 1)
+                       if 4 * a * c - b * b <= maxdet)
+            c += 1
+        a += 1
+    return out
+
+
+def test_reduced_form_family():
+    forms = reduced_forms()
+    assert len(forms) == 15
+    assert ((2, -1), (-1, 2)) in forms and ((2, 0), (0, 2)) in forms
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_translation_matches_omega_zero(gram):
+    L = GramLattice(gram=gram)
+    sp = FockSpace.full_lattice(L)
+    om = sp.virasoro()
+    count = 0
+    for d in range(4):
+        for w in enumerate_basis(L, FULL_L, d):
+            assert _translate(sp, w) == state_mode(sp, om, 0, FockState.of(w)), w
+            count += 1
+    assert count > 20
+
+
+def snapshot(s):
+    return FockState(dict(s.terms))
+
+
+def test_mode_results_are_never_aliased():
+    sp = FockSpace.full_lattice(A2)
+    u = make_word(((1, 0),), (1, 0))
+    a = FockState.of(u) + sp.exp_state((0, 1)).scale(2)
+    v = FockState.of(make_word(((2, 1), (1, 0)), (0, 1)))
+
+    def calls():
+        return (word_mode(sp, u, -1, v), state_mode(sp, a, 0, v),
+                heis_mode(sp, E1, -2, v), heis_mode(sp, E2, 1, v))
+
+    first = calls()
+    assert all(first)
+    kept = [snapshot(s) for s in first]
+    cache = sp.__dict__["_mode_cache"]
+    cached = {k: snapshot(s) for k, s in cache.items()}
+    # sums and multiples of the first results, fed back into the engine
+    mixed = first[0] + first[1].scale(3) - first[2] + first[3]
+    mixed = mixed + mixed.scale(-1) + first[0]
+    word_mode(sp, u, 0, mixed)
+    second = calls()
+    assert list(first) == kept
+    assert list(second) == kept
+    assert all(cache[k] == s for k, s in cached.items())
+    # a single term with coefficient 1 still gets a fresh state
+    w1 = FockState.of(make_word((), (0, 1)))
+    got = word_mode(sp, u, -1, w1)
+    ref = snapshot(got)
+    assert got and all(got is not s for s in cache.values())
+    got.terms.clear()
+    assert word_mode(sp, u, -1, w1) == ref
