@@ -2,7 +2,8 @@
 
 Machine output is a single JSON document on stdout; --pretty adds a human
 summary on stderr.  Exit codes: 0 all checks pass, 1 verification failure,
-2 usage or config error.
+2 usage or config error, an inconclusive classification, or a result degree
+above the truncation ceiling.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .exactnum import QuadScalar
 from .fock import FULL_L, FockSpace, FockState, enumerate_basis
 from .lattice import GramLattice, is_primitive
 from .monoid import (
+    Inconclusive,
     MonoidDescriptor,
     PreconditionViolated,
     borel_in,
@@ -37,6 +39,7 @@ from .modrep import (
 )
 from .vertexops import (
     TruncationCtx,
+    TruncationOverflow,
     check_commutator,
     check_ideal,
     check_phi_hom,
@@ -132,6 +135,15 @@ def parse_fraction(s: str, what: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad {what} {s!r}: {exc}") from exc
+
+
+def parse_size(s: str, what: str, rational: bool = False):
+    """A non-negative size argument: an integer, or a rational read as
+    parse_fraction reads it if rational is set; ConfigError if negative."""
+    v = parse_fraction(s, what) if rational else int(s)
+    if v < 0:
+        raise ConfigError(f"{what} must be non-negative, got {s!r}")
+    return v
 
 
 def parse_hvec(s: str, D: int):
@@ -234,7 +246,8 @@ def _default_alpha(cfg: SessionConfig):
 
 
 def cmd_character(cfg: SessionConfig, args) -> int:
-    q = character(_character_target(cfg, args), parse_fraction(args.cap, "--cap"))
+    q = character(_character_target(cfg, args),
+                  parse_size(args.cap, "--cap", rational=True))
     out = {"target": args.target, "cap": args.cap, "series": q.to_json()}
     emit(out, args.pretty,
          ["  ".join(f"q^{t['exp']}:{t['dim']}" for t in q.to_json()) or "(empty)"])
@@ -244,8 +257,8 @@ def cmd_character(cfg: SessionConfig, args) -> int:
 def cmd_verify_iso(cfg: SessionConfig, args) -> int:
     L = cfg.lattice
     alpha = parse_alpha(args.alpha) if args.alpha else _default_alpha(cfg)
-    char_cap = parse_fraction(args.char_cap, "--char-cap")
-    hom = check_phi_hom(L, alpha, int(args.cap), cfg.ctx())
+    char_cap = parse_size(args.char_cap, "--char-cap", rational=True)
+    hom = check_phi_hom(L, alpha, parse_size(args.cap, "--cap"), cfg.ctx())
     chars = check_tensor_character(L, alpha, char_cap)
     ok = not hom["failures"] and hom["omega_ok"] and hom["dims_ok"] and chars["equal"]
     out = {"hom": {k: hom[k] for k in ("check", "instances", "failures",
@@ -261,7 +274,8 @@ def cmd_verify_iso(cfg: SessionConfig, args) -> int:
 
 def cmd_verify_ideal(cfg: SessionConfig, args) -> int:
     rep = check_ideal(cfg.lattice, cfg.descriptor(args.descriptor), cfg.ctx(),
-                      sample_degree=int(args.sample_degree))
+                      sample_degree=parse_size(args.sample_degree,
+                                               "--sample-degree"))
     ok = not rep["failures"]
     emit(rep, args.pretty,
          [f"ideal stability: {rep['instances']} instances, "
@@ -275,15 +289,15 @@ def cmd_verify_commutators(cfg: SessionConfig, args) -> int:
     rng = random.Random(cfg.seed)
     pool = [w for d in range(3) for w in enumerate_basis(L, FULL_L, d)
             if L.norm(w.label) <= 2]
+    samples = parse_size(args.samples, "--samples")
     failures = []
-    for k in range(int(args.samples)):
+    for k in range(samples):
         a, b, v = (FockState.of(rng.choice(pool)) for _ in range(3))
         m, n = rng.randint(-2, 2), rng.randint(-2, 2)
         r = check_commutator(sp, a, b, m, n, v, cfg.ctx())
         if not r.is_zero():
             failures.append({"sample": k, "m": m, "n": n})
-    out = {"check": "commutator", "samples": int(args.samples),
-           "failures": failures}
+    out = {"check": "commutator", "samples": samples, "failures": failures}
     emit(out, args.pretty,
          [f"commutator residuals: {args.samples} samples, "
           f"{len(failures)} failures"])
@@ -331,7 +345,7 @@ def cmd_c1(cfg: SessionConfig, args) -> int:
 
 def cmd_c1_dims(cfg: SessionConfig, args) -> int:
     L = cfg.lattice
-    cap = int(args.cap)
+    cap = parse_size(args.cap, "--cap")
     ctx = TruncationCtx(max(cap, cfg.max_degree))
     if args.target in ("VH", "V_H"):
         alpha = parse_alpha(args.alpha) if args.alpha else _default_alpha(cfg)
@@ -430,7 +444,8 @@ def main(argv: Optional[list] = None) -> int:
     try:
         cfg = load_config(args.config)
         return args.fn(cfg, args)
-    except (ConfigError, PreconditionViolated, ValueError) as exc:
+    except (ConfigError, PreconditionViolated, ValueError, Inconclusive,
+            TruncationOverflow) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -21,7 +21,7 @@ from typing import Union
 
 RationalLike = Union[int, Fraction]
 
-__all__ = ["QuadScalar", "quad_sign", "DivisionByZero", "ZERO", "ONE"]
+__all__ = ["QuadScalar", "DivisionByZero", "ZERO", "ONE"]
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -242,7 +242,3 @@ def _make(a: Fraction, b: Fraction, D: int) -> QuadScalar:
 
 ZERO = QuadScalar(0)
 ONE = QuadScalar(1)
-
-
-def quad_sign(x: QuadScalar) -> int:
-    return x.sign()

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .exactnum import ONE, ZERO, QuadScalar
-from .lattice import GramLattice, HVec, LatVec, inner
+from .lattice import GramLattice, HVec, LatVec, _cramer, inner
 from .monoid import MonoidDescriptor, member
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "SINGLE",
     "enumerate_basis",
     "weight",
-    "state_arith",
     "make_word",
 ]
 
@@ -173,11 +172,6 @@ class FockState:
         return " + ".join(bits)
 
 
-def state_arith(x: FockState, y: FockState, c) -> FockState:
-    """x + c*y with zero pruning."""
-    return x + y.scale(c)
-
-
 def _mode_words(rank: int, m: int):
     """All canonical mode tuples of total degree m in `rank` directions."""
 
@@ -312,9 +306,6 @@ class FockSpace:
 
     # -- pairings -----------------------------------------------------
 
-    def mode_inner(self, i: int, j: int) -> Fraction:
-        return self.mode_gram[i][j]
-
     def label_coords(self, label) -> tuple[Fraction, ...]:
         """Mode-basis coordinates of the label vector."""
         out = [Fraction(0)] * self.rank
@@ -384,7 +375,12 @@ class FockSpace:
 
     def virasoro(self) -> FockState:
         """omega = 1/2 sum_ij (Q^-1)[i][j] b_i(-1) b_j(-1) vac."""
-        inv = _invert(self.mode_gram)
+        q = self.mode_gram
+        if self.rank == 1:
+            inv = ((1 / q[0][0],),)
+        else:
+            # Q is symmetric: column j of Q^-1 solves x*q[0] + y*q[1] = e_j
+            inv = [_cramer(q[0], q[1], e) for e in ((1, 0), (0, 1))]
         t: dict = {}
         for i in range(self.rank):
             for j in range(self.rank):
@@ -405,19 +401,3 @@ class FockSpace:
                 out.append(BasisWord(modes=w, label=tuple(lab)))
         return out
 
-
-def _invert(q):
-    r = len(q)
-    if r == 1:
-        if not q[0][0]:
-            raise ZeroDivisionError("degenerate mode form")
-        return ((1 / Fraction(q[0][0]),),)
-    if r == 2:
-        det = q[0][0] * q[1][1] - q[0][1] * q[1][0]
-        if not det:
-            raise ZeroDivisionError("degenerate mode form")
-        return (
-            (q[1][1] / det, -q[0][1] / det),
-            (-q[1][0] / det, q[0][0] / det),
-        )
-    raise NotImplementedError("rank > 2 not needed")

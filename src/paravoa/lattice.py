@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import QuadScalar, _squarefree, quad_sign
+from .exactnum import QuadScalar, _squarefree
 
 __all__ = [
     "GramLattice",
@@ -156,7 +156,7 @@ def side(L: GramLattice, gamma: HVec, v) -> Side:
     """Which side of the hyperplane orthogonal to gamma the point v lies on."""
     _check_gamma(L, gamma)
     hv = L.lift(v) if isinstance(v[0], int) else v
-    return quad_sign(inner(L, gamma, hv))
+    return inner(L, gamma, hv).sign()
 
 
 def is_primitive(v: LatVec) -> bool:
@@ -210,14 +210,19 @@ def is_basis_pair(u: LatVec, v: LatVec) -> bool:
     return abs(u[0] * v[1] - u[1] * v[0]) == 1
 
 
+def _cramer(c1, c2, rhs) -> tuple[Fraction, Fraction]:
+    """The rational (x, y) with x*c1 + y*c2 = rhs, for integer or rational
+    2-vectors; DependentGenerators if c1 and c2 are dependent."""
+    det = c1[0] * c2[1] - c1[1] * c2[0]
+    if det == 0:
+        raise DependentGenerators("2x2 system with linearly dependent columns")
+    return (Fraction(rhs[0] * c2[1] - rhs[1] * c2[0], det),
+            Fraction(c1[0] * rhs[1] - c1[1] * rhs[0], det))
+
+
 def cone_member(a1: LatVec, a2: LatVec, v: LatVec) -> Optional[tuple[int, int]]:
     """The unique nonnegative-integer combination v = m1*a1 + m2*a2, if any."""
-    det = a1[0] * a2[1] - a1[1] * a2[0]
-    if det == 0:
-        raise DependentGenerators("cone generators must be linearly independent")
-    # Cramer over Q, then integrality and nonnegativity checks
-    m1 = Fraction(v[0] * a2[1] - v[1] * a2[0], det)
-    m2 = Fraction(a1[0] * v[1] - a1[1] * v[0], det)
+    m1, m2 = _cramer(a1, a2, v)
     if m1.denominator != 1 or m2.denominator != 1:
         return None
     if m1 < 0 or m2 < 0:

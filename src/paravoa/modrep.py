@@ -175,14 +175,15 @@ def irreducibles(L: GramLattice, P: MonoidDescriptor, sample_params: dict) -> li
     return out
 
 
-def _theta_line(L: GramLattice, alpha: LatVec, shift: Fraction, cap) -> dict:
-    """Exponent multiset of q^{((m+shift) alpha | (m+shift) alpha)/2}, m in Z."""
-    N2 = Fraction(L.norm(alpha), 2)
+def _theta_line(norm: int, shift: Fraction, cap) -> dict:
+    """Exponent multiset of q^{(m+shift)^2 norm/2}, m in Z, up to cap: the
+    bottom weights of a coset of a rank-one lattice of the given norm."""
+    N2 = Fraction(norm, 2)
     out: dict = {}
     m = 0
     while True:
         hit = False
-        for mm in ((m, -m - 1) if m >= 0 else ()):
+        for mm in (m, -m - 1):
             e = (mm + shift) ** 2 * N2
             if e <= cap:
                 out[e] = out.get(e, 0) + 1
@@ -191,6 +192,20 @@ def _theta_line(L: GramLattice, alpha: LatVec, shift: Fraction, cap) -> dict:
             break
         m += 1
     return out
+
+
+def _dress(bottoms: dict, colors: int, cap: Fraction) -> QSeries:
+    """sum_e c_e q^e (bottoms maps each exponent e to c_e) times the
+    colored-partition series prod_k (1 - q^k)^-colors, up to cap."""
+    low = min(bottoms, default=cap)
+    parts = _colored_partitions(colors, max(0, math.floor(cap - low)))
+    out: dict = {}
+    for e, c in bottoms.items():
+        for n, p in enumerate(parts):
+            if e + n > cap:
+                break
+            out[e + n] = out.get(e + n, 0) + c * p
+    return QSeries.build(out, cap)
 
 
 def character(obj, cap) -> QSeries:
@@ -203,20 +218,11 @@ def character(obj, cap) -> QSeries:
                 if not hh.is_rational():
                     raise ValueError("character needs a rational bottom weight")
                 hh = hh.as_fraction()
-            parts = _colored_partitions(2, max(0, math.floor(cap - hh)))
-            return QSeries.build({hh + n: parts[n] for n in range(len(parts))}, cap)
+            return _dress({hh: 1}, 2, cap)
         # type II: rank-1 Heisenberg x coset of the boundary line
-        L = GramLattice(gram=((obj.N * 2, 0), (0, 2)))  # only the line matters
         h0 = obj.h - Fraction(obj.i * obj.i, 4 * obj.N)
-        theta = _theta_line(L, (1, 0), Fraction(obj.i, 2 * obj.N), cap - h0)
-        parts = _colored_partitions(2, max(0, math.floor(cap - h0)))
-        out: dict = {}
-        for e, c in theta.items():
-            for n in range(len(parts)):
-                ex = h0 + e + n
-                if ex <= cap:
-                    out[ex] = out.get(ex, 0) + c * parts[n]
-        return QSeries.build(out, cap)
+        theta = _theta_line(2 * obj.N, Fraction(obj.i, 2 * obj.N), cap - h0)
+        return _dress({h0 + e: c for e, c in theta.items()}, 2, cap)
     if not isinstance(obj, Selector):
         raise TypeError("character expects a ModuleLabel or Selector")
     L = obj.L
@@ -225,21 +231,11 @@ def character(obj, cap) -> QSeries:
         h = inner(L, lam, lam) * Fraction(1, 2)
         if not h.is_rational():
             raise ValueError("character needs a rational bottom weight")
-        h = h.as_fraction()
-        parts = _colored_partitions(2, max(0, math.floor(cap - h)))
-        return QSeries.build({h + n: parts[n] for n in range(len(parts))}, cap)
+        return _dress({h.as_fraction(): 1}, 2, cap)
     if obj.kind == "RANK1_HEIS":
-        parts = _colored_partitions(1, math.floor(cap))
-        return QSeries.build({Fraction(n): parts[n] for n in range(len(parts))}, cap)
+        return _dress({Fraction(0): 1}, 1, cap)
     if obj.kind == "RANK1_LATTICE":
-        theta = _theta_line(L, obj.alpha, Fraction(0), cap)
-        parts = _colored_partitions(1, math.floor(cap))
-        out = {}
-        for e, c in theta.items():
-            for n in range(len(parts)):
-                if e + n <= cap:
-                    out[e + n] = out.get(e + n, 0) + c * parts[n]
-        return QSeries.build(out, cap)
+        return _dress(_theta_line(L.norm(obj.alpha), Fraction(0), cap), 1, cap)
     # lattice-label algebras: direct label enumeration
     if obj.kind == "V_L":
         labels = _labels_norm(L, cap, lambda v: True)
@@ -252,15 +248,11 @@ def character(obj, cap) -> QSeries:
         labels = _labels_norm(L, cap, lambda v: _on_line(v, alpha))
     else:
         raise ValueError(f"unknown selector kind {obj.kind!r}")
-    parts = _colored_partitions(2, math.floor(cap))
-    out = {}
+    bottoms: dict = {}
     for v in labels:
         h0 = Fraction(L.norm(v), 2)
-        for n in range(len(parts)):
-            e = h0 + n
-            if e <= cap:
-                out[e] = out.get(e, 0) + parts[n]
-    return QSeries.build(out, cap)
+        bottoms[h0] = bottoms.get(h0, 0) + 1
+    return _dress(bottoms, 2, cap)
 
 
 def _on_line(v: LatVec, alpha: LatVec) -> bool:
@@ -357,8 +349,8 @@ def c1_quotient_dims(L: GramLattice, algebra: str, cap: int,
                      alpha: Optional[LatVec] = None) -> list[int]:
     """Per-degree dimensions of V / C1(V) for V_H or V_P, by exact rank
     computation over the truncated basis."""
-    if ctx is not None and cap > ctx.max_degree:
-        raise ValueError("cap exceeds the truncation ceiling")
+    if ctx is not None:
+        ctx.check(cap)
     if algebra == "V_H":
         if alpha is None:
             raise ValueError("V_H needs alpha")

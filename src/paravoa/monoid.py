@@ -1,9 +1,10 @@
 """Submonoid descriptors, membership, the type-I/type-II classification
 dichotomy, Borel-type construction, and constructive saturation witnesses.
 
-Descriptors are finite: a half-plane direction gamma (with the boundary
-line's primitive generator cached), a basis cone, or an explicit
-generator list whose classification is box-relative.
+Descriptors are finite: a half-plane direction gamma, a basis cone, or an
+explicit generator list whose classification is box-relative.  Nothing is
+cached: `member` validates the descriptor on every call, and a type-I
+test recomputes the boundary line's primitive generator each time.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from .lattice import (
     PLUS,
     ZERO,
     DependentGenerators,
+    _cramer,
     cone_member,
     halfplane_basis,
     inner,
-    is_basis_pair,
     is_primitive,
     line_intersection,
     side,
@@ -171,6 +172,15 @@ def member(
     return v in closure_box(L, list(P.generators), r)
 
 
+def _in_ideal(L: GramLattice, P: MonoidDescriptor, rep: ClassificationReport,
+              v: LatVec) -> bool:
+    """v in the ideal S of the parabolic P, given P's classification: P minus
+    0 for type I, the open positive side of gamma for type II."""
+    if rep.type == TYPE_I:
+        return v != (0, 0) and member(L, P, v)
+    return side(L, rep.gamma, v) == PLUS
+
+
 def closure_box(L: GramLattice, gens: list[LatVec], R: int) -> set[LatVec]:
     """Points of the generated submonoid inside [-R, R]^2, saturating
     nonnegative combinations with intermediates confined to a 3R box."""
@@ -269,9 +279,8 @@ def saturate_witnesses(
         raise PreconditionViolated("alpha must lie strictly on the negative side")
     a1, a2 = halfplane_basis(L, gamma)
     # alpha = m*a1 + n*a2 in the half-plane basis
+    m, n = (int(x) for x in _cramer(a1, a2, alpha))
     det = a1[0] * a2[1] - a1[1] * a2[0]
-    m = (alpha[0] * a2[1] - alpha[1] * a2[0]) // det
-    n = (a1[0] * alpha[1] - a1[1] * alpha[0]) // det
 
     ga1 = inner(L, gamma, L.lift(a1))
     ga2 = inner(L, gamma, L.lift(a2))

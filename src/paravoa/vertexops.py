@@ -25,23 +25,14 @@ from typing import Optional
 
 from .exactnum import ONE, ZERO, QuadScalar
 from .fock import BasisWord, FockSpace, FockState, _add_into, _adopt, make_word
-from .lattice import (
-    GramLattice,
-    LatVec,
-    PLUS,
-    perp_primitive,
-    side,
-)
-from .monoid import MonoidDescriptor, PreconditionViolated, classify, member
+from .lattice import GramLattice, LatVec, _cramer, perp_primitive
+from .monoid import MonoidDescriptor, PreconditionViolated, _in_ideal, classify
 
 __all__ = [
-    "Cocycle",
     "TruncationCtx",
     "TruncationOverflow",
     "BadLabel",
     "TensorState",
-    "cocycle_for",
-    "cocycle_eval",
     "heis_mode",
     "exp_mode",
     "general_mode",
@@ -74,23 +65,11 @@ class TruncationCtx:
         if self.max_degree < 0:
             raise ValueError("max_degree must be >= 0")
 
-
-@dataclass(frozen=True)
-class Cocycle:
-    """Bilinear sign on the lattice: eps(a,b) = (-1)^(sum a_i b_j T[i][j])."""
-
-    exponent_table: tuple[tuple[int, int], tuple[int, int]]
-
-
-def cocycle_for(L: GramLattice) -> Cocycle:
-    # nontrivial only below the diagonal; diagonal entries are even anyway
-    return Cocycle(exponent_table=((0, 0), (L.gram[1][0], 0)))
-
-
-def cocycle_eval(eps: Cocycle, a: LatVec, b: LatVec) -> int:
-    t = eps.exponent_table
-    e = sum(a[i] * b[j] * t[i][j] for i in range(2) for j in range(2))
-    return -1 if e % 2 else 1
+    def check(self, degree) -> None:
+        """TruncationOverflow if a result of this degree is above the ceiling."""
+        if degree > self.max_degree:
+            raise TruncationOverflow(
+                f"result degree {degree} exceeds ceiling {self.max_degree}")
 
 
 def _binom(m: int, j: int) -> int:
@@ -173,12 +152,8 @@ def exp_mode(sp: FockSpace, a, n: int, v: FockState, ctx=None) -> FockState:
     """Coefficient of z^(-n-1) in Y(e^a, z) v."""
     a = tuple(int(x) for x in a)
     if ctx is not None and v:
-        half = sp.label_inner(a, a) / 2
-        top = max(sp.degree(w) for w, _ in v) + half - n - 1
-        if top > ctx.max_degree:
-            raise TruncationOverflow(
-                f"result degree {top} exceeds ceiling {ctx.max_degree}"
-            )
+        ctx.check(max(sp.degree(w) for w, _ in v) + sp.label_inner(a, a) / 2
+                  - n - 1)
     target = -n - 1
     acoords = sp.label_coords(a)
     out: dict = {}
@@ -299,11 +274,7 @@ def general_mode(sp: FockSpace, u: BasisWord, n: int, v: FockState,
                  ctx: Optional[TruncationCtx] = None) -> FockState:
     """Coefficient of z^(-n-1) in Y(u, z) v for an arbitrary basis word u."""
     if ctx is not None and v:
-        top = sp.degree(u) + max(sp.degree(w) for w, _ in v) - n - 1
-        if top > ctx.max_degree:
-            raise TruncationOverflow(
-                f"result degree {top} exceeds ceiling {ctx.max_degree}"
-            )
+        ctx.check(sp.degree(u) + max(sp.degree(w) for w, _ in v) - n - 1)
     return word_mode(sp, u, n, v)
 
 
@@ -328,7 +299,7 @@ def check_commutator(sp: FockSpace, a: FockState, b: FockState, m: int, n: int,
 
 
 def check_lemma35(sp: FockSpace, beta, m: int, u: BasisWord, v: FockState,
-                  ctx: Optional[TruncationCtx] = None) -> dict:
+                  ctx: TruncationCtx) -> dict:
     """Residuals beta(m) u_n v - u_n beta(m) v over every n giving a result
     of degree in [0, ctx.max_degree]; requires beta orthogonal to u's modes
     and label."""
@@ -340,7 +311,7 @@ def check_lemma35(sp: FockSpace, beta, m: int, u: BasisWord, v: FockState,
              ZERO)
     if lp:
         raise PreconditionViolated("beta must be orthogonal to u's label")
-    cap = ctx.max_degree if ctx is not None else 6
+    cap = ctx.max_degree
     du = sp.degree(u)
     dv = max((sp.degree(w) for w, _ in v), default=Fraction(0))
     out = {}
@@ -363,13 +334,6 @@ def check_ideal(L: GramLattice, P: MonoidDescriptor,
     rep = classify(L, P)
     if not rep.is_parabolic:
         raise PreconditionViolated("P must be parabolic")
-    gamma = rep.gamma
-
-    def in_S(lab) -> bool:
-        if rep.type == "TYPE_I":
-            return lab != (0, 0) and member(L, P, lab)
-        return side(L, gamma, lab) == PLUS
-
     sp = FockSpace.full_lattice(L)
     from .fock import MONOID, enumerate_basis
 
@@ -378,7 +342,7 @@ def check_ideal(L: GramLattice, P: MonoidDescriptor,
     for d in range(sample_degree + 1):
         for w in enumerate_basis(L, MONOID(P), d):
             a_words.append(w)
-            if in_S(w.label):
+            if _in_ideal(L, P, rep, w.label):
                 b_words.append(w)
     instances = 0
     failures = []
@@ -390,7 +354,7 @@ def check_ideal(L: GramLattice, P: MonoidDescriptor,
                 res = general_mode(sp, a, n, FockState.of(b), ctx)
                 instances += 1
                 for w, _ in res:
-                    if not in_S(w.label):
+                    if not _in_ideal(L, P, rep, w.label):
                         failures.append(
                             {"a": a.to_str(), "b": b.to_str(), "n": n,
                              "label": list(w.label)}
@@ -494,15 +458,6 @@ def tensor_mode(sp1: FockSpace, sp2: FockSpace, A: TensorState, n: int,
     return _adopt(TensorState, out)
 
 
-def _solve2(col1, col2, rhs) -> tuple[Fraction, Fraction]:
-    det = col1[0] * col2[1] - col2[0] * col1[1]
-    if det == 0:
-        raise ValueError("degenerate basis")
-    x = Fraction(rhs[0] * col2[1] - col2[0] * rhs[1], det)
-    y = Fraction(col1[0] * rhs[1] - rhs[0] * col1[1], det)
-    return x, y
-
-
 def _rebase(out: dict, w: BasisWord, c, dirs, label) -> None:
     """out += c * w with each mode direction d rewritten as the combination
     dirs[d] of the two target directions, and the label replaced."""
@@ -533,7 +488,7 @@ def from_adapted(L: GramLattice, alpha: LatVec, beta: LatVec,
 def to_adapted(L: GramLattice, alpha: LatVec, beta: LatVec,
                v: FockState) -> FockState:
     """Inverse of from_adapted; BadLabel if some label is not in Z*alpha."""
-    coeffs = [_solve2(beta, alpha, e) for e in ((1, 0), (0, 1))]
+    coeffs = [_cramer(beta, alpha, e) for e in ((1, 0), (0, 1))]
     out: dict = {}
     for w, c in v:
         lab = w.label
@@ -562,9 +517,7 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
     adapted = FockSpace.hyperplane_adapted(L, alpha, beta)
     full = FockSpace.full_lattice(L)
     sp1 = FockSpace.rank_one_heisenberg(L.norm(beta))
-    sp2 = FockSpace.rank_one_lattice(
-        L.norm(alpha), eps_exp=alpha[0] * alpha[1] * L.gram[1][0]
-    )
+    sp2 = FockSpace.rank_one_lattice(L.norm(alpha), eps_exp=adapted.eps_table[0][0])
     twoN = L.norm(alpha)
     pmax = 0
     while (pmax + 1) ** 2 * twoN <= 2 * degree_cap:

@@ -13,15 +13,13 @@ certificate can be replayed coefficient by coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import QuadScalar
 from .fock import BasisWord, FockSpace, FockState, _add_into, _adopt
-from .lattice import GramLattice, LatVec, PLUS, side
+from .lattice import GramLattice, LatVec
 from .linalg import in_span
-from .monoid import MonoidDescriptor, PreconditionViolated, classify, member
+from .monoid import MonoidDescriptor, PreconditionViolated, _in_ideal, classify
 from .vertexops import (
     TruncationCtx,
     TruncationOverflow,
@@ -29,11 +27,9 @@ from .vertexops import (
     exp_mode,
     heis_mode,
     state_mode,
-    word_mode,
 )
 
 __all__ = [
-    "ZhuElement",
     "circle",
     "star",
     "reduce_35",
@@ -41,13 +37,6 @@ __all__ = [
     "eq33_certificate",
     "state_json",
 ]
-
-
-@dataclass(frozen=True)
-class ZhuElement:
-    """A representative of a congruence class mod O(V_P)."""
-
-    representative: FockState
 
 
 def _weight_of(sp: FockSpace, a: FockState) -> int:
@@ -85,11 +74,8 @@ def reduce_35(sp: FockSpace, a: FockState, b: FockState, m: int, n: int,
     if a.is_zero() or b.is_zero():
         return FockState()
     wa = _weight_of(sp, a)
-    db = max(sp.degree(w) for w, _ in b)
-    if ctx is not None and wa + db + m + 1 > ctx.max_degree:
-        raise TruncationOverflow(
-            f"top degree {wa + db + m + 1} exceeds ceiling {ctx.max_degree}"
-        )
+    if ctx is not None:
+        ctx.check(wa + max(sp.degree(w) for w, _ in b) + m + 1)
     out: dict = {}
     for j in range(wa + n + 1):
         _add_into(out, state_mode(sp, a, j - 2 - m, b).terms.items(),
@@ -102,12 +88,6 @@ def state_json(s: FockState) -> list:
         {"word": w.to_str(), "coeff": c.to_json()}
         for w, c in sorted(s.terms.items(), key=lambda p: (p[0].label, p[0].modes))
     ]
-
-
-def _in_S(L: GramLattice, rep, P: MonoidDescriptor, v: LatVec) -> bool:
-    if rep.type == "TYPE_I":
-        return v != (0, 0) and member(L, P, v)
-    return side(L, rep.gamma, v) == PLUS
 
 
 def nilpotency_certificate(L: GramLattice, P: MonoidDescriptor, beta: LatVec,
@@ -125,12 +105,14 @@ def nilpotency_certificate(L: GramLattice, P: MonoidDescriptor, beta: LatVec,
     rep = classify(L, P)
     if not rep.is_parabolic:
         raise PreconditionViolated("P must be parabolic")
-    if beta == (0, 0) or not _in_S(L, rep, P, beta):
+    if beta == (0, 0) or not _in_ideal(L, P, rep, beta):
         raise PreconditionViolated(f"beta {beta} is not in the semigroup S")
     twoN = L.norm(beta)
     if twoN < 2:
         raise PreconditionViolated("(beta|beta) must be >= 2")
     N = twoN // 2
+    # step (ii)'s residue element R(e^beta, e^beta, 2N-1, 0) has degree 4N
+    ctx.check(2 * twoN)
     sp = FockSpace.full_lattice(L)
     eb = sp.exp_state(beta)
     e2b = sp.exp_state((2 * beta[0], 2 * beta[1]))

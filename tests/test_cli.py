@@ -259,3 +259,38 @@ def test_parse_helpers():
     assert parse_fraction("3/6", "--cap") == Fraction(1, 2)
     with pytest.raises(ConfigError, match="--cap"):
         parse_fraction("1/0", "--cap")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--config", "a2", "character", "VL", "--cap", "-1"),
+    ("--config", "diag22", "c1-dims", "VH", "--cap", "-1"),
+    ("--config", "diag22", "verify-iso", "--cap", "-1"),
+    ("--config", "diag22", "verify-iso", "--char-cap=-1/2"),
+    ("--config", "diag22", "verify-commutators", "--samples", "-3"),
+    ("--config", "diag22", "verify-ideal", "P2", "--sample-degree", "-1"),
+], ids=lambda a: " ".join(a[2:]))
+def test_negative_size_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --") and "must be non-negative" in err
+    assert err.count("\n") == 1
+
+
+def test_inconclusive_classification_is_exit_2(capsys, tmp_path):
+    p = tmp_path / "gens.json"
+    p.write_text(json.dumps({
+        "lattice": {"gram": [[2, 0], [0, 2]]},
+        "descriptors": {"G": {"kind": "generators", "generators": [[1, 0], [0, 1]]}},
+    }))
+    code, out, err = run(capsys, "--config", str(p), "classify", "G")
+    assert code == 2 and out == ""
+    assert err.startswith("error: generated monoid matches neither")
+    assert err.count("\n") == 1
+
+
+def test_ceiling_overflow_is_exit_2_before_any_work(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "--config", "diag22", "zhu-nil", "P2", "0,2")
+    assert time.perf_counter() - t0 < 2
+    assert code == 2 and out == ""
+    assert err == "error: result degree 16 exceeds ceiling 6\n"

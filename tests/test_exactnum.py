@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from paravoa.exactnum import DivisionByZero, QuadScalar, quad_sign
+from paravoa.exactnum import DivisionByZero, QuadScalar
 
 
 def q(a, b=0, D=2):
@@ -12,19 +12,19 @@ def q(a, b=0, D=2):
 
 
 def test_sign_zero():
-    assert quad_sign(q(0, 0)) == 0
+    assert q(0, 0).sign() == 0
 
 
 def test_sign_forced():
-    assert quad_sign(q(-1, 1)) == 1  # sqrt(2) > 1
+    assert q(-1, 1).sign() == 1  # sqrt(2) > 1
 
 
 def test_sign_magnitude_comparison():
     # oracle: 3 + (-2)sqrt(2) > 0 iff 9 > 8
     assert 3 * 3 > 2 * 2 * 2
-    assert quad_sign(q(3, -2)) == 1
-    assert quad_sign(q(-3, 2)) == -1
-    assert quad_sign(q(2, -3)) == -1
+    assert q(3, -2).sign() == 1
+    assert q(-3, 2).sign() == -1
+    assert q(2, -3).sign() == -1
 
 
 def test_norm_identity():
@@ -77,7 +77,7 @@ def test_sign_matches_float(x):
 
     approx = float(x.a) + float(x.b) * math.sqrt(2)
     if abs(approx) > 1e-9:
-        assert quad_sign(x) == (1 if approx > 0 else -1)
+        assert x.sign() == (1 if approx > 0 else -1)
 
 
 def test_mixed_field_rejected():

@@ -1,15 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from paravoa.exactnum import QuadScalar
 from paravoa.lattice import (
+    DependentGenerators,
     GramLattice,
     MINUS,
     PLUS,
     ZERO,
     ZeroGamma,
     ZeroVector,
+    _cramer,
     cone_member,
     discriminant,
     halfplane_basis,
@@ -113,6 +116,28 @@ def test_cone_member():
     assert cone_member((1, 0), (0, 1), (3, 4)) == (3, 4)
     assert cone_member((1, 0), (0, 1), (-1, 0)) is None
     assert cone_member((2, 1), (1, 1), (5, 3)) == (2, 1)
+
+
+def test_cone_member_dependent_generators():
+    for a1, a2 in (((1, 2), (2, 4)), ((1, 0), (-3, 0)), ((0, 0), (1, 1))):
+        with pytest.raises(DependentGenerators):
+            cone_member(a1, a2, (1, 1))
+
+
+entries = st.one_of(st.integers(-30, 30),
+                    st.fractions(min_value=-30, max_value=30, max_denominator=12))
+pairs = st.tuples(entries, entries)
+
+
+@given(pairs, pairs, pairs)
+def test_cramer_solves_the_system(c1, c2, rhs):
+    if c1[0] * c2[1] == c1[1] * c2[0]:
+        with pytest.raises(DependentGenerators):
+            _cramer(c1, c2, rhs)
+        return
+    x, y = _cramer(c1, c2, rhs)
+    assert type(x) is Fraction and type(y) is Fraction
+    assert (x * c1[0] + y * c2[0], x * c1[1] + y * c2[1]) == rhs
 
 
 def test_cone_member_brute_force():

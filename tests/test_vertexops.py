@@ -4,8 +4,16 @@ from fractions import Fraction
 import pytest
 
 from paravoa.exactnum import QuadScalar
-from paravoa.fock import FULL_L, FockSpace, FockState, enumerate_basis, make_word
+from paravoa.fock import (
+    FULL_L,
+    MONOID,
+    FockSpace,
+    FockState,
+    enumerate_basis,
+    make_word,
+)
 from paravoa.lattice import GramLattice
+from paravoa.modrep import Selector, character, check_tensor_character
 from paravoa.monoid import MonoidDescriptor, PreconditionViolated
 from paravoa.vertexops import (
     BadLabel,
@@ -17,8 +25,6 @@ from paravoa.vertexops import (
     check_ideal,
     check_lemma35,
     check_phi_hom,
-    cocycle_eval,
-    cocycle_for,
     exp_mode,
     from_adapted,
     general_mode,
@@ -48,20 +54,17 @@ def vac(sp):
 
 
 def test_cocycle_diagonal_trivial():
-    eps = cocycle_for(A2)
-    assert cocycle_eval(eps, (1, 0), (1, 0)) == 1
+    assert SPA.eps((1, 0), (1, 0)) == 1
 
 
 def test_cocycle_condition_a2():
-    eps = cocycle_for(A2)
-    assert cocycle_eval(eps, (1, 0), (0, 1)) * cocycle_eval(eps, (0, 1), (1, 0)) == -1
+    assert SPA.eps((1, 0), (0, 1)) * SPA.eps((0, 1), (1, 0)) == -1
 
 
 def test_cocycle_zero_argument():
-    eps = cocycle_for(DIAG22)
     for b in DIAG22.box(2):
-        assert cocycle_eval(eps, (0, 0), b) == 1
-        assert cocycle_eval(eps, b, (0, 0)) == 1
+        assert SPD.eps((0, 0), b) == 1
+        assert SPD.eps(b, (0, 0)) == 1
 
 
 # -- Heisenberg modes -------------------------------------------------------
@@ -345,7 +348,7 @@ def test_phi_hom_a2():
     assert rep["dims_ok"]
 
 
-# -- closed-form L(-1) and the mode cache --------------------------------------
+# -- the reduced-form family, closed-form L(-1) and the mode cache -------------
 
 
 def reduced_forms(maxdet: int = 15) -> list:
@@ -381,6 +384,22 @@ def test_translation_matches_omega_zero(gram):
             assert _translate(sp, w) == state_mode(sp, om, 0, FockState.of(w)), w
             count += 1
     assert count > 20
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_characters_match_basis_counts_on_form_family(gram):
+    # two independent routes: bottom exponents dressed with coloured
+    # partitions against words counted by enumerate_basis
+    L = GramLattice(gram=gram, D=2)
+    for P in (MonoidDescriptor(kind="type2", gamma=L.hvec(0, 1)),
+              MonoidDescriptor(kind="type1", gamma=(L.scalar(1), L.scalar(0, 1)))):
+        for sel, ambient in ((Selector(kind="V_L", L=L), FULL_L),
+                             (Selector(kind="V_P", L=L, P=P), MONOID(P))):
+            counts = {Fraction(d): len(enumerate_basis(L, ambient, d))
+                      for d in range(6)}
+            assert character(sel, 5).as_dict() == counts, (sel.kind, P.kind)
+    for alpha in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1)):
+        assert check_tensor_character(L, alpha, Fraction(13, 2))["equal"], alpha
 
 
 def snapshot(s):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from paravoa import zhu
 from paravoa.exactnum import QuadScalar
 from paravoa.fock import FULL_L, FockSpace, FockState, enumerate_basis
 from paravoa.lattice import GramLattice
@@ -165,6 +166,17 @@ def test_certificate_rejects_beta_outside_S():
     P = MonoidDescriptor(kind="type2", gamma=DIAG22.hvec(0, 1))
     with pytest.raises(PreconditionViolated):
         nilpotency_certificate(DIAG22, P, (1, 0), TruncationCtx(6))  # boundary
+
+
+def test_certificate_checks_its_ceiling_first(monkeypatch):
+    # step (ii) needs degree 2*(beta|beta) = 16 for beta = (0, 2)
+    def no_work(*args):
+        raise AssertionError("step (i) ran before the ceiling check")
+
+    monkeypatch.setattr(zhu, "exp_mode", no_work)
+    P = MonoidDescriptor(kind="type2", gamma=DIAG22.hvec(0, 1))
+    with pytest.raises(TruncationOverflow, match="16 exceeds ceiling 15"):
+        nilpotency_certificate(DIAG22, P, (0, 2), TruncationCtx(15))
 
 
 # -- Eq. 3.3 congruence certificates ---------------------------------------
