@@ -379,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_classify)
 
     s = sub.add_parser("borel", help="Borel-type submonoid for a direction")
-    s.add_argument("gamma", help="'x,y'; components 'a' or 'a~b' = a+b*sqrt(D)")
+    s.add_argument("gamma", help="'x,y'; components 'a' or 'a~b' = a+b*sqrt(D); "
+                                 "after '--' if it starts with '-' (borel -- -1,1)")
     s.set_defaults(fn=cmd_borel)
 
     s = sub.add_parser("saturate", help="saturation witness pair")
@@ -391,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("target", help="descriptor name, VL, VH, or M1")
     s.add_argument("--cap", default="6")
     s.add_argument("--alpha")
-    s.add_argument("--t", help="module parameter t (with a descriptor target)")
+    s.add_argument("--t", help="module parameter t (with a descriptor target); "
+                               "a negative t as --t=-1/2")
     s.add_argument("--i", help="module coset index")
     s.set_defaults(fn=cmd_character)
 
@@ -417,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("fusion", help="fusion table over a module sample")
     s.add_argument("descriptor")
-    s.add_argument("--ts", help="comma-separated t values (type II)")
+    s.add_argument("--ts", help="comma-separated t values (type II); "
+                                "a list that starts with '-' as --ts=-1/2,0")
     s.add_argument("--lams", help="semicolon-separated 'x,y' (type I)")
     s.set_defaults(fn=cmd_fusion)
 

@@ -26,7 +26,7 @@ from .lattice import (
 )
 from .linalg import quotient_dimension
 from .monoid import MonoidDescriptor, classify, member
-from .vertexops import TruncationCtx, _translate, word_mode
+from .vertexops import TruncationCtx, _translate, _unit, exp_mode, heis_mode
 
 __all__ = [
     "ModuleLabel",
@@ -343,12 +343,36 @@ def c1_decide(L: GramLattice, P: MonoidDescriptor, box_radius: int = 12) -> C1Re
     return C1Report(verdict="UNKNOWN")
 
 
+def _strongly_indecomposable(L: GramLattice, labels) -> list[LatVec]:
+    """The labels lam != 0 of the set that are not mu + nu with mu, nu in
+    the set minus 0 and (mu|nu) >= 0.  Every other nonzero label is such a
+    sum, and then e^{mu+nu} = +-e^mu_{-(mu|nu)-1} e^nu, so the e^lam kept
+    here and the h_i(-1) strongly generate the label set's algebra."""
+    rest = {v for v in labels if any(v)}
+
+    def splits(lam):
+        for mu in rest:
+            nu = (lam[0] - mu[0], lam[1] - mu[1])
+            if nu in rest and L.inner_int(mu, nu) >= 0:
+                return True
+        return False
+
+    return [lam for lam in labels if lam in rest and not splits(lam)]
+
+
 def c1_quotient_dims(L: GramLattice, algebra: str, cap: int,
                      ctx: Optional[TruncationCtx] = None,
                      P: Optional[MonoidDescriptor] = None,
                      alpha: Optional[LatVec] = None) -> list[int]:
     """Per-degree dimensions of V / C1(V) for V_H or V_P, by exact rank
-    computation over the truncated basis."""
+    computation over the truncated basis.
+
+    C1(V) is spanned by L(-1)V and the u_{-k}v with u in a strongly
+    generating set U, k >= 1 and v of positive degree (Karel and Li,
+    J. Algebra 217, 1999).  U is h_1(-1), h_2(-1) and the e^lam of the
+    strongly indecomposable labels, so every row is one L(-1), Heisenberg
+    or exponential mode of a basis word.  Each row lies in one (degree,
+    label) block, and the blocks are eliminated one at a time."""
     if ctx is not None:
         ctx.check(cap)
     if algebra == "V_H":
@@ -364,18 +388,28 @@ def c1_quotient_dims(L: GramLattice, algebra: str, cap: int,
     sp = FockSpace.full_lattice(L)
     labels = _labels_norm(L, Fraction(cap), keep)
     by_deg = {d: sp.basis(d, labels=labels) for d in range(cap + 1)}
+    units = [_unit(sp, i) for i in range(sp.rank)]
+    gens = [(lam, L.norm(lam) // 2) for lam in _strongly_indecomposable(L, labels)]
     dims = []
     for d in range(cap + 1):
-        span = []
-        # L(-1) v for v of positive degree d-1
-        for v in by_deg.get(d - 1, ()):
-            if sp.degree(v) > 0:
-                span.append(_translate(sp, v))
-        # a_{-1} b over positive-degree homogeneous pairs
-        for d1 in range(1, d):
-            for a in by_deg[d1]:
-                for b in by_deg[d - d1]:
-                    if sp.degree(b) > 0:
-                        span.append(word_mode(sp, a, -1, FockState.of(b)))
-        dims.append(quotient_dimension(by_deg[d], span))
+        rows: dict = {}
+        for k in range(1, d):
+            for v in by_deg[d - k]:
+                for h in units:
+                    rows.setdefault(v.label, []).append(
+                        heis_mode(sp, h, -k, FockState.of(v)))
+        if d >= 2:
+            for v in by_deg[d - 1]:
+                rows.setdefault(v.label, []).append(_translate(sp, v))
+        for lam, dl in gens:
+            for dv in range(1, d - dl + 1):
+                for v in by_deg[dv]:
+                    lab = (lam[0] + v.label[0], lam[1] + v.label[1])
+                    rows.setdefault(lab, []).append(
+                        exp_mode(sp, lam, dl + dv - d - 1, FockState.of(v)))
+        blocks: dict = {}
+        for w in by_deg[d]:
+            blocks.setdefault(w.label, []).append(w)
+        dims.append(sum(quotient_dimension(words, rows.get(lab, ()))
+                        for lab, words in blocks.items()))
     return dims

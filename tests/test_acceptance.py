@@ -1,4 +1,4 @@
-"""Acceptance gate: the ten top-level guarantees, each as one test with a
+"""Acceptance gate: the top-level guarantees, each as one test with a
 single pass/fail line.  All arithmetic is exact, so every comparison is
 equality with zero tolerance; each test also enforces its runtime budget.
 """
@@ -294,3 +294,13 @@ def test_accept_10_c1_cofiniteness():
     assert dims[0] == 1 and dims[1] == 4
     assert all(d == 0 for d in dims[2:])
     report(10, "C1-cofiniteness decisions", time.time() - t0, 120)
+
+
+def test_accept_11_c1_dims_at_scale():
+    t0 = time.time()
+    dims = c1_quotient_dims(DIAG22, "V_H", 8, TruncationCtx(8), alpha=(1, 0))
+    assert dims == [1, 4] + [0] * 7
+    P2 = MonoidDescriptor(kind="type2", gamma=DIAG22.hvec(0, 1))
+    dims = c1_quotient_dims(DIAG22, "V_P", 6, TruncationCtx(6), P=P2)
+    assert dims == [1, 5] + [0] * 5
+    report(11, "C1 quotient dimensions at scale", time.time() - t0, 60)

@@ -244,6 +244,22 @@ def test_bad_fraction_is_usage_error(capsys, argv):
     assert err.startswith("error: bad ") and err.count("\n") == 1
 
 
+# argparse takes a value after "--t" that starts with "-" for an option;
+# "--t=" or a "--" before the positionals keeps it a value
+@pytest.mark.parametrize("argv,pick,want", [
+    (("character", "P2", "--cap", "2", "--t=-1/2", "--i", "1"),
+     lambda o: o["series"][0], {"exp": "1/2", "dim": 2}),
+    (("fusion", "P2", "--ts=-1/2,0"),
+     lambda o: [m["t"] for m in o["modules"]], ["-1/2", "-1/2", "0", "0"]),
+    (("borel", "--", "-1,1"),
+     lambda o: [c["a"] for c in o["descriptor"]["gamma"]], ["-1", "1"]),
+], ids=["character --t=", "fusion --ts=", "borel --"])
+def test_values_starting_with_minus(capsys, argv, pick, want):
+    code, out, _ = run(capsys, "--config", "diag22", *argv)
+    assert code == 0
+    assert pick(json.loads(out)) == want
+
+
 def test_fusion_lams_need_two_components(capsys):
     code, out, err = run(capsys, "--config", "a2", "fusion", "P1", "--lams", "1")
     assert code == 2 and out == "" and err.startswith("error: expected 'x,y'")

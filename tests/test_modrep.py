@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from paravoa import linalg, modrep, vertexops
+from paravoa.cli import load_config
+from paravoa.fock import FockSpace, FockState
 from paravoa.lattice import GramLattice
 from paravoa.modrep import (
     C1Report,
@@ -16,8 +19,13 @@ from paravoa.modrep import (
     fusion,
     irreducibles,
 )
-from paravoa.monoid import MonoidDescriptor
-from paravoa.vertexops import TruncationCtx
+from paravoa.monoid import MonoidDescriptor, member
+from paravoa.vertexops import TruncationCtx, _translate, word_mode
+
+try:
+    from test_vertexops import reduced_forms
+except ImportError:  # --import-mode=importlib leaves tests/ off sys.path
+    from tests.test_vertexops import reduced_forms
 
 A2 = GramLattice(gram=((2, -1), (-1, 2)), D=2)
 DIAG22 = GramLattice(gram=((2, 0), (0, 2)), D=2)
@@ -193,3 +201,87 @@ def test_c1_quotient_dims_vp_type1_tail():
     dims = c1_quotient_dims(DIAG22, "V_P", 3, TruncationCtx(6), P=P1_D)
     assert dims[0] == 1
     assert any(d > 0 for d in dims[2:])
+
+
+# -- C1 spans: strong generators against the all-pairs oracle ---------------
+
+
+def all_pairs_dims(L, cap, keep):
+    """dim V / C1(V) per degree from every a_{-1}b over pairs of basis words
+    of positive degree, plus L(-1)V: the span by definition."""
+    sp = FockSpace.full_lattice(L)
+    labels = modrep._labels_norm(L, Fraction(cap), keep)
+    by_deg = [sp.basis(d, labels=labels) for d in range(cap + 1)]
+    dims = []
+    for d in range(cap + 1):
+        span = [_translate(sp, v) for v in by_deg[d - 1]] if d >= 2 else []
+        span += [word_mode(sp, a, -1, FockState.of(b))
+                 for d1 in range(1, d) for a in by_deg[d1]
+                 for b in by_deg[d - d1]]
+        dims.append(linalg.quotient_dimension(by_deg[d], span))
+    return dims
+
+
+def record_blocks(monkeypatch, sp):
+    """Patch modrep's quotient_dimension to check that each call gets one
+    (degree, label) block: its basis words and every word of every row
+    share one label and one degree."""
+    real = linalg.quotient_dimension
+
+    def checked(words, rows):
+        ((lab, deg),) = {(w.label, sp.degree(w)) for w in words}
+        for r in rows:
+            assert {(w.label, sp.degree(w)) for w, _ in r} <= {(lab, deg)}
+        return real(words, rows)
+
+    monkeypatch.setattr(modrep, "quotient_dimension", checked)
+
+
+ALPHAS = ((1, 0), (0, 1), (1, 1))
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_c1_dims_match_all_pairs_span_vh(monkeypatch, gram):
+    L = GramLattice(gram=gram)
+    record_blocks(monkeypatch, FockSpace.full_lattice(L))
+    for alpha in ALPHAS:
+        want = all_pairs_dims(L, 4, lambda v: modrep._on_line(v, alpha))
+        assert c1_quotient_dims(L, "V_H", 4, alpha=alpha) == want
+
+
+@pytest.mark.parametrize("config", ["a2", "diag22"])
+@pytest.mark.parametrize("name", ["P1", "P2"])
+def test_c1_dims_match_all_pairs_span_vp(monkeypatch, config, name):
+    cfg = load_config(config)
+    L, P = cfg.lattice, cfg.descriptor(name)
+    record_blocks(monkeypatch, FockSpace.full_lattice(L))
+    want = all_pairs_dims(L, 5, lambda v: member(L, P, v))
+    assert c1_quotient_dims(L, "V_P", 5, P=P) == want
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_strong_generators_of_vh_are_plus_minus_alpha(gram):
+    L = GramLattice(gram=gram)
+    for alpha in ALPHAS:
+        # cap 6 keeps +-alpha, of norm at most 12 on these forms, in the set
+        labels = modrep._labels_norm(L, 6, lambda v: modrep._on_line(v, alpha))
+        got = modrep._strongly_indecomposable(L, labels)
+        assert sorted(got) == sorted([alpha, (-alpha[0], -alpha[1])])
+
+
+def test_orthogonal_sum_is_not_a_strong_generator():
+    # (1,1) = (1,0) + (0,1) with ((1,0)|(0,1)) = 0, so e^(1,1) is not kept
+    labels = modrep._labels_norm(DIAG22, 4, lambda v: member(DIAG22, P2_D, v))
+    got = modrep._strongly_indecomposable(DIAG22, labels)
+    assert got == [(-1, 0), (0, 1), (1, 0)]
+
+
+def test_c1_dims_never_use_the_iterate_recursion(monkeypatch):
+    def no_word_mode(*args):
+        raise AssertionError("a C1 row went through word_mode")
+
+    monkeypatch.setattr(vertexops, "word_mode", no_word_mode)
+    monkeypatch.setattr(vertexops, "_word_mode_w", no_word_mode)
+    assert c1_quotient_dims(DIAG22, "V_H", 4, alpha=(1, 0)) == [1, 4, 0, 0, 0]
+    assert c1_quotient_dims(A2, "V_P", 5, P=P1_A) == [1, 5, 0, 1, 0, 0]
+    assert c1_quotient_dims(DIAG22, "V_P", 5, P=P1_D) == [1, 4, 1, 0, 0, 1]

@@ -12,6 +12,8 @@ from paravoa.monoid import MonoidDescriptor, PreconditionViolated
 from paravoa.vertexops import (
     TruncationCtx,
     TruncationOverflow,
+    _translate,
+    exp_mode,
     heis_mode,
     state_mode,
     word_mode,
@@ -231,11 +233,18 @@ def test_engine_outputs_carry_quadscalar_coefficients():
     for a in words[:6]:
         for b in words[:6]:
             assert_quad_coeffs(word_mode(sp, a, -1, FockState.of(b)))
-    # the two kinds of span element of c1_quotient_dims
+    # omega_0 v and a_{-1}b, the all-pairs span of C1(V)
     om = sp.virasoro()
     span = [state_mode(sp, om, 0, FockState.of(w)) for w in words[1:6]]
     span += [word_mode(sp, a, -1, FockState.of(b))
              for a in words[1:4] for b in words[1:4]]
+    # the three row kinds of c1_quotient_dims: L(-1) v, h_i(-k) v and
+    # e^lam_{-k} v
+    span += [_translate(sp, w) for w in words[1:6]]
+    span += [heis_mode(sp, h, -k, FockState.of(w)) for h in ((1, 0), (0, 1))
+             for k in (1, 2) for w in words[1:4]]
+    span += [exp_mode(sp, lam, -k, FockState.of(w)) for lam in ((1, 0), (-1, 0))
+             for k in (1, 2) for w in words[1:4]]
     for s in span:
         assert_quad_coeffs(s)
     target = span[0].scale(3) + span[1].scale(Fraction(-1, 2))
