@@ -18,7 +18,7 @@ from typing import Optional
 
 from .exactnum import QuadScalar
 from .fock import FULL_L, FockSpace, FockState, enumerate_basis
-from .lattice import GramLattice, is_primitive
+from .lattice import GramLattice, _json_int, is_primitive
 from .monoid import (
     Inconclusive,
     MonoidDescriptor,
@@ -68,9 +68,13 @@ class SessionConfig:
                 raise ConfigError(f"{source}: descriptor {name!r}: {exc}") from exc
             self.descriptors[name] = desc
         trunc = obj.get("truncation", {})
-        self.max_degree = int(trunc.get("maxDegree", 6))
-        self.box_radius = int(obj.get("boxRadius", 8))
-        self.seed = int(obj.get("seed", 0))
+        try:
+            self.max_degree = _json_int(trunc.get("maxDegree", 6),
+                                        "truncation.maxDegree", 0)
+            self.box_radius = _json_int(obj.get("boxRadius", 8), "boxRadius", 1)
+            self.seed = _json_int(obj.get("seed", 0), "seed")
+        except ValueError as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
         self.source = source
 
     def ctx(self) -> TruncationCtx:

@@ -58,6 +58,22 @@ class DependentGenerators(ValueError):
     pass
 
 
+def _json_int(x, what: str, lo: Optional[int] = None) -> int:
+    """x if it is a JSON integer (a bool or a float is not one) and at least
+    lo; ValueError naming the field what otherwise."""
+    if isinstance(x, bool) or not isinstance(x, int) or (lo is not None and x < lo):
+        at_least = "" if lo is None else f" >= {lo}"
+        raise ValueError(f"{what}: expected an integer{at_least}, got {x!r}")
+    return x
+
+
+def _json_pair(v, what: str, item=_json_int) -> tuple:
+    """v as a pair of integers, or of pairs with item=_json_pair."""
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ValueError(f"{what}: expected a pair, got {v!r}")
+    return (item(v[0], what), item(v[1], what))
+
+
 @dataclass(frozen=True)
 class GramLattice:
     """Rank-two even lattice given by its integer Gram matrix."""
@@ -122,10 +138,9 @@ class GramLattice:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GramLattice":
-        g = obj["gram"]
         return cls(
-            gram=((int(g[0][0]), int(g[0][1])), (int(g[1][0]), int(g[1][1]))),
-            D=int(obj.get("D", 1)),
+            gram=_json_pair(obj["gram"], "gram", _json_pair),
+            D=_json_int(obj.get("D", 1), "D"),
             names=tuple(obj.get("names", ("a1", "a2"))),
         )
 

@@ -23,6 +23,7 @@ from .lattice import (
     ZERO,
     DependentGenerators,
     _cramer,
+    _json_pair,
     cone_member,
     halfplane_basis,
     inner,
@@ -114,8 +115,8 @@ class MonoidDescriptor:
             )
         cone = None
         if "cone" in obj:
-            cone = (tuple(obj["cone"][0]), tuple(obj["cone"][1]))
-        gens = tuple(tuple(v) for v in obj.get("generators", ()))
+            cone = _json_pair(obj["cone"], "cone", _json_pair)
+        gens = tuple(_json_pair(v, "generators") for v in obj.get("generators", ()))
         return cls(kind=kind, gamma=gamma, cone=cone, generators=gens)
 
 

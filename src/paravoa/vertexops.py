@@ -7,13 +7,15 @@ ceiling raises instead of truncating, so identity checks can never be
 fooled by an over-eager cutoff.
 
 Modes of exponential vectors come from the product form
-E^-(-a,z) E^+(-a,z) e_a z^a, with both exponentials expanded exactly
-(the annihilation side terminates on its own, the creation side is cut
-at the single z-power being extracted).  Modes of dressed words
-h(-n_1)...h(-n_k) e^a are reduced to those by the associativity
-(iterate) recursion for h(-n)-prefixed vectors, which is a finite sum
-here because every state in a positive-definite lattice module has
-degree >= 0.
+E^-(-a,z) E^+(-a,z) e_a z^a.  Both exponentials have the shape
+X(z) = exp(sum_{k>0} x_k z^(+-k) / k) with commuting x_k, so one
+recurrence, N X_N = sum_{k=1..N} x_k X_{N-k}, expands either exactly:
+E^+ (x_k = -a(k)) up to the word's mode degree, where it ends, and E^-
+(x_k = a(-k)) up to the one power that lands on the extracted z-power.
+Modes of dressed words h(-n_1)...h(-n_k) e^a are reduced to those by the
+associativity (iterate) recursion for h(-n)-prefixed vectors, which is a
+finite sum here because every state in a positive-definite lattice
+module has degree >= 0.
 """
 
 from __future__ import annotations
@@ -82,15 +84,7 @@ def _binom(m: int, j: int) -> int:
     return num // math.factorial(j)
 
 
-def _max_depth(v) -> int:
-    md = 0
-    for w, _ in v:
-        for n, _ in w.modes:
-            md = max(md, n)
-    return md
-
-
-def heis_mode(sp: FockSpace, h, m: int, v: FockState, ctx=None) -> FockState:
+def heis_mode(sp: FockSpace, h, m: int, v: FockState) -> FockState:
     """Action of h(m), with h given by coordinates in sp's mode basis."""
     out: dict = {}
     if m < 0:
@@ -139,13 +133,21 @@ def _translate(sp: FockSpace, w: BasisWord) -> FockState:
     return _adopt(FockState, out)
 
 
-def _acc(d: dict, p: int, st: FockState):
-    """d[p] += st; st is fresh, and d's states are owned by the caller."""
-    cur = d.get(p)
-    if cur is None:
-        d[p] = st
-    else:
-        _add_into(cur.terms, st.terms.items())
+def _exp_series(sp: FockSpace, h, s: int, v: FockState, top: int) -> list:
+    """[X_0 v, ..., X_top v] with X_N the coefficient of z^(sN) in
+    X(z) = exp(sum_{k>0} x_k z^(sk) / k), x_k = s h(-sk): s = 1 gives
+    E^-(-h, z) and s = -1 gives E^+(-h, z).  The x_k commute, so the
+    derivative in z^s is X' = (sum_k x_k z^(s(k-1))) X, which is
+    N X_N = sum_{k=1..N} x_k X_{N-k}."""
+    xs = [v]
+    for N in range(1, top + 1):
+        acc: dict = {}
+        for k in range(1, N + 1):
+            if xs[N - k]:
+                _add_into(acc, heis_mode(sp, h, -s * k, xs[N - k]).terms.items(),
+                          Fraction(s, N))
+        xs.append(_adopt(FockState, acc))
+    return xs
 
 
 def exp_mode(sp: FockSpace, a, n: int, v: FockState, ctx=None) -> FockState:
@@ -154,60 +156,25 @@ def exp_mode(sp: FockSpace, a, n: int, v: FockState, ctx=None) -> FockState:
     if ctx is not None and v:
         ctx.check(max(sp.degree(w) for w, _ in v) + sp.label_inner(a, a) / 2
                   - n - 1)
-    target = -n - 1
     acoords = sp.label_coords(a)
     out: dict = {}
     for w, c in v:
-        # E^+(-a, z) = exp(sum_{k>0} (-a(k)/k) z^-k): terminates by itself
-        series = {0: FockState.of(w, c)}
-        cur = dict(series)
-        i = 1
-        while cur:
-            nxt: dict = {}
-            for p, st in cur.items():
-                for k in range(1, _max_depth(st) + 1):
-                    t = heis_mode(sp, acoords, k, st).scale(Fraction(-1, k))
-                    if t:
-                        _acc(nxt, p - k, t)
-            cur = {p: st.scale(Fraction(1, i)) for p, st in nxt.items() if st}
-            for p, st in cur.items():
-                _acc(series, p, st)
-            i += 1
+        # E^+(-a, z) ends at the word's mode degree
+        series = _exp_series(sp, acoords, -1, FockState.of(w, c), w.mode_degree())
         # e_a z^a: sign and label shift, z-power shift by (a|label)
         t0 = sp.label_inner(a, w.label)
         if t0.denominator != 1:
             raise BadLabel(f"(a|label) = {t0} is not an integer")
         sgn = sp.eps(a, w.label)
         newlab = tuple(x + y for x, y in zip(a, w.label))
-        shifted: dict = {}
-        for p, st in series.items():
+        for p, st in enumerate(series):
+            # X_p w sits at z^(t0 - p); E^-(-a, z) must supply z^need
+            need = p - int(t0) - n - 1
+            if need < 0 or not st:
+                continue
             moved = _adopt(FockState, {BasisWord(wd.modes, newlab): cc * sgn
                                        for wd, cc in st})
-            if moved:
-                _acc(shifted, p + int(t0), moved)
-        # E^-(-a, z) = exp(sum_{m>0} (a(-m)/m) z^m): only the powers that
-        # land exactly on the target matter, and they only grow
-        for p, st in shifted.items():
-            need = target - p
-            if need < 0:
-                continue
-            if need == 0:
-                _add_into(out, st.terms.items())
-                continue
-            cur = {0: st}
-            i = 1
-            while cur:
-                nxt = {}
-                for q, s2 in cur.items():
-                    for mm in range(1, need - q + 1):
-                        t = heis_mode(sp, acoords, -mm, s2).scale(Fraction(1, mm))
-                        if t:
-                            _acc(nxt, q + mm, t)
-                cur = {q: s3.scale(Fraction(1, i)) for q, s3 in nxt.items() if s3}
-                got = cur.get(need)
-                if got:
-                    _add_into(out, got.terms.items())
-                i += 1
+            _add_into(out, _exp_series(sp, acoords, 1, moved, need)[need].terms.items())
     return _adopt(FockState, out)
 
 
@@ -246,7 +213,7 @@ def _word_mode_w(sp: FockSpace, u: BasisWord, k: int, w: BasisWord) -> FockState
         j += 1
     sgn = -1 if n % 2 else 1
     ws = FockState.of(w)
-    for j in range(0, _max_depth(ws) + 1):
+    for j in range(0, max((m for m, _ in w.modes), default=0) + 1):
         hv = heis_mode(sp, hd, j, ws)
         if hv:
             t = word_mode(sp, rest, -n + k - j, hv)

@@ -13,7 +13,6 @@ certificate can be replayed coefficient by coefficient.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional
 
 from .fock import BasisWord, FockSpace, FockState, _add_into, _adopt
@@ -24,6 +23,7 @@ from .vertexops import (
     TruncationCtx,
     TruncationOverflow,
     _binom,
+    _unit,
     exp_mode,
     heis_mode,
     state_mode,
@@ -156,8 +156,7 @@ def nilpotency_certificate(L: GramLattice, P: MonoidDescriptor, beta: LatVec,
     samples = []
     for extra in range(0, max(0, ctx.max_degree - half2 - 1)):
         samples.extend(sp.basis(half2 + extra, labels=[lab2]))
-    units = [tuple(Fraction(1) if e == d else Fraction(0) for e in range(2))
-             for d in range(2)]
+    units = [_unit(sp, d) for d in range(sp.rank)]
     for u in samples[:6]:
         us = FockState.of(u)
         for d, hd in enumerate(units):

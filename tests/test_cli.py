@@ -1,7 +1,10 @@
+import hashlib
 import json
+import shlex
 import time
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -57,27 +60,69 @@ def test_config_rejects_odd_gram():
         SessionConfig({"lattice": {"gram": [[1, 0], [0, 2]]}}, "test")
 
 
-def a2_with_D(tmp_path, D):
-    """Path of a copy of the bundled a2 config with the field D replaced."""
+def a2_with(tmp_path, keys, value):
+    """Path of a copy of the bundled a2 config with obj[k1][k2]... = value."""
     obj = json.loads(resources.files("paravoa").joinpath("configs/a2.json").read_text())
-    obj["lattice"]["D"] = D
-    p = tmp_path / f"a2-D{D}.json"
+    *outer, last = keys
+    d = obj
+    for k in outer:
+        d = d[k]
+    d[last] = value
+    p = tmp_path / "a2-edited.json"
     p.write_text(json.dumps(obj))
     return str(p)
 
 
 @pytest.mark.parametrize("D", [4, 0])
 def test_config_rejects_bad_field(capsys, tmp_path, D):
-    code, out, err = run(capsys, "--config", a2_with_D(tmp_path, D), "classify", "P2")
+    code, out, err = run(capsys, "--config", a2_with(tmp_path, ("lattice", "D"), D),
+                         "classify", "P2")
     assert code == 2 and not out
     assert "bad lattice spec" in err and f"got {D}" in err
+    assert err.count("\n") == 1
+
+
+# each of these used to be cut to an integer by int(), or run as given
+@pytest.mark.parametrize("keys,value", [
+    (("lattice", "gram"), [[2.9, -1], [-1, 2]]),
+    (("lattice", "gram"), [[2, -1], [-1, 2, 0]]),
+    (("lattice", "D"), 2.5),
+    (("lattice", "D"), True),
+    (("truncation", "maxDegree"), 6.0),
+    (("truncation", "maxDegree"), -1),
+    (("boxRadius",), 3.7),
+    (("boxRadius",), -1),
+    (("boxRadius",), 0),
+    (("seed",), 1.5),
+    (("seed",), "7"),
+], ids=json.dumps)
+def test_config_numbers_are_json_integers(capsys, tmp_path, keys, value):
+    code, out, err = run(capsys, "--config", a2_with(tmp_path, keys, value),
+                         "borel", "1,1~1")
+    assert code == 2 and out == ""
+    field = keys[-1] if keys[0] == "lattice" else ".".join(keys)
+    assert err.startswith("error: ") and f"{field}: expected" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "generators", "generators": [[1, "a"]]},
+    {"kind": "cone", "cone": [[1, 0], [0.5, 1]]},
+    {"kind": "generators", "generators": [[1, 0, 3]]},
+], ids=json.dumps)
+def test_descriptor_vectors_are_integer_pairs(capsys, tmp_path, desc):
+    path = a2_with(tmp_path, ("descriptors", "G"), desc)
+    code, out, err = run(capsys, "--config", path, "classify", "G")
+    assert code == 2 and out == ""
+    assert f"descriptor 'G': {desc['kind']}: expected" in err
     assert err.count("\n") == 1
 
 
 def test_large_field_costs_what_it_should(capsys, tmp_path):
     # D is checked squarefree once; arithmetic never repeats the check
     t0 = time.perf_counter()
-    code, out, _ = run(capsys, "--config", a2_with_D(tmp_path, 999999000001),
+    code, out, _ = run(capsys, "--config",
+                       a2_with(tmp_path, ("lattice", "D"), 999999000001),
                        "borel", "1~1,1")
     assert time.perf_counter() - t0 < 10
     assert code == 0
@@ -310,3 +355,50 @@ def test_ceiling_overflow_is_exit_2_before_any_work(capsys):
     assert time.perf_counter() - t0 < 2
     assert code == 2 and out == ""
     assert err == "error: result degree 16 exceeds ceiling 6\n"
+
+
+# -- the README's commands ----------------------------------------------------
+
+# exit code and sha256 of stdout of each command the README shows; stdout
+# is promised byte-stable, so a change to one of these needs a reason
+README_DIGESTS = {
+    ("--config", "diag22", "classify", "P2"):
+        (0, "7916ea09114d8f97a749283b4d424274e296714dcd63bff040abec560c994c08"),
+    ("--config", "diag22", "character", "VH", "--cap", "3"):
+        (0, "635fe6e2f1c5a29725d6240eccc8c5b26724ad80ee49197f27b5e2915ac07422"),
+    ("--config", "diag22", "character", "P2", "--cap", "2", "--t", "0", "--i", "1"):
+        (0, "77132c245f8ce94e475387e743e24d9be6bbd732d6a59dee34ca76b775fa22c3"),
+    ("--config", "a2", "saturate", "1,1", "0,-1"):
+        (0, "d0483751943c1ab3b5c8b31da8d2e2f2d269f31827687cc8419cd22f48190081"),
+    ("--config", "diag22", "borel", "1,1~1"):
+        (0, "a2d2d423ff1e515cc433a82be1713ae1da7b34821b67618d34b498c8bb57e077"),
+    ("--config", "diag22", "verify-iso", "--cap", "2", "--char-cap", "12"):
+        (0, "33a65ed56d475e1ae8366024cbf4f612f9f67f5459ce10779461855b2b589fd1"),
+    ("--config", "diag22", "verify-ideal", "P2"):
+        (0, "6e0416ce9b25ef16431b5279d95dc5e892f0e90f551f68a2859a9435f3215a83"),
+    ("--config", "diag22", "verify-commutators", "--samples", "20"):
+        (0, "5bc14a7c2cc7eb77baf93d9543ef9785065e2dd76b91348c45c98e7fb2b2eb9c"),
+    ("--config", "diag22", "zhu-nil", "P2", "0,1"):
+        (0, "da245a82349095306e2433540dd412b3c169007cc2b1cadcd76d66d25ba4db93"),
+    ("--config", "diag22", "fusion", "P2", "--ts", "0,1/2"):
+        (0, "34ef854f340fdf64bf2e038b6a49f227e51a3c3a9f090b32287f8ac89d5e10c8"),
+    ("--config", "a2", "c1", "P2"):
+        (0, "1709901eff43e276ec3d12a169b3b37ea6563099947ce945a1102a11a3b740d9"),
+    ("--config", "diag22", "c1-dims", "VH", "--cap", "4"):
+        (0, "82c102e65ded41bbfa21aa0f20b477541e6c2a24fdd76548131d1c399370993e"),
+}
+
+
+def readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [tuple(shlex.split(line, comments=True)[1:])
+            for line in block.splitlines() if line.startswith("paravoa ")]
+
+
+def test_readme_commands_are_byte_stable(capsys):
+    assert readme_commands() == list(README_DIGESTS)
+    for argv, want in README_DIGESTS.items():
+        code = main(list(argv))
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert (code, digest) == want, argv

@@ -9,6 +9,7 @@ from paravoa.fock import (
     MONOID,
     FockSpace,
     FockState,
+    _labels_up_to,
     enumerate_basis,
     make_word,
 )
@@ -384,6 +385,44 @@ def test_translation_matches_omega_zero(gram):
             assert _translate(sp, w) == state_mode(sp, om, 0, FockState.of(w)), w
             count += 1
     assert count > 20
+
+
+def translate(sp, v):
+    """L(-1) v, with _translate extended linearly."""
+    out = FockState()
+    for w, c in v:
+        out = out + _translate(sp, w).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_exp_mode_covariance_and_heisenberg_commutator(gram):
+    # for e^a with (a|a) <= 4 on basis words v of degree <= 1, at every n
+    # giving a result of degree -1 to 3:
+    #   [L(-1), e^a_n] v = -n e^a_{n-1} v
+    #   [h_i(m), e^a_n] v = (a|b_i) e^a_{m+n} v,  m = 1, 2
+    L = GramLattice(gram=gram)
+    sp = FockSpace.full_lattice(L)
+    words = [w for d in range(2) for w in enumerate_basis(L, FULL_L, d)]
+    count = 0
+    for a in _labels_up_to(L, 4):
+        if a == (0, 0):
+            continue
+        for w in words:
+            v = FockState.of(w)
+            t = int(sp.degree(w)) + L.norm(a) // 2
+            for n in range(t - 4, t + 1):
+                got = exp_mode(sp, a, n, v)
+                lhs = translate(sp, got) - exp_mode(sp, a, n, translate(sp, v))
+                assert lhs == exp_mode(sp, a, n - 1, v).scale(-n), (a, w, n)
+                for i, h in enumerate((E1, E2)):
+                    for m in (1, 2):
+                        lhs = (heis_mode(sp, h, m, got)
+                               - exp_mode(sp, a, n, heis_mode(sp, h, m, v)))
+                        want = exp_mode(sp, a, m + n, v).scale(sp.pair_label_mode(a, i))
+                        assert lhs == want, (a, w, n, i, m)
+                count += 1
+    assert count >= 5 * len(words)
 
 
 @pytest.mark.parametrize("gram", reduced_forms(), ids=str)
