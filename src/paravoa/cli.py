@@ -55,21 +55,26 @@ class ConfigError(ValueError):
 
 class SessionConfig:
     def __init__(self, obj: dict, source: str):
+        sections = {"config": obj}
+        if isinstance(obj, dict):
+            sections.update((k, obj.get(k, {})) for k in ("descriptors", "truncation"))
+        for what, x in sections.items():
+            if not isinstance(x, dict):
+                raise ConfigError(f"{source}: {what}: expected a JSON object, got {x!r}")
         try:
             self.lattice = GramLattice.from_json(obj["lattice"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{source}: bad lattice spec: {exc}") from exc
         self.descriptors: dict = {}
-        for name, d in obj.get("descriptors", {}).items():
+        for name, d in sections["descriptors"].items():
             try:
                 desc = MonoidDescriptor.from_json(d, self.lattice)
                 desc.validate(self.lattice)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{source}: descriptor {name!r}: {exc}") from exc
             self.descriptors[name] = desc
-        trunc = obj.get("truncation", {})
         try:
-            self.max_degree = _json_int(trunc.get("maxDegree", 6),
+            self.max_degree = _json_int(sections["truncation"].get("maxDegree", 6),
                                         "truncation.maxDegree", 0)
             self.box_radius = _json_int(obj.get("boxRadius", 8), "boxRadius", 1)
             self.seed = _json_int(obj.get("seed", 0), "seed")
@@ -201,7 +206,7 @@ def cmd_saturate(cfg: SessionConfig, args) -> int:
     gamma = parse_hvec(args.gamma, L.D)
     alpha = parse_vec(args.alpha)
     beta, beta_p = saturate_witnesses(L, gamma, alpha)
-    from .lattice import PLUS, inner, side
+    from .lattice import PLUS, side
 
     checks = {
         "betaPositiveSide": side(L, gamma, beta) == PLUS,

@@ -4,6 +4,8 @@ A QuadScalar is a + b*sqrt(D) with rational a, b and a fixed squarefree
 positive integer D.  D = 1 encodes pure rationals (b is forced to 0).
 Sign determination is exact: compare a^2 against b^2*D with case analysis
 on the signs of a and b, so no floating point ever enters a side test.
+`_sign` holds that rule once, for QuadScalar parts and for the integer
+parts of the lattice side tests alike.
 
 Only the public constructor validates, and it tests a given D for being
 squarefree once per process.  Arithmetic results are built directly from
@@ -41,6 +43,18 @@ def _squarefree(d: int) -> bool:
 
 
 _F0 = Fraction(0)
+
+
+def _sign(a: RationalLike, b: RationalLike, D: int) -> int:
+    """Exact sign of a + b*sqrt(D) for int or Fraction parts: when a and b
+    have opposite signs, the larger of a^2 and b^2*D decides."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    d = a * a - b * b * D
+    return sa * ((d > 0) - (d < 0))
 
 
 class QuadScalar:
@@ -164,22 +178,7 @@ class QuadScalar:
 
     def sign(self) -> int:
         """Exact sign of the real number a + b*sqrt(D)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 vs b^2 D; the larger magnitude wins
-        lhs, rhs = a * a, b * b * self.D
-        if lhs == rhs:
-            return 0  # impossible for squarefree D > 1, possible only via 0
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        return _sign(self.a, self.b, self.D)
 
     def __lt__(self, other):
         d = self.__sub__(other)

@@ -4,7 +4,10 @@ cones, primitivity, half-plane bases, and discriminant-group data.
 Lattice points are integer coordinate pairs in a fixed basis; vectors of
 the ambient plane carry QuadScalar coordinates in the same basis, so a
 single squarefree D per session covers both rational- and
-irrational-slope hyperplanes.
+irrational-slope hyperplanes.  A direction gamma stays a QuadScalar pair
+only up to `_normal`, which turns it into integer pairs p, q with
+(gamma|v) a positive multiple of p.v + (q.v)*sqrt(D): side tests, the
+boundary line and half-plane bases run on those integers.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import QuadScalar, _squarefree
+from .exactnum import QuadScalar, _sign, _squarefree
 
 __all__ = [
     "GramLattice",
@@ -68,10 +71,25 @@ def _json_int(x, what: str, lo: Optional[int] = None) -> int:
 
 
 def _json_pair(v, what: str, item=_json_int) -> tuple:
-    """v as a pair of integers, or of pairs with item=_json_pair."""
+    """v as a pair of integers, or of what item reads (pairs, scalars)."""
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise ValueError(f"{what}: expected a pair, got {v!r}")
     return (item(v[0], what), item(v[1], what))
+
+
+def _json_scalar(x, what: str, D: int) -> QuadScalar:
+    """x as a + b*sqrt(D): a JSON integer or a rational string such as "-3/4",
+    or an object {"a": .., "b": ..} of two of those with "b" optional."""
+    ab = (x, 0)
+    if isinstance(x, dict) and x.keys() <= {"a", "b"}:
+        ab = (x.get("a"), x.get("b", 0))
+    try:
+        if all(type(y) in (int, str) for y in ab):
+            return QuadScalar(Fraction(ab[0]), Fraction(ab[1]), D)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{what}: expected an integer, a rational string or "
+                     f"{{\"a\", \"b\"}} of those, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -162,16 +180,45 @@ def inner(L: GramLattice, u: HVec, v: HVec) -> QuadScalar:
     )
 
 
-def _check_gamma(L: GramLattice, gamma: HVec):
-    if not gamma[0] and not gamma[1]:
+def _normal(L: GramLattice, gamma: HVec) -> tuple[LatVec, LatVec, int]:
+    """Integer pairs p, q and the field D with (gamma|v) = (p.v + (q.v)*sqrt(D))
+    / den for some den > 0: gamma's four parts scaled to integers by the lcm
+    of their denominators, then multiplied by G."""
+    x, y = gamma
+    if x.b and y.b and x.D != y.D:
+        raise ValueError(f"mixed quadratic fields: sqrt({x.D}) vs sqrt({y.D})")
+    parts = (x.a, y.a, x.b, y.b)
+    if not any(parts):
         raise ZeroGamma("gamma must be nonzero")
+    den = math.lcm(*(f.denominator for f in parts))
+    a0, a1, b0, b1 = (f.numerator * (den // f.denominator) for f in parts)
+    g = L.gram
+    return ((a0 * g[0][0] + a1 * g[1][0], a0 * g[0][1] + a1 * g[1][1]),
+            (b0 * g[0][0] + b1 * g[1][0], b0 * g[0][1] + b1 * g[1][1]),
+            x.D if x.b else y.D)
 
 
-def side(L: GramLattice, gamma: HVec, v) -> Side:
+def _side_of(n: tuple[LatVec, LatVec, int], v: LatVec) -> Side:
+    """sign(p.v + (q.v)*sqrt(D)) for the normal pair n = (p, q, D)."""
+    p, q, D = n
+    return _sign(p[0] * v[0] + p[1] * v[1], q[0] * v[0] + q[1] * v[1], D)
+
+
+def _line(n: tuple[LatVec, LatVec, int]) -> Optional[LatVec]:
+    """Primitive generator of the integer kernel of p and q, or None when it
+    is 0.  For an integer v, p.v + (q.v)*sqrt(D) = 0 exactly when p.v = 0
+    and q.v = 0, because sqrt(D) is irrational whenever q is nonzero."""
+    p, q, _ = n
+    if p == (0, 0):
+        p = q
+    elif q != (0, 0) and p[0] * q[1] - p[1] * q[0]:
+        return None
+    return _primitivize((-p[1], p[0]))
+
+
+def side(L: GramLattice, gamma: HVec, v: LatVec) -> Side:
     """Which side of the hyperplane orthogonal to gamma the point v lies on."""
-    _check_gamma(L, gamma)
-    hv = L.lift(v) if isinstance(v[0], int) else v
-    return inner(L, gamma, hv).sign()
+    return _side_of(_normal(L, gamma), v)
 
 
 def is_primitive(v: LatVec) -> bool:
@@ -192,33 +239,7 @@ def _primitivize(v: LatVec) -> LatVec:
 def line_intersection(L: GramLattice, gamma: HVec) -> Optional[LatVec]:
     """Primitive generator of the lattice points on the hyperplane P(gamma),
     or None when the hyperplane meets the lattice only at the origin."""
-    _check_gamma(L, gamma)
-    # (gamma|v) = w . v with w = G gamma; split into rational and sqrt parts
-    g = L.gram
-    w = (
-        gamma[0] * g[0][0] + gamma[1] * g[1][0],
-        gamma[0] * g[0][1] + gamma[1] * g[1][1],
-    )
-    constraints = []
-    for part in ("a", "b"):
-        row = (getattr(w[0], part), getattr(w[1], part))
-        if row != (0, 0):
-            constraints.append(row)
-    if not constraints:
-        raise ZeroGamma("gamma is in the radical of the form")
-    if len(constraints) == 2:
-        # two independent rational constraints force v = 0 unless proportional
-        (p, q), (r, s) = constraints
-        if p * s - q * r != 0:
-            return None
-        constraints = [(p, q)]
-    p, q = constraints[0]
-    # integer kernel of p*x + q*y = 0
-    den = math.lcm(p.denominator if isinstance(p, Fraction) else 1,
-                   q.denominator if isinstance(q, Fraction) else 1)
-    pi, qi = int(p * den), int(q * den)
-    v = (-qi, pi)
-    return _primitivize(v)
+    return _line(_normal(L, gamma))
 
 
 def is_basis_pair(u: LatVec, v: LatVec) -> bool:
@@ -247,17 +268,13 @@ def cone_member(a1: LatVec, a2: LatVec, v: LatVec) -> Optional[tuple[int, int]]:
 
 def halfplane_basis(L: GramLattice, gamma: HVec) -> tuple[LatVec, LatVec]:
     """A basis of L lying strictly on the positive side of P(gamma)."""
-    _check_gamma(L, gamma)
-    e1, e2 = (1, 0), (0, 1)
-    s1, s2 = side(L, gamma, e1), side(L, gamma, e2)
+    n = _normal(L, gamma)
+    s1, s2 = _side_of(n, (1, 0)), _side_of(n, (0, 1))
+    # gamma != 0 and G is nonsingular, so s1 and s2 are not both ZERO
     if s1 != ZERO:
-        b1 = e1 if s1 == PLUS else (-1, 0)
-        other, s_other = e2, s2
+        b1, other, s_other = (s1, 0), (0, 1), s2
     else:
-        if s2 == ZERO:
-            raise ZeroGamma("gamma orthogonal to the whole lattice")
-        b1 = e2 if s2 == PLUS else (0, -1)
-        other, s_other = e1, s1
+        b1, other, s_other = (0, s2), (1, 0), s1
     if s_other == PLUS:
         return (b1, other)
     # other is on the line or on the wrong side: b1 - other is strictly positive

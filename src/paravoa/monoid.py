@@ -2,9 +2,12 @@
 dichotomy, Borel-type construction, and constructive saturation witnesses.
 
 Descriptors are finite: a half-plane direction gamma, a basis cone, or an
-explicit generator list whose classification is box-relative.  Nothing is
-cached: `member` validates the descriptor on every call, and a type-I
-test recomputes the boundary line's primitive generator each time.
+explicit generator list whose classification is box-relative.  A half-plane
+descriptor is decided by one integer normal pair (p, q): v is on the
+positive side of gamma when p.v + (q.v)*sqrt(D) > 0.  `validate` returns
+that pair, so `member` validates and decides with integers only; the pair
+is rebuilt on each call rather than cached, which costs a few integer
+products.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exactnum import QuadScalar
 from .lattice import (
     GramLattice,
     HVec,
@@ -24,9 +26,12 @@ from .lattice import (
     DependentGenerators,
     _cramer,
     _json_pair,
+    _json_scalar,
+    _line,
+    _normal,
+    _side_of,
     cone_member,
     halfplane_basis,
-    inner,
     is_primitive,
     line_intersection,
     side,
@@ -77,14 +82,18 @@ class MonoidDescriptor:
         return line_intersection(L, self.gamma)
 
     def validate(self, L: GramLattice):
+        """Check the descriptor on L; return gamma's normal pair (p, q, D) for
+        a half-plane kind and None for the others."""
         if self.kind in ("type1", "type2"):
             if self.gamma is None:
                 raise PreconditionViolated(f"{self.kind} descriptor needs gamma")
-            if self.kind == "type2" and self.boundary_alpha(L) is None:
+            n = _normal(L, self.gamma)
+            if self.kind == "type2" and _line(n) is None:
                 raise PreconditionViolated(
                     "type-II requires the hyperplane to meet the lattice in a line"
                 )
-        elif self.kind == "cone":
+            return n
+        if self.kind == "cone":
             a1, a2 = self.cone
             if a1[0] * a2[1] - a1[1] * a2[0] == 0:
                 raise DependentGenerators("cone generators must be independent")
@@ -93,6 +102,7 @@ class MonoidDescriptor:
                 raise PreconditionViolated("empty generator list")
         else:
             raise PreconditionViolated(f"unknown descriptor kind {self.kind!r}")
+        return None
 
     def to_json(self) -> dict:
         obj: dict = {"kind": self.kind}
@@ -109,10 +119,8 @@ class MonoidDescriptor:
         kind = obj["kind"]
         gamma = None
         if "gamma" in obj:
-            gamma = (
-                QuadScalar.from_json(obj["gamma"][0], L.D),
-                QuadScalar.from_json(obj["gamma"][1], L.D),
-            )
+            gamma = _json_pair(obj["gamma"], "gamma",
+                               lambda x, what: _json_scalar(x, what, L.D))
         cone = None
         if "cone" in obj:
             cone = _json_pair(obj["cone"], "cone", _json_pair)
@@ -139,31 +147,19 @@ class ClassificationReport:
         return obj
 
 
-def _on_ray(v: LatVec, alpha: Optional[LatVec]) -> bool:
-    """v in Z_{>=0} * alpha (alpha None means only the origin)."""
-    if v == (0, 0):
-        return True
-    if alpha is None:
-        return False
-    if alpha[0] != 0:
-        k, r = divmod(v[0], alpha[0])
-        return r == 0 and k > 0 and (k * alpha[1] == v[1])
-    if v[0] != 0 or alpha[1] == 0:
-        return False
-    k, r = divmod(v[1], alpha[1])
-    return r == 0 and k > 0
-
-
 def member(
     L: GramLattice, P: MonoidDescriptor, v: LatVec, budget: int = 32
 ) -> bool:
-    P.validate(L)
+    n = P.validate(L)
     if P.kind == "type1":
-        if _on_ray(v, P.boundary_alpha(L)):
-            return True
-        return side(L, P.gamma, v) == PLUS
+        s = _side_of(n, v)
+        if s != ZERO:
+            return s == PLUS
+        # on the line: the ray Z_{>=0} * alpha, or only 0 when alpha is None
+        alpha = _line(n)
+        return alpha is None or v[0] * alpha[0] + v[1] * alpha[1] >= 0
     if P.kind == "type2":
-        return side(L, P.gamma, v) in (PLUS, ZERO)
+        return _side_of(n, v) != MINUS
     if P.kind == "cone":
         return cone_member(P.cone[0], P.cone[1], v) is not None
     # generators: bounded saturation search
@@ -213,14 +209,11 @@ def borel_in(L: GramLattice, gamma: HVec) -> MonoidDescriptor:
 def classify(
     L: GramLattice, P: MonoidDescriptor, box_radius: int = 8
 ) -> ClassificationReport:
-    P.validate(L)
-    if P.kind == "type1":
+    n = P.validate(L)
+    if n is not None:
         return ClassificationReport(
-            is_parabolic=True, type=TYPE_I, alpha=P.boundary_alpha(L), gamma=P.gamma
-        )
-    if P.kind == "type2":
-        return ClassificationReport(
-            is_parabolic=True, type=TYPE_II, alpha=P.boundary_alpha(L), gamma=P.gamma
+            is_parabolic=True, type=TYPE_I if P.kind == "type1" else TYPE_II,
+            alpha=_line(n), gamma=P.gamma,
         )
     if P.kind == "cone":
         # a basis cone never contains a Borel-type submonoid
@@ -249,19 +242,10 @@ def _classify_generators(
         # gamma orthogonal to a0: gamma perp under G, both orientations
         w = (a0[0] * g[0][0] + a0[1] * g[1][0], a0[0] * g[0][1] + a0[1] * g[1][1])
         for s in (1, -1):
-            gamma = L.hvec(-s * w[1], s * w[0])
-            d2 = MonoidDescriptor(kind="type2", gamma=gamma)
-            if all((v in pts) == member(L, d2, v) for v in box):
-                return ClassificationReport(
-                    is_parabolic=True, type=TYPE_II, alpha=line_intersection(L, gamma),
-                    gamma=gamma,
-                )
-            d1 = MonoidDescriptor(kind="type1", gamma=gamma)
-            if all((v in pts) == member(L, d1, v) for v in box):
-                return ClassificationReport(
-                    is_parabolic=True, type=TYPE_I, alpha=line_intersection(L, gamma),
-                    gamma=gamma,
-                )
+            for kind in ("type2", "type1"):
+                d = MonoidDescriptor(kind=kind, gamma=L.hvec(-s * w[1], s * w[0]))
+                if all((v in pts) == member(L, d, v) for v in box):
+                    return classify(L, d)
     raise Inconclusive(
         f"generated monoid matches neither closed form inside radius {R}"
     )
@@ -279,35 +263,21 @@ def saturate_witnesses(
     if side(L, gamma, alpha) != MINUS:
         raise PreconditionViolated("alpha must lie strictly on the negative side")
     a1, a2 = halfplane_basis(L, gamma)
-    # alpha = m*a1 + n*a2 in the half-plane basis
+    # alpha = m*a1 + n*a2 in the half-plane basis; m*y0 - n*x0 = g0 = +-1
     m, n = (int(x) for x in _cramer(a1, a2, alpha))
     det = a1[0] * a2[1] - a1[1] * a2[0]
-
-    ga1 = inner(L, gamma, L.lift(a1))
-    ga2 = inner(L, gamma, L.lift(a2))
-    galpha = ga1 * m + ga2 * n  # < 0
+    g0, x0, y0 = _ext_gcd(-n, m)
+    assert g0 in (1, -1)
 
     def pick(rhs: int) -> LatVec:
-        # solve m*y - n*x = rhs, so det[alpha, beta] = rhs * det[a1, a2];
-        # shift along (m, n) to make (beta|gamma) > 0
-        g0, x0, y0 = _ext_gcd(-n, m)
-        assert g0 == 1 or g0 == -1
-        if g0 == -1:
-            x0, y0 = -x0, -y0
-        x0, y0 = x0 * rhs, y0 * rhs
-        # (beta|gamma)(t) = c0 + t * galpha, galpha < 0: allowed t < c0 / (-galpha)
-        c0 = ga1 * x0 + ga2 * y0
-        t = 0
-        if (c0 + galpha * t).sign() <= 0:
-            while (c0 + galpha * t).sign() <= 0:
-                t -= 1
-        else:
-            # already positive at t=0; smallest |t| is 0
-            pass
-        x, y = x0 + t * m, y0 + t * n
-        bx = x * a1[0] + y * a2[0]
-        by = x * a1[1] + y * a2[1]
-        return (bx, by)
+        # solve m*y - n*x = rhs, so det[alpha, beta] = rhs * det[a1, a2]
+        x, y = x0 * g0 * rhs, y0 * g0 * rhs
+        beta = (x * a1[0] + y * a2[0], x * a1[1] + y * a2[1])
+        # shifting beta by -alpha keeps the determinant and raises
+        # (gamma|beta) by -(gamma|alpha) > 0
+        while side(L, gamma, beta) != PLUS:
+            beta = (beta[0] - alpha[0], beta[1] - alpha[1])
+        return beta
 
     # det[a1, a2] = +/-1 for the basis a1, a2
     return pick(det), pick(-det)

@@ -61,13 +61,17 @@ def test_config_rejects_odd_gram():
 
 
 def a2_with(tmp_path, keys, value):
-    """Path of a copy of the bundled a2 config with obj[k1][k2]... = value."""
+    """Path of a copy of the bundled a2 config with obj[k1][k2]... = value,
+    or with value for the whole document when keys is empty."""
     obj = json.loads(resources.files("paravoa").joinpath("configs/a2.json").read_text())
-    *outer, last = keys
-    d = obj
-    for k in outer:
-        d = d[k]
-    d[last] = value
+    if keys:
+        *outer, last = keys
+        d = obj
+        for k in outer:
+            d = d[k]
+        d[last] = value
+    else:
+        obj = value
     p = tmp_path / "a2-edited.json"
     p.write_text(json.dumps(obj))
     return str(p)
@@ -115,6 +119,43 @@ def test_descriptor_vectors_are_integer_pairs(capsys, tmp_path, desc):
     code, out, err = run(capsys, "--config", path, "classify", "G")
     assert code == 2 and out == ""
     assert f"descriptor 'G': {desc['kind']}: expected" in err
+    assert err.count("\n") == 1
+
+
+# each of these ended in an AttributeError traceback, or a top-level list in
+# "bad lattice spec", before the sections were checked at load
+@pytest.mark.parametrize("keys,value", [
+    (("truncation",), 5),
+    (("truncation",), None),
+    (("descriptors",), []),
+    (("descriptors",), None),
+    ((), []),
+], ids=json.dumps)
+def test_config_sections_are_json_objects(capsys, tmp_path, keys, value):
+    code, out, err = run(capsys, "--config", a2_with(tmp_path, keys, value),
+                         "borel", "1,1~1")
+    assert code == 2 and out == ""
+    field = keys[0] if keys else "config"
+    assert err.startswith("error: ") and f"{field}: expected a JSON object" in err
+    assert err.count("\n") == 1
+
+
+# each of these loaded with exit 0: a string split into characters, a third
+# component dropped, an unknown key ignored, a float taken as a fraction, and
+# a zero gamma accepted for type I
+@pytest.mark.parametrize("name,gamma,want", [
+    ("P2", "21", "gamma: expected a pair"),
+    ("P2", ["2", "1", "7"], "gamma: expected a pair"),
+    ("P2", [{"a": "2", "c": "9"}, "1"], "gamma: expected an integer"),
+    ("P2", [2.5, 1], "gamma: expected an integer"),
+    ("P2", ["1/0", "1"], "gamma: expected an integer"),
+    ("P1", ["0", {"a": "0", "b": "0"}], "gamma must be nonzero"),
+], ids=json.dumps)
+def test_descriptor_gamma_is_a_pair_of_scalars(capsys, tmp_path, name, gamma, want):
+    path = a2_with(tmp_path, ("descriptors", name, "gamma"), gamma)
+    code, out, err = run(capsys, "--config", path, "classify", name)
+    assert code == 2 and out == ""
+    assert f"descriptor {name!r}: {want}" in err
     assert err.count("\n") == 1
 
 
@@ -402,3 +443,48 @@ def test_readme_commands_are_byte_stable(capsys):
         code = main(list(argv))
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert (code, digest) == want, argv
+
+
+# -- geometry commands over the reduced-form family ----------------------------
+
+try:
+    from test_vertexops import reduced_forms
+except ImportError:  # --import-mode=importlib leaves tests/ off sys.path
+    from tests.test_vertexops import reduced_forms
+
+# (type-I gamma, type-II gamma) on every reduced form: rational twice, then
+# an irrational type I, whose hyperplane meets no lattice point but 0
+GEOMETRY_GAMMAS = ((["1", "2"], ["1", "2"]), (["-3/2", 1], ["-3/2", 1]),
+                   ([{"a": "1", "b": "1"}, "-1"], ["2", "-1"]))
+GEOMETRY_COMMANDS = (
+    ("classify", "P1"), ("classify", "P2"), ("classify", "G"),
+    ("borel", "1,1~1"), ("c1", "P1"), ("c1", "P2"),
+    ("character", "P1", "--cap", "2"), ("character", "P2", "--cap", "2"),
+    ("saturate", "1,2", "0,-1"), ("saturate", "--", "1~1,-1/2", "-1,0"),
+    ("saturate", "--", "-2~1,1", "1,0"),
+)
+# sha256 over exit code, stdout and stderr of every run, in order
+GEOMETRY_DIGEST = "f1a92d008e725753c2009ff068c90917848df7f3f274edb1a7eff328184cb617"
+
+
+def test_geometry_commands_are_byte_stable(capsys, tmp_path):
+    h = hashlib.sha256()
+    for i, gram in enumerate(reduced_forms()):
+        for j, (gamma1, gamma2) in enumerate(GEOMETRY_GAMMAS):
+            path = tmp_path / f"form{i}-gamma{j}.json"
+            path.write_text(json.dumps({
+                "lattice": {"gram": gram, "D": (2, 3, 5)[i % 3]},
+                "descriptors": {
+                    "P1": {"kind": "type1", "gamma": gamma1},
+                    "P2": {"kind": "type2", "gamma": gamma2},
+                    "G": {"kind": "generators",
+                          "generators": [[1, 0], [-1, 0], [1, 1]]},
+                },
+                "boxRadius": 3,
+            }))
+            for argv in GEOMETRY_COMMANDS:
+                code = main(["--config", str(path), *argv])
+                out = capsys.readouterr()
+                h.update(f"{code}\n{out.out}{out.err}".replace(str(tmp_path), "")
+                         .encode())
+    assert h.hexdigest() == GEOMETRY_DIGEST

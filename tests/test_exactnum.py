@@ -1,10 +1,11 @@
+import math
 import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from paravoa.exactnum import DivisionByZero, QuadScalar
+from paravoa.exactnum import DivisionByZero, QuadScalar, _sign, _squarefree
 
 
 def q(a, b=0, D=2):
@@ -78,6 +79,22 @@ def test_sign_matches_float(x):
     approx = float(x.a) + float(x.b) * math.sqrt(2)
     if abs(approx) > 1e-9:
         assert x.sign() == (1 if approx > 0 else -1)
+
+
+big = st.integers(-10**30, 10**30)
+
+
+@given(big, big, st.integers(2, 10**6).filter(_squarefree))
+def test_sign_against_isqrt(a, b, D):
+    # oracle: for b != 0, |b|*sqrt(D) is irrational and lies strictly
+    # between r = isqrt(b^2 D) and r + 1, so a + b*sqrt(D) is never 0
+    if b == 0:
+        want = (a > 0) - (a < 0)
+    else:
+        r = math.isqrt(b * b * D)
+        want = (1 if -a <= r else -1) if b > 0 else (1 if a > r else -1)
+    assert _sign(a, b, D) == want
+    assert QuadScalar(a, b, D).sign() == want
 
 
 def test_mixed_field_rejected():

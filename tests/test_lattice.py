@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,12 @@ from paravoa.lattice import (
     perp_primitive,
     side,
 )
+from paravoa.monoid import MonoidDescriptor, member
+
+try:
+    from test_vertexops import reduced_forms
+except ImportError:  # --import-mode=importlib leaves tests/ off sys.path
+    from tests.test_vertexops import reduced_forms
 
 A2 = GramLattice(gram=((2, -1), (-1, 2)), D=2)
 DIAG22 = GramLattice(gram=((2, 0), (0, 2)), D=2)
@@ -69,6 +77,12 @@ def test_side_antisymmetry():
         s = side(DIAG22, g, v)
         assert side(DIAG22, g, (-v[0], -v[1])) == -s
     assert side(DIAG22, g, (0, 0)) == ZERO
+
+
+def test_mixed_field_gamma_rejected():
+    g = (QuadScalar(0, 1, 2), QuadScalar(0, 1, 3))
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        side(DIAG22, g, (1, 1))
 
 
 def test_line_intersection_axis():
@@ -218,3 +232,54 @@ def test_perp_primitive():
     b = perp_primitive(A2, (1, 0))
     assert inner(A2, A2.lift((1, 0)), A2.lift(b)) == QuadScalar(0)
     assert is_primitive(b)
+
+
+# -- the integer geometry against inner(), over the reduced-form family --------
+
+
+def family_gammas(L: GramLattice, rng: random.Random) -> list:
+    """Seeded gammas on L: rational ones orthogonal to a short lattice
+    vector, one of those times an irrational scalar, random rational ones,
+    and random a + b*sqrt(D) ones."""
+    def frac():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    g = L.gram
+    out = []
+    for _ in range(3):
+        a0 = (rng.randint(-2, 2), rng.randint(1, 2))
+        w = (g[0][0] * a0[0] + g[0][1] * a0[1], g[1][0] * a0[0] + g[1][1] * a0[1])
+        s = frac() or Fraction(1)
+        out.append(L.hvec(-s * w[1], s * w[0]))
+    u = QuadScalar(frac(), 1, L.D)
+    out.append((out[0][0] * u, out[0][1] * u))
+    out += [L.hvec(frac(), frac()) for _ in range(3)]
+    out += [(QuadScalar(frac(), frac(), L.D), QuadScalar(frac(), frac(), L.D))
+            for _ in range(3)]
+    return [gm for gm in out if gm[0] or gm[1]]
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_integer_geometry_matches_inner(gram):
+    L = GramLattice(gram=gram, D=(2, 3, 5, 7)[sum(map(abs, gram[0])) % 4])
+    R = 5
+    for gamma in family_gammas(L, random.Random(str(gram))):
+        sign = {v: inner(L, gamma, L.lift(v)).sign() for v in L.box(R)}
+        assert all(side(L, gamma, v) == s for v, s in sign.items())
+
+        # the boundary line: its box points are the multiples of alpha
+        on = [v for v, s in sign.items() if s == ZERO and v != (0, 0)]
+        alpha = line_intersection(L, gamma)
+        if not on:
+            assert alpha is None or max(map(abs, alpha)) > R
+        else:
+            want = min(on, key=lambda v: abs(v[0]) + abs(v[1]))
+            want = want if want > (0, 0) else (-want[0], -want[1])
+            assert alpha == want and math.gcd(*want) == 1
+            assert all(v[0] * alpha[1] == v[1] * alpha[0] for v in on)
+
+        # type I on the line: v = k*alpha with k >= 0, only 0 without a line
+        P = MonoidDescriptor(kind="type1", gamma=gamma)
+        for v in on + [(0, 0)]:
+            k = 0 if v == (0, 0) else (v[0] // alpha[0] if alpha[0] else v[1] // alpha[1])
+            assert member(L, P, v) == (k >= 0)
