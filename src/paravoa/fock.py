@@ -1,10 +1,9 @@
 """Graded Fock bases and exact sparse states.
 
 Basis words are b_{i1}(-n1)...b_{ik}(-nk) e^label with modes in a fixed
-h-basis and the label a lattice point (or a fixed ambient vector for a
-single Heisenberg module).  Mode directions are the lattice basis itself,
-so all structure constants stay rational; orthonormalization shows up
-only inside the conformal vector.
+h-basis and the label a lattice point.  Mode directions are the lattice
+basis itself, so all structure constants stay rational; orthonormalization
+shows up only inside the conformal vector.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .exactnum import ONE, ZERO, QuadScalar
-from .lattice import GramLattice, HVec, LatVec, _cramer, inner
+from .lattice import GramLattice, LatVec, _cramer
 from .monoid import MonoidDescriptor, member
 
 __all__ = [
@@ -24,9 +23,7 @@ __all__ = [
     "FockSpace",
     "FULL_L",
     "MONOID",
-    "SINGLE",
     "enumerate_basis",
-    "weight",
     "make_word",
 ]
 
@@ -37,11 +34,6 @@ FULL_L = "FULL_L"
 class MONOID:
     P: MonoidDescriptor
     budget: int = 64
-
-
-@dataclass(frozen=True)
-class SINGLE:
-    lam: HVec
 
 
 class BasisWord(NamedTuple):
@@ -207,16 +199,10 @@ def _labels_up_to(L: GramLattice, maxnorm: int) -> list[LatVec]:
 
 
 def enumerate_basis(L: GramLattice, ambient, degree: int) -> list[BasisWord]:
-    """All basis words of exact (integer) degree, in a deterministic order.
-
-    FULL_L and MONOID(P) grade by total weight; SINGLE(lam) grades by the
-    Heisenberg degree above the bottom level of M(1, lam).
-    """
+    """All basis words of exact (integer) degree, in a deterministic order,
+    with labels in L (FULL_L) or in the monoid P (MONOID(P))."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if isinstance(ambient, SINGLE):
-        lam = tuple(ambient.lam)
-        return [BasisWord(modes=w, label=lam) for w in _mode_words(2, degree)]
     out: list[BasisWord] = []
     for v in _labels_up_to(L, 2 * degree):
         if isinstance(ambient, MONOID):
@@ -230,16 +216,6 @@ def enumerate_basis(L: GramLattice, ambient, degree: int) -> list[BasisWord]:
     return out
 
 
-def weight(L: GramLattice, w: BasisWord) -> QuadScalar:
-    """Sum of mode depths plus (label|label)/2."""
-    lab = w.label
-    if lab and isinstance(lab[0], QuadScalar):
-        nn = inner(L, lab, lab)
-    else:
-        nn = QuadScalar(L.inner_int(lab, lab))
-    return QuadScalar(w.mode_degree()) + nn * Fraction(1, 2)
-
-
 class FockSpace:
     """A Fock module presentation the operator engine can run on.
 
@@ -249,7 +225,7 @@ class FockSpace:
     bilinear sign (-1)^(sum a_i b_j eps_table[i][j]) on labels.
     """
 
-    def __init__(self, mode_gram, gen_coords=(), eps_table=(), names=None):
+    def __init__(self, mode_gram, gen_coords=(), eps_table=()):
         self.rank = len(mode_gram)
         self.mode_gram = tuple(
             tuple(Fraction(x) for x in row) for row in mode_gram
@@ -259,9 +235,6 @@ class FockSpace:
         )
         self.label_rank = len(self.gen_coords)
         self.eps_table = tuple(tuple(int(x) for x in row) for row in eps_table)
-        if names is None:
-            names = tuple(f"b{i + 1}" for i in range(self.rank))
-        self.names = tuple(names)
         self.zero_label = (0,) * self.label_rank
         # pairings of each label generator with each mode and with each
         # other generator, as integers over one common denominator, so a
@@ -281,8 +254,7 @@ class FockSpace:
     def full_lattice(cls, L: GramLattice) -> "FockSpace":
         g = L.gram
         eps = ((0, 0), (g[1][0], 0))  # eps(a_i, a_j) nontrivial only for i > j
-        return cls(mode_gram=g, gen_coords=((1, 0), (0, 1)), eps_table=eps,
-                   names=L.names)
+        return cls(mode_gram=g, gen_coords=((1, 0), (0, 1)), eps_table=eps)
 
     @classmethod
     def hyperplane_adapted(cls, L: GramLattice, alpha: LatVec,
@@ -292,17 +264,15 @@ class FockSpace:
             raise ValueError("beta must be orthogonal to alpha")
         mg = ((L.norm(beta), 0), (0, L.norm(alpha)))
         t = alpha[0] * alpha[1] * L.gram[1][0]  # restriction of the ambient sign
-        return cls(mode_gram=mg, gen_coords=((0, 1),), eps_table=((t,),),
-                   names=("b", "a"))
+        return cls(mode_gram=mg, gen_coords=((0, 1),), eps_table=((t,),))
 
     @classmethod
-    def rank_one_heisenberg(cls, norm, name="b") -> "FockSpace":
-        return cls(mode_gram=((norm,),), names=(name,))
+    def rank_one_heisenberg(cls, norm) -> "FockSpace":
+        return cls(mode_gram=((norm,),))
 
     @classmethod
-    def rank_one_lattice(cls, norm, eps_exp=0, name="a") -> "FockSpace":
-        return cls(mode_gram=((norm,),), gen_coords=((1,),),
-                   eps_table=((eps_exp,),), names=(name,))
+    def rank_one_lattice(cls, norm, eps_exp=0) -> "FockSpace":
+        return cls(mode_gram=((norm,),), gen_coords=((1,),), eps_table=((eps_exp,),))
 
     # -- pairings -----------------------------------------------------
 

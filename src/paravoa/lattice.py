@@ -70,6 +70,12 @@ def _json_int(x, what: str, lo: Optional[int] = None) -> int:
     return x
 
 
+def _json_str(x, what: str) -> str:
+    if not isinstance(x, str):
+        raise ValueError(f"{what}: expected a string, got {x!r}")
+    return x
+
+
 def _json_pair(v, what: str, item=_json_int) -> tuple:
     """v as a pair of integers, or of what item reads (pairs, scalars)."""
     if not isinstance(v, (list, tuple)) or len(v) != 2:
@@ -98,7 +104,6 @@ class GramLattice:
 
     gram: tuple[tuple[int, int], tuple[int, int]]
     D: int = 1
-    names: tuple[str, str] = ("a1", "a2")
 
     def __post_init__(self):
         g = self.gram
@@ -152,14 +157,15 @@ class GramLattice:
                 yield (m, n)
 
     def to_json(self) -> dict:
-        return {"gram": [list(r) for r in self.gram], "D": self.D, "names": list(self.names)}
+        return {"gram": [list(r) for r in self.gram], "D": self.D}
 
     @classmethod
     def from_json(cls, obj: dict) -> "GramLattice":
+        if "names" in obj:  # accepted and unused
+            _json_pair(obj["names"], "names", _json_str)
         return cls(
             gram=_json_pair(obj["gram"], "gram", _json_pair),
             D=_json_int(obj.get("D", 1), "D"),
-            names=tuple(obj.get("names", ("a1", "a2"))),
         )
 
 

@@ -369,10 +369,12 @@ def c1_quotient_dims(L: GramLattice, algebra: str, cap: int,
 
     C1(V) is spanned by L(-1)V and the u_{-k}v with u in a strongly
     generating set U, k >= 1 and v of positive degree (Karel and Li,
-    J. Algebra 217, 1999).  U is h_1(-1), h_2(-1) and the e^lam of the
-    strongly indecomposable labels, so every row is one L(-1), Heisenberg
-    or exponential mode of a basis word.  Each row lies in one (degree,
-    label) block, and the blocks are eliminated one at a time."""
+    J. Algebra 217, 1999).  By induction on k, with k u_{-k-1}v =
+    L(-1)u_{-k}v - u_{-k}L(-1)v, every u_{-k}v lies in span{L(-1)w, u_{-1}w'}.
+    U is h_1(-1), h_2(-1) and the e^lam of the strongly indecomposable
+    labels, so every row is L(-1)v, h_i(-1)v or e^lam_{-1}v for a basis
+    word v.  Each row lies in one (degree, label) block, and the blocks are
+    eliminated one at a time."""
     if ctx is not None:
         ctx.check(cap)
     if algebra == "V_H":
@@ -393,20 +395,17 @@ def c1_quotient_dims(L: GramLattice, algebra: str, cap: int,
     dims = []
     for d in range(cap + 1):
         rows: dict = {}
-        for k in range(1, d):
-            for v in by_deg[d - k]:
-                for h in units:
-                    rows.setdefault(v.label, []).append(
-                        heis_mode(sp, h, -k, FockState.of(v)))
         if d >= 2:
             for v in by_deg[d - 1]:
-                rows.setdefault(v.label, []).append(_translate(sp, v))
+                r = rows.setdefault(v.label, [])
+                r.append(_translate(sp, v))
+                r.extend(heis_mode(sp, h, -1, FockState.of(v)) for h in units)
         for lam, dl in gens:
-            for dv in range(1, d - dl + 1):
-                for v in by_deg[dv]:
-                    lab = (lam[0] + v.label[0], lam[1] + v.label[1])
-                    rows.setdefault(lab, []).append(
-                        exp_mode(sp, lam, dl + dv - d - 1, FockState.of(v)))
+            if d - dl < 1:
+                continue
+            for v in by_deg[d - dl]:
+                lab = (lam[0] + v.label[0], lam[1] + v.label[1])
+                rows.setdefault(lab, []).append(exp_mode(sp, lam, -1, FockState.of(v)))
         blocks: dict = {}
         for w in by_deg[d]:
             blocks.setdefault(w.label, []).append(w)

@@ -55,6 +55,9 @@ TYPE_II = "TYPE_II"
 CONIC = "CONIC"
 OTHER = "OTHER"
 
+# the field each descriptor kind is read from
+_NEEDS = {"type1": "gamma", "type2": "gamma", "cone": "cone", "generators": "generators"}
+
 
 class Inconclusive(RuntimeError):
     pass
@@ -116,7 +119,13 @@ class MonoidDescriptor:
 
     @classmethod
     def from_json(cls, obj: dict, L: GramLattice) -> "MonoidDescriptor":
-        kind = obj["kind"]
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {obj!r}")
+        kind = obj.get("kind")
+        if not isinstance(kind, str) or kind not in _NEEDS:
+            raise ValueError(f"kind: expected one of {', '.join(_NEEDS)}, got {kind!r}")
+        if _NEEDS[kind] not in obj:
+            raise ValueError(f"{_NEEDS[kind]}: required by kind {kind!r}")
         gamma = None
         if "gamma" in obj:
             gamma = _json_pair(obj["gamma"], "gamma",

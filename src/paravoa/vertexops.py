@@ -506,11 +506,7 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
             du, dv = adapted.degree(u), adapted.degree(v)
             nmin = math.ceil(du + dv - 1 - ctx.max_degree)
             for n in range(nmin, int(du + dv)):
-                res: dict = {}
-                for w, c in fv:
-                    part = state_mode(full, fu, n, FockState.of(w))
-                    _add_into(res, part.terms.items(), c)
-                lhs = phi_map(to_adapted(L, alpha, beta, _adopt(FockState, res)))
+                lhs = phi_map(to_adapted(L, alpha, beta, state_mode(full, fu, n, fv)))
                 rhs = tensor_mode(sp1, sp2, pu, n, pv)
                 instances += 1
                 if lhs != rhs:

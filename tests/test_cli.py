@@ -122,6 +122,31 @@ def test_descriptor_vectors_are_integer_pairs(capsys, tmp_path, desc):
     assert err.count("\n") == 1
 
 
+# each of these gave a message that did not name the field, such as
+# "'int' object is not subscriptable" or "cannot unpack non-iterable NoneType"
+@pytest.mark.parametrize("desc,want", [
+    (5, "expected a JSON object, got 5"),
+    ({"gamma": ["1", "2"]}, "kind: expected one of type1, type2, cone, generators"),
+    ({"kind": "cone"}, "cone: required by kind 'cone'"),
+], ids=json.dumps)
+def test_descriptor_errors_name_the_field(capsys, tmp_path, desc, want):
+    path = a2_with(tmp_path, ("descriptors", "X"), desc)
+    code, out, err = run(capsys, "--config", path, "classify", "X")
+    assert code == 2 and out == ""
+    assert f"descriptor 'X': {want}" in err
+    assert err.count("\n") == 1
+
+
+# each of these loaded with exit 0; the names are accepted and unused
+@pytest.mark.parametrize("names", ["ab", ["x"], [1, 2]], ids=json.dumps)
+def test_lattice_names_are_a_pair_of_strings(capsys, tmp_path, names):
+    path = a2_with(tmp_path, ("lattice", "names"), names)
+    code, out, err = run(capsys, "--config", path, "classify", "P2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "bad lattice spec: names: expected" in err
+    assert err.count("\n") == 1
+
+
 # each of these ended in an AttributeError traceback, or a top-level list in
 # "bad lattice spec", before the sections were checked at load
 @pytest.mark.parametrize("keys,value", [

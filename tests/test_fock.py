@@ -6,21 +6,17 @@ from paravoa.exactnum import QuadScalar
 from paravoa.fock import (
     FULL_L,
     MONOID,
-    SINGLE,
     BasisWord,
     FockSpace,
     FockState,
     enumerate_basis,
     make_word,
-    weight,
 )
 from paravoa.lattice import GramLattice
 from paravoa.monoid import MonoidDescriptor
 
 A2 = GramLattice(gram=((2, -1), (-1, 2)), D=2)
 DIAG22 = GramLattice(gram=((2, 0), (0, 2)), D=2)
-
-ZERO_LAM = (QuadScalar(0, 0, 2), QuadScalar(0, 0, 2))
 
 
 def two_colored_partitions(n):
@@ -34,7 +30,7 @@ def two_colored_partitions(n):
 
 
 def test_single_degree2_words():
-    words = enumerate_basis(DIAG22, SINGLE(ZERO_LAM), 2)
+    words = FockSpace.full_lattice(DIAG22).basis(2, labels=[(0, 0)])
     assert len(words) == 5
     modes = {w.modes for w in words}
     assert modes == {
@@ -48,9 +44,10 @@ def test_single_degree2_words():
 
 def test_single_counts_match_dp():
     expected = [1, 2, 5, 10, 20, 36]
+    sp = FockSpace.full_lattice(DIAG22)
     for d in range(6):
         assert two_colored_partitions(d) == expected[d]
-        assert len(enumerate_basis(DIAG22, SINGLE(ZERO_LAM), d)) == expected[d]
+        assert len(sp.basis(d, labels=[(0, 0)])) == expected[d]
 
 
 def test_full_l_degree1_diag22():
@@ -81,29 +78,24 @@ def test_enumeration_deterministic():
 
 def test_weight_exp_alpha():
     w = make_word((), (1, 0))
-    assert weight(DIAG22, w) == QuadScalar(1)
+    assert FockSpace.full_lattice(DIAG22).degree(w) == 1
 
 
 def test_weight_vacuum():
-    assert weight(A2, make_word((), (0, 0))) == QuadScalar(0)
+    assert FockSpace.full_lattice(A2).degree(make_word((), (0, 0))) == 0
 
 
 def test_weight_pure_modes():
     w = make_word(((3, 0), (1, 1)), (0, 0))
-    assert weight(A2, w) == QuadScalar(4)
+    assert FockSpace.full_lattice(A2).degree(w) == 4
 
 
 def test_weight_additive_over_concatenation():
     w1 = make_word(((2, 0),), (0, 0))
     w2 = make_word(((3, 1), (1, 0)), (0, 0))
     cat = make_word(w1.modes + w2.modes, (0, 0))
-    assert weight(A2, cat) == weight(A2, w1) + weight(A2, w2)
-
-
-def test_weight_irrational_label():
-    lam = (QuadScalar(0, 1, 2), QuadScalar(0, 0, 2))  # sqrt2 * a1 on diag(2,2)
-    w = make_word(((1, 0),), lam)
-    assert weight(DIAG22, w) == QuadScalar(3)  # 1 + (2*2)/2
+    sp = FockSpace.full_lattice(A2)
+    assert sp.degree(cat) == sp.degree(w1) + sp.degree(w2)
 
 
 def test_word_canonical_sort():

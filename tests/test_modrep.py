@@ -4,6 +4,7 @@ import pytest
 
 from paravoa import linalg, modrep, vertexops
 from paravoa.cli import load_config
+from paravoa.exactnum import QuadScalar
 from paravoa.fock import FockSpace, FockState
 from paravoa.lattice import GramLattice
 from paravoa.modrep import (
@@ -260,6 +261,18 @@ def test_c1_dims_match_all_pairs_span_vp(monkeypatch, config, name):
 
 
 @pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_c1_dims_match_all_pairs_span_vp_family(monkeypatch, gram):
+    # type II, and type I with a rational boundary and with an irrational gamma
+    L = GramLattice(gram=gram, D=2)
+    record_blocks(monkeypatch, FockSpace.full_lattice(L))
+    for kind, gamma in (("type2", L.hvec(1, 2)), ("type1", L.hvec(1, 2)),
+                        ("type1", L.hvec(1, QuadScalar(0, 1, 2)))):
+        P = MonoidDescriptor(kind=kind, gamma=gamma)
+        want = all_pairs_dims(L, 4, lambda v: member(L, P, v))
+        assert c1_quotient_dims(L, "V_P", 4, P=P) == want, (kind, gamma)
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
 def test_strong_generators_of_vh_are_plus_minus_alpha(gram):
     L = GramLattice(gram=gram)
     for alpha in ALPHAS:
@@ -274,6 +287,23 @@ def test_orthogonal_sum_is_not_a_strong_generator():
     labels = modrep._labels_norm(DIAG22, 4, lambda v: member(DIAG22, P2_D, v))
     got = modrep._strongly_indecomposable(DIAG22, labels)
     assert got == [(-1, 0), (0, 1), (1, 0)]
+
+
+def test_c1_rows_use_only_minus_one_modes(monkeypatch):
+    seen = []
+
+    def only_minus_one(real):
+        def mode(sp, u, n, v, *rest):
+            seen.append(n)
+            assert n == -1, (u, n)
+            return real(sp, u, n, v, *rest)
+        return mode
+
+    monkeypatch.setattr(modrep, "exp_mode", only_minus_one(modrep.exp_mode))
+    monkeypatch.setattr(modrep, "heis_mode", only_minus_one(modrep.heis_mode))
+    assert c1_quotient_dims(DIAG22, "V_H", 5, alpha=(1, 0)) == [1, 4, 0, 0, 0, 0]
+    assert c1_quotient_dims(A2, "V_P", 5, P=P1_A) == [1, 5, 0, 1, 0, 0]
+    assert len(seen) > 100
 
 
 def test_c1_dims_never_use_the_iterate_recursion(monkeypatch):

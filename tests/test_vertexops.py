@@ -396,6 +396,26 @@ def translate(sp, v):
 
 
 @pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_translation_raises_heisenberg_modes(gram):
+    # [L(-1), h_i(-k)] v = k h_i(-k-1) v on basis words v of degree <= 2:
+    # with the exponential case below, this is why C1 spans need only the
+    # -1 modes of the strong generators
+    L = GramLattice(gram=gram)
+    sp = FockSpace.full_lattice(L)
+    count = 0
+    for d in range(3):
+        for w in enumerate_basis(L, FULL_L, d):
+            v = FockState.of(w)
+            for h in (E1, E2):
+                for k in (1, 2, 3):
+                    lhs = (translate(sp, heis_mode(sp, h, -k, v))
+                           - heis_mode(sp, h, -k, translate(sp, v)))
+                    assert lhs == heis_mode(sp, h, -k - 1, v).scale(k), (w, h, k)
+                    count += 1
+    assert count >= 6 * 8  # 1 + 2 + 5 Heisenberg words, at least
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
 def test_exp_mode_covariance_and_heisenberg_commutator(gram):
     # for e^a with (a|a) <= 4 on basis words v of degree <= 1, at every n
     # giving a result of degree -1 to 3:
