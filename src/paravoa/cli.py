@@ -227,7 +227,8 @@ def _character_target(cfg: SessionConfig, args):
     if name in cfg.descriptors:
         P = cfg.descriptors[name]
         if args.t is not None or args.i is not None:
-            mods = irreducibles(L, P, {"ts": [parse_fraction(args.t or "0", "--t")]})
+            mods = irreducibles(L, P, {"ts": [parse_fraction(args.t or "0", "--t")]},
+                                cfg.box_radius)
             i = int(args.i or 0)
             for m in mods:
                 if m.i == i:
@@ -284,7 +285,8 @@ def cmd_verify_iso(cfg: SessionConfig, args) -> int:
 def cmd_verify_ideal(cfg: SessionConfig, args) -> int:
     rep = check_ideal(cfg.lattice, cfg.descriptor(args.descriptor), cfg.ctx(),
                       sample_degree=parse_size(args.sample_degree,
-                                               "--sample-degree"))
+                                               "--sample-degree"),
+                      box_radius=cfg.box_radius)
     ok = not rep["failures"]
     emit(rep, args.pretty,
          [f"ideal stability: {rep['instances']} instances, "
@@ -315,7 +317,7 @@ def cmd_verify_commutators(cfg: SessionConfig, args) -> int:
 
 def cmd_zhu_nil(cfg: SessionConfig, args) -> int:
     cert = nilpotency_certificate(cfg.lattice, cfg.descriptor(args.descriptor),
-                                  parse_vec(args.beta), cfg.ctx())
+                                  parse_vec(args.beta), cfg.ctx(), cfg.box_radius)
     emit(cert, args.pretty,
          [f"beta={tuple(cert['beta'])}, N={cert['N']}, "
           f"steps={len(cert['steps'])}: {'ok' if cert['ok'] else 'FAILED'}"])
@@ -325,13 +327,13 @@ def cmd_zhu_nil(cfg: SessionConfig, args) -> int:
 def cmd_fusion(cfg: SessionConfig, args) -> int:
     L = cfg.lattice
     P = cfg.descriptor(args.descriptor)
-    rep = classify(L, P)
-    if rep.type == "TYPE_I":
+    R = cfg.box_radius
+    if classify(L, P, R).type == "TYPE_I":
         lams = [parse_vec(s) for s in (args.lams or "0,0").split(";")]
-        mods = irreducibles(L, P, {"lams": lams})
+        mods = irreducibles(L, P, {"lams": lams}, R)
     else:
         ts = [parse_fraction(t, "--ts") for t in (args.ts or "0").split(",")]
-        mods = irreducibles(L, P, {"ts": ts})
+        mods = irreducibles(L, P, {"ts": ts}, R)
     table = []
     for m1 in mods:
         for m2 in mods:
@@ -345,8 +347,7 @@ def cmd_fusion(cfg: SessionConfig, args) -> int:
 
 
 def cmd_c1(cfg: SessionConfig, args) -> int:
-    rep = c1_decide(cfg.lattice, cfg.descriptor(args.descriptor),
-                    box_radius=cfg.box_radius + 4)
+    rep = c1_decide(cfg.lattice, cfg.descriptor(args.descriptor), cfg.box_radius)
     out = rep.to_json()
     emit(out, args.pretty, [f"verdict: {rep.verdict}"])
     return 0

@@ -65,8 +65,10 @@ def make_word(modes, label) -> BasisWord:
 
 def _add_into(t: dict, items, c=None) -> None:
     """t += c*y in place, for y given as (key, coefficient) pairs and c None
-    meaning 1.  Keys may be any hashable; coefficients that cancel are
-    dropped, and a key new to t goes to its end, as `x + y` orders it."""
+    meaning 1.  Keys may be any hashable.  Every coefficient of y must be
+    nonzero: a key new to t is stored as is, only sums are tested, and
+    coefficients that cancel are dropped.  A new key goes to the end of t,
+    as `x + y` orders it."""
     if c is not None:
         if not c:
             return
@@ -77,12 +79,20 @@ def _add_into(t: dict, items, c=None) -> None:
         if c is not None:
             x = x * c
         s = get(k)
-        if s is not None:
-            x = s + x
-        if x:
+        if s is None:
             t[k] = x
-        elif s is not None:
-            del t[k]
+        else:
+            x = s + x
+            if x:
+                t[k] = x
+            else:
+                del t[k]
+
+
+def _ratio(n: int, d: int):
+    """n/d as an int when d divides n, else as a Fraction."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 def _adopt(cls, terms: dict):
@@ -222,28 +232,26 @@ class FockSpace:
     Modes live in an r-element h-basis with rational pairwise products
     `mode_gram`; labels are integer combinations of s generator vectors
     whose mode-basis coordinates are `gen_coords`.  The cocycle is the
-    bilinear sign (-1)^(sum a_i b_j eps_table[i][j]) on labels.
+    bilinear sign (-1)^(sum a_i b_j eps_table[i][j]) on labels.  Degrees,
+    pairings and coordinates are ints when integral and Fractions
+    otherwise, so the engine's bookkeeping is integer arithmetic.
     """
 
     def __init__(self, mode_gram, gen_coords=(), eps_table=()):
         self.rank = len(mode_gram)
-        self.mode_gram = tuple(
-            tuple(Fraction(x) for x in row) for row in mode_gram
-        )
-        self.gen_coords = tuple(
-            tuple(Fraction(x) for x in row) for row in gen_coords
-        )
+        self.mode_gram, self.gen_coords = (
+            tuple(tuple(_ratio(*Fraction(x).as_integer_ratio()) for x in row)
+                  for row in rows) for rows in (mode_gram, gen_coords))
         self.label_rank = len(self.gen_coords)
         self.eps_table = tuple(tuple(int(x) for x in row) for row in eps_table)
         self.zero_label = (0,) * self.label_rank
         # pairings of each label generator with each mode and with each
         # other generator, as integers over one common denominator, so a
-        # label pairing is integer arithmetic and a single Fraction
-        gm = [[sum((g[r] * self.mode_gram[r][i] for r in range(self.rank)),
-                   Fraction(0)) for i in range(self.rank)]
-              for g in self.gen_coords]
-        gg = [[sum((x * y for x, y in zip(row, h)), Fraction(0))
-               for h in self.gen_coords] for row in gm]
+        # label pairing is integer arithmetic and one _ratio
+        gm = [[sum(g[r] * self.mode_gram[r][i] for r in range(self.rank))
+               for i in range(self.rank)] for g in self.gen_coords]
+        gg = [[sum(x * y for x, y in zip(row, h)) for h in self.gen_coords]
+              for row in gm]
         self._den = math.lcm(*(x.denominator for row in gm + gg for x in row))
         self._gen_mode = tuple(tuple(int(x * self._den) for x in row) for row in gm)
         self._gen_gen = tuple(tuple(int(x * self._den) for x in row) for row in gg)
@@ -276,9 +284,9 @@ class FockSpace:
 
     # -- pairings -----------------------------------------------------
 
-    def label_coords(self, label) -> tuple[Fraction, ...]:
+    def label_coords(self, label) -> tuple:
         """Mode-basis coordinates of the label vector."""
-        out = [Fraction(0)] * self.rank
+        out = [0] * self.rank
         for lj, row in zip(label, self.gen_coords):
             for r in range(self.rank):
                 out[r] += lj * row[r]
@@ -302,12 +310,12 @@ class FockSpace:
                     n += x * y * g
         return n
 
-    def label_inner(self, l1, l2) -> Fraction:
-        return Fraction(self._label_pairing(l1, l2), self._den)
+    def label_inner(self, l1, l2):
+        return _ratio(self._label_pairing(l1, l2), self._den)
 
-    def pair_label_mode(self, label, i: int) -> Fraction:
-        return Fraction(sum(x * row[i] for x, row in zip(label, self._gen_mode)),
-                        self._den)
+    def pair_label_mode(self, label, i: int):
+        return _ratio(sum(x * row[i] for x, row in zip(label, self._gen_mode)),
+                      self._den)
 
     def eps(self, l1, l2) -> int:
         e = 0
@@ -323,12 +331,11 @@ class FockSpace:
             label = self.zero_label
         return make_word(modes, label)
 
-    def degree(self, w: BasisWord) -> Fraction:
-        den2 = 2 * self._den
-        return Fraction(w.mode_degree() * den2 + self._label_pairing(w.label, w.label),
-                        den2)
+    def degree(self, w: BasisWord):
+        return w.mode_degree() + _ratio(self._label_pairing(w.label, w.label),
+                                        2 * self._den)
 
-    def state_degree(self, s: FockState) -> Optional[Fraction]:
+    def state_degree(self, s: FockState):
         """Common degree of a homogeneous state, None if empty."""
         degs = {self.degree(w) for w in s.terms}
         if not degs:
@@ -347,7 +354,7 @@ class FockSpace:
         """omega = 1/2 sum_ij (Q^-1)[i][j] b_i(-1) b_j(-1) vac."""
         q = self.mode_gram
         if self.rank == 1:
-            inv = ((1 / q[0][0],),)
+            inv = ((Fraction(1, q[0][0]),),)
         else:
             # Q is symmetric: column j of Q^-1 solves x*q[0] + y*q[1] = e_j
             inv = [_cramer(q[0], q[1], e) for e in ((1, 0), (0, 1))]
@@ -363,8 +370,7 @@ class FockSpace:
         """Words of exact degree with labels drawn from the given tuples."""
         out = []
         for lab in labels:
-            half = self.label_inner(lab, lab) / 2
-            m = Fraction(degree) - half
+            m = degree - Fraction(self.label_inner(lab, lab), 2)
             if m.denominator != 1 or m < 0:
                 continue
             for w in _mode_words(self.rank, int(m)):

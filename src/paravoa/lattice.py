@@ -156,9 +156,6 @@ class GramLattice:
             for n in range(-radius, radius + 1):
                 yield (m, n)
 
-    def to_json(self) -> dict:
-        return {"gram": [list(r) for r in self.gram], "D": self.D}
-
     @classmethod
     def from_json(cls, obj: dict) -> "GramLattice":
         if "names" in obj:  # accepted and unused

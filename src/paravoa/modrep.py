@@ -149,9 +149,11 @@ def _colored_partitions(colors: int, cap: int) -> list[int]:
     return counts
 
 
-def irreducibles(L: GramLattice, P: MonoidDescriptor, sample_params: dict) -> list:
-    """Finite sample of the irreducible-module families attached to (L, P)."""
-    rep = classify(L, P)
+def irreducibles(L: GramLattice, P: MonoidDescriptor, sample_params: dict,
+                 box_radius: int = 8) -> list:
+    """Finite sample of the irreducible-module families attached to (L, P),
+    with P classified at box_radius."""
+    rep = classify(L, P, box_radius)
     if not rep.is_parabolic:
         raise NotParabolic("P must be parabolic")
     out = []
@@ -296,21 +298,23 @@ def fusion(m1: ModuleLabel, m2: ModuleLabel, m3: ModuleLabel) -> int:
     return 1 if (m1.i + m2.i - m3.i) % (2 * m1.N) == 0 else 0
 
 
-def c1_decide(L: GramLattice, P: MonoidDescriptor, box_radius: int = 12) -> C1Report:
-    """Sufficient-condition search for C1-cofiniteness of V_P."""
-    rep = classify(L, P)
+def c1_decide(L: GramLattice, P: MonoidDescriptor, box_radius: int = 8) -> C1Report:
+    """Sufficient-condition search for C1-cofiniteness of V_P, with P
+    classified at box_radius and witnesses sought within box_radius + 4."""
+    rep = classify(L, P, box_radius)
     if not rep.is_parabolic:
         raise NotParabolic("P must be parabolic")
     if rep.type == "TYPE_I":
         return C1Report(verdict="NOT_COFINITE")
     alpha = rep.alpha
+    R = box_radius + 4
     saw_candidate = False
     best = None
     # smallest boxes first, orthogonal pairings preferred: witnesses come
     # out small and deterministic
     ring = sorted(
-        ((b1, b2) for b1 in range(-box_radius, box_radius + 1)
-         for b2 in range(-box_radius, box_radius + 1) if (b1, b2) != (0, 0)),
+        ((b1, b2) for b1 in range(-R, R + 1) for b2 in range(-R, R + 1)
+         if (b1, b2) != (0, 0)),
         key=lambda v: (max(abs(v[0]), abs(v[1])),
                        abs(L.inner_int(alpha, v)), v),
     )

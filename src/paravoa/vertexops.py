@@ -87,34 +87,39 @@ def _binom(m: int, j: int) -> int:
 def heis_mode(sp: FockSpace, h, m: int, v: FockState) -> FockState:
     """Action of h(m), with h given by coordinates in sp's mode basis."""
     out: dict = {}
+    dirs = [(d, x) for d, x in enumerate(h) if x]
     if m < 0:
         n = -m
         for w, c in v:
-            for d in range(sp.rank):
-                if h[d]:
-                    nw = make_word(w.modes + ((n, d),), w.label)
-                    _add_into(out, ((nw, c * h[d]),))
+            modes = w.modes
+            for d, x in dirs:
+                # canonical order is n descending, ties by direction
+                i = 0
+                for nn, dd in modes:
+                    if nn < n or (nn == n and dd > d):
+                        break
+                    i += 1
+                nw = BasisWord(modes[:i] + ((n, d),) + modes[i:], w.label)
+                _add_into(out, ((nw, c if x == 1 else c * x),))
         return _adopt(FockState, out)
     if m == 0:
         for w, c in v:
-            s = ZERO
-            for d in range(sp.rank):
-                if h[d]:
-                    s = s + h[d] * sp.pair_label_mode(w.label, d)
+            s = sum(x * sp.pair_label_mode(w.label, d) for d, x in dirs)
             if s:
-                _add_into(out, ((w, c * s),))
+                out[w] = c * s
         return _adopt(FockState, out)
+    # m * (h | b_d) per mode direction d, computed when a mode first matches
+    pairing: dict = {}
     for w, c in v:
         for idx, (n, d) in enumerate(w.modes):
             if n != m:
                 continue
-            pairing = ZERO
-            for e in range(sp.rank):
-                if h[e]:
-                    pairing = pairing + h[e] * sp.mode_gram[e][d]
-            if pairing:
+            p = pairing.get(d)
+            if p is None:
+                p = pairing[d] = m * sum(x * sp.mode_gram[e][d] for e, x in dirs)
+            if p:
                 rest = BasisWord(w.modes[:idx] + w.modes[idx + 1:], w.label)
-                _add_into(out, ((rest, c * pairing * m),))
+                _add_into(out, ((rest, c * p),))
     return _adopt(FockState, out)
 
 
@@ -154,8 +159,8 @@ def exp_mode(sp: FockSpace, a, n: int, v: FockState, ctx=None) -> FockState:
     """Coefficient of z^(-n-1) in Y(e^a, z) v."""
     a = tuple(int(x) for x in a)
     if ctx is not None and v:
-        ctx.check(max(sp.degree(w) for w, _ in v) + sp.label_inner(a, a) / 2
-                  - n - 1)
+        ctx.check(max(sp.degree(w) for w, _ in v)
+                  + Fraction(sp.label_inner(a, a), 2) - n - 1)
     acoords = sp.label_coords(a)
     out: dict = {}
     for w, c in v:
@@ -178,8 +183,8 @@ def exp_mode(sp: FockSpace, a, n: int, v: FockState, ctx=None) -> FockState:
     return _adopt(FockState, out)
 
 
-def _unit(sp: FockSpace, d: int):
-    return tuple(Fraction(1) if e == d else Fraction(0) for e in range(sp.rank))
+def _unit(sp: FockSpace, d: int) -> tuple[int, ...]:
+    return tuple(int(e == d) for e in range(sp.rank))
 
 
 def _word_mode_w(sp: FockSpace, u: BasisWord, k: int, w: BasisWord) -> FockState:
@@ -203,14 +208,11 @@ def _word_mode_w(sp: FockSpace, u: BasisWord, k: int, w: BasisWord) -> FockState
     res: dict = {}
     # (h(-n)u')_k = sum_j C(n+j-1,j) [ h(-n-j) u'_{k+j}
     #                                  - (-1)^n u'_{-n+k-j} h(j) ]
-    jmax = du + dw - k - 1
-    j = 0
-    while j <= jmax:
+    for j in range(math.floor(du + dw - k - 1) + 1):
         inner = _word_mode_w(sp, rest, k + j, w)
         if inner:
             _add_into(res, heis_mode(sp, hd, -(n + j), inner).terms.items(),
                       _binom(n + j - 1, j))
-        j += 1
     sgn = -1 if n % 2 else 1
     ws = FockState.of(w)
     for j in range(0, max((m for m, _ in w.modes), default=0) + 1):
@@ -232,8 +234,9 @@ def word_mode(sp: FockSpace, u: BasisWord, k: int, v: FockState) -> FockState:
 
 def state_mode(sp: FockSpace, a: FockState, k: int, v: FockState) -> FockState:
     out: dict = {}
-    for u, c in a:
-        _add_into(out, word_mode(sp, u, k, v).terms.items(), c)
+    for u, cu in a:
+        for w, cw in v:
+            _add_into(out, _word_mode_w(sp, u, k, w).terms.items(), cu * cw)
     return _adopt(FockState, out)
 
 
@@ -252,16 +255,14 @@ def check_commutator(sp: FockSpace, a: FockState, b: FockState, m: int, n: int,
     lhs = state_mode(sp, a, m, state_mode(sp, b, n, v)) - state_mode(
         sp, b, n, state_mode(sp, a, m, v)
     )
-    da = max((sp.degree(w) for w, _ in a), default=Fraction(0))
-    db = max((sp.degree(w) for w, _ in b), default=Fraction(0))
+    da = max((sp.degree(w) for w, _ in a), default=0)
+    db = max((sp.degree(w) for w, _ in b), default=0)
     rhs: dict = {}
-    j = 0
-    while j <= da + db - 1:
+    for j in range(math.floor(da + db - 1) + 1):
         ajb = state_mode(sp, a, j, b)
         if ajb:
             _add_into(rhs, state_mode(sp, ajb, m + n - j, v).terms.items(),
                       _binom(m, j))
-        j += 1
     return lhs - _adopt(FockState, rhs)
 
 
@@ -280,7 +281,7 @@ def check_lemma35(sp: FockSpace, beta, m: int, u: BasisWord, v: FockState,
         raise PreconditionViolated("beta must be orthogonal to u's label")
     cap = ctx.max_degree
     du = sp.degree(u)
-    dv = max((sp.degree(w) for w, _ in v), default=Fraction(0))
+    dv = max((sp.degree(w) for w, _ in v), default=0)
     out = {}
     # n ranges so that deg(u_n v) and deg(u_n beta(m) v) stay within the cap
     nmin = math.ceil(du + dv - 1 - cap)
@@ -294,11 +295,12 @@ def check_lemma35(sp: FockSpace, beta, m: int, u: BasisWord, v: FockState,
 
 
 def check_ideal(L: GramLattice, P: MonoidDescriptor,
-                ctx: TruncationCtx, sample_degree: int = 2) -> dict:
+                ctx: TruncationCtx, sample_degree: int = 2,
+                box_radius: int = 8) -> dict:
     """Spot check that modes of V_P elements keep ideal elements inside the
     ideal: labels of a_n b stay in S (= P minus 0 for type I, the open
-    positive side for type II)."""
-    rep = classify(L, P)
+    positive side for type II).  P is classified at box_radius."""
+    rep = classify(L, P, box_radius)
     if not rep.is_parabolic:
         raise PreconditionViolated("P must be parabolic")
     sp = FockSpace.full_lattice(L)
@@ -412,8 +414,7 @@ def tensor_mode(sp1: FockSpace, sp2: FockSpace, A: TensorState, n: int,
             c = ca * cb
             dxv = sp1.degree(x) + sp1.degree(v)
             dyw = sp2.degree(y) + sp2.degree(w)
-            i = math.ceil(n - dyw)
-            while i <= dxv - 1:
+            for i in range(math.ceil(n - dyw), math.floor(dxv - 1) + 1):
                 left = _word_mode_w(sp1, x, i, v)
                 if left:
                     rightv = _word_mode_w(sp2, y, n - i - 1, w)
@@ -421,7 +422,6 @@ def tensor_mode(sp1: FockSpace, sp2: FockSpace, A: TensorState, n: int,
                         for wl, cl in left:
                             _add_into(out, (((wl, wr), c * cl * cr)
                                             for wr, cr in rightv))
-                i += 1
     return _adopt(TensorState, out)
 
 
@@ -495,15 +495,13 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
     for d in range(degree_cap + 1):
         basis.extend(adapted.basis(d, labels=labels))
 
+    # each basis word's two images and degree, computed once
+    images = [(u, from_adapted(L, alpha, beta, FockState.of(u)),
+               phi_map(FockState.of(u)), adapted.degree(u)) for u in basis]
     instances = 0
     failures = []
-    for u in basis:
-        fu = from_adapted(L, alpha, beta, FockState.of(u))
-        pu = phi_map(FockState.of(u))
-        for v in basis:
-            fv = from_adapted(L, alpha, beta, FockState.of(v))
-            pv = phi_map(FockState.of(v))
-            du, dv = adapted.degree(u), adapted.degree(v)
+    for u, fu, pu, du in images:
+        for v, fv, pv, dv in images:
             nmin = math.ceil(du + dv - 1 - ctx.max_degree)
             for n in range(nmin, int(du + dv)):
                 lhs = phi_map(to_adapted(L, alpha, beta, state_mode(full, fu, n, fv)))

@@ -91,7 +91,7 @@ def state_json(s: FockState) -> list:
 
 
 def nilpotency_certificate(L: GramLattice, P: MonoidDescriptor, beta: LatVec,
-                           ctx: TruncationCtx) -> dict:
+                           ctx: TruncationCtx, box_radius: int = 8) -> dict:
     """Replayable evidence that [M(1, 2*beta)] vanishes in A(V_P).
 
     Chain: (i) e^beta_{-m} e^beta = 0 for a sweep of m <= 2N and the first
@@ -100,9 +100,9 @@ def nilpotency_certificate(L: GramLattice, P: MonoidDescriptor, beta: LatVec,
     e^{2 beta} in O(V_P); (iii) the mode-shift congruences
     h(-k-2)u = -h(-k-1)u mod O(V_P), each one literally a residue element,
     checked on sampled words of M(1, 2*beta); (iv) h(-1)-dressings generated
-    by star products against [e^{2 beta}].
+    by star products against [e^{2 beta}].  P is classified at box_radius.
     """
-    rep = classify(L, P)
+    rep = classify(L, P, box_radius)
     if not rep.is_parabolic:
         raise PreconditionViolated("P must be parabolic")
     if beta == (0, 0) or not _in_ideal(L, P, rep, beta):

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import shlex
 import time
@@ -7,6 +9,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paravoa.cli import (
     ConfigError,
@@ -513,3 +516,91 @@ def test_geometry_commands_are_byte_stable(capsys, tmp_path):
                 h.update(f"{code}\n{out.out}{out.err}".replace(str(tmp_path), "")
                          .encode())
     assert h.hexdigest() == GEOMETRY_DIGEST
+
+
+# -- boxRadius reaches every command that classifies ----------------------------
+
+# the monoid generated by (1,0) and (-4,1) matches the type-I half-plane
+# above the a1 axis inside radius 4, and is a proper cone beyond it
+@pytest.mark.parametrize("radius", [3, 8])
+def test_commands_classify_at_the_config_box_radius(capsys, tmp_path, radius):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({
+        "lattice": {"gram": [[2, 0], [0, 2]]},
+        "descriptors": {"G": {"kind": "generators", "generators": [[1, 0], [-4, 1]]}},
+        "boxRadius": radius,
+    }))
+    code, out, err = run(capsys, "--config", str(path), "classify", "G")
+    commands = (("zhu-nil", "G", "0,1"), ("verify-ideal", "G", "--sample-degree", "1"),
+                ("fusion", "G"), ("c1", "G"))
+    if radius == 8:
+        assert code == 2 and err.startswith("error: generated monoid matches neither")
+        for argv in commands:
+            assert run(capsys, "--config", str(path), *argv) == (2, "", err)
+        return
+    assert code == 0 and json.loads(out)["type"] == "TYPE_I"
+    got = {argv[0]: run(capsys, "--config", str(path), *argv) for argv in commands}
+    assert {k: v[0] for k, v in got.items()} == dict.fromkeys(got, 0)
+    assert json.loads(got["zhu-nil"][1])["ok"]
+    assert json.loads(got["verify-ideal"][1])["failures"] == []
+    assert {m["kind"] for m in json.loads(got["fusion"][1])["modules"]} == {"TYPE_I_MOD"}
+    assert json.loads(got["c1"][1]) == {"verdict": "NOT_COFINITE"}
+
+
+# -- fuzzed argument vectors -----------------------------------------------------
+
+# malformed or out-of-domain values; none is large, so every run stays quick
+BAD = st.sampled_from(["", "x", "-1", "1/0", "1/2", "nan", "1,2,3", "1,x", "0,0", "-"])
+SIZE = st.one_of(st.sampled_from(["0", "1", "2"]), BAD)
+VEC = st.one_of(st.sampled_from(["0,1", "1,0", "1,1", "0,-1", "-1,1", "2,0"]), BAD)
+FRACTION = st.one_of(st.sampled_from(["0", "1/2", "-1/3"]), BAD)
+GAMMA = st.one_of(st.sampled_from(["1,1", "1,1~1", "1,2", "1~1,0", "-1,1/2"]), BAD)
+DESC = st.sampled_from(["P1", "P2", "Q"])
+
+
+def _opt(flag, values):
+    return st.one_of(st.just(()), values.map(lambda v: (flag, v)))
+
+
+ARGV = st.tuples(
+    st.sampled_from(["a2", "diag22", "a2", "diag22", "nope"]),
+    st.one_of(
+        st.tuples(st.just("classify"), DESC),
+        st.tuples(st.just("borel"), GAMMA),
+        st.tuples(st.just("saturate"), GAMMA, VEC),
+        st.tuples(st.just("character"), st.sampled_from(["P1", "P2", "VH", "VL", "M1", "Q"]),
+                  st.just("--cap"), SIZE, _opt("--alpha", VEC), _opt("--t", FRACTION),
+                  _opt("--i", SIZE)),
+        st.tuples(st.just("verify-iso"), st.just("--cap"), st.sampled_from(["0", "1", "x"]),
+                  st.just("--char-cap"), SIZE, _opt("--alpha", VEC)),
+        st.tuples(st.just("verify-ideal"), DESC, st.just("--sample-degree"),
+                  st.sampled_from(["0", "1", "-1", "x"])),
+        st.tuples(st.just("verify-commutators"), st.just("--samples"), SIZE),
+        st.tuples(st.just("zhu-nil"), DESC, VEC),
+        st.tuples(st.just("fusion"), DESC, _opt("--ts", FRACTION), _opt("--lams", VEC)),
+        st.tuples(st.just("c1"), DESC),
+        st.tuples(st.just("c1-dims"), st.sampled_from(["VH", "P1", "P2", "Q"]),
+                  st.just("--cap"), SIZE, _opt("--alpha", VEC)),
+        st.tuples(st.sampled_from(["nope", "--help", "--pretty", "classify"])),
+    ),
+)
+
+
+def _flatten(parts):
+    for p in parts:
+        if isinstance(p, tuple):
+            yield from _flatten(p)
+        else:
+            yield p
+
+
+@settings(max_examples=60, deadline=None)
+@given(ARGV)
+def test_main_never_raises_on_fuzzed_arguments(parts):
+    config, rest = parts
+    argv = ["--config", config, *_flatten(rest)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -19,11 +19,11 @@ A2 = GramLattice(gram=((2, -1), (-1, 2)), D=2)
 DIAG22 = GramLattice(gram=((2, 0), (0, 2)), D=2)
 
 
-def two_colored_partitions(n):
-    # DP oracle: product over k of 1/(1-q^k)^2
+def colored_partitions(n, colors=2):
+    # DP oracle: product over k of 1/(1-q^k)^colors
     counts = [1] + [0] * n
     for k in range(1, n + 1):
-        for _color in range(2):
+        for _color in range(colors):
             for m in range(k, n + 1):
                 counts[m] += counts[m - k]
     return counts[n]
@@ -46,7 +46,7 @@ def test_single_counts_match_dp():
     expected = [1, 2, 5, 10, 20, 36]
     sp = FockSpace.full_lattice(DIAG22)
     for d in range(6):
-        assert two_colored_partitions(d) == expected[d]
+        assert colored_partitions(d) == expected[d]
         assert len(sp.basis(d, labels=[(0, 0)])) == expected[d]
 
 
@@ -188,3 +188,64 @@ def test_eps_cocycle_condition_full():
 def test_negative_mode_rejected():
     with pytest.raises(ValueError):
         make_word(((0, 0),), (0, 0))
+
+
+# -- exact bookkeeping: ints when integral, Fractions otherwise --------------
+
+try:
+    from test_vertexops import reduced_forms
+except ImportError:  # --import-mode=importlib leaves tests/ off sys.path
+    from tests.test_vertexops import reduced_forms
+
+
+# full-lattice spaces on the reduced forms, then spaces whose pairings are
+# not all integral
+EXACT_SPACES = [
+    *(pytest.param(FockSpace.full_lattice(GramLattice(gram=g, D=2)), id=str(g))
+      for g in reduced_forms()),
+    pytest.param(FockSpace.rank_one_lattice(3), id="rank_one_lattice(3)"),
+    pytest.param(FockSpace(
+        mode_gram=((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 3), 2)),
+        gen_coords=((1, 0), (0, 1))), id="fraction_gram"),
+]
+
+
+def _exact(x, want: Fraction) -> bool:
+    """x equals want and is an int exactly when want is integral."""
+    return x == want and type(x) is (int if want.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("sp", EXACT_SPACES)
+def test_pairings_and_degrees_are_exact(sp):
+    G = [[Fraction(x) for x in row] for row in sp.mode_gram]
+    r = range(sp.rank)
+
+    def coords(lab):
+        return [sum((Fraction(l) * g[i] for l, g in zip(lab, sp.gen_coords)),
+                    Fraction(0)) for i in r]
+
+    def inner(x, y):
+        return sum((x[i] * y[j] * G[i][j] for i in r for j in r), Fraction(0))
+
+    assert all(_exact(x, y) for row, grow in zip(sp.mode_gram, G)
+               for x, y in zip(row, grow))
+    span = range(-2, 3)
+    labels = ([(m,) for m in span] if sp.label_rank == 1
+              else [(m, n) for m in span for n in span])
+    for l1 in labels:
+        c1 = coords(l1)
+        for i in r:
+            assert _exact(sp.pair_label_mode(l1, i), sum(
+                (c1[j] * G[j][i] for j in r), Fraction(0)))
+        for l2 in labels:
+            assert _exact(sp.label_inner(l1, l2), inner(c1, coords(l2)))
+        for modes in ((), ((1, 0),), ((3, 0), (1, sp.rank - 1))):
+            w = make_word(modes, l1)
+            assert _exact(sp.degree(w), w.mode_degree() + inner(c1, c1) / 2)
+    for d in range(5):
+        want = 0
+        for lab in labels:
+            m = d - inner(coords(lab), coords(lab)) / 2
+            if m.denominator == 1 and m >= 0:
+                want += colored_partitions(int(m), sp.rank)
+        assert len(sp.basis(d, labels=labels)) == want

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paravoa.exactnum import QuadScalar
 from paravoa.fock import (
@@ -18,6 +19,7 @@ from paravoa.modrep import Selector, character, check_tensor_character
 from paravoa.monoid import MonoidDescriptor, PreconditionViolated
 from paravoa.vertexops import (
     BadLabel,
+    _unit,
     _translate,
     TensorState,
     TruncationCtx,
@@ -495,3 +497,20 @@ def test_mode_results_are_never_aliased():
     assert got and all(got is not s for s in cache.values())
     got.terms.clear()
     assert word_mode(sp, u, -1, w1) == ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(modes=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 1)), max_size=5),
+       label=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+       n=st.integers(1, 5),
+       h=st.tuples(st.fractions(-2, 2, max_denominator=3),
+                   st.fractions(-2, 2, max_denominator=3)))
+def test_heis_creation_inserts_in_canonical_order(modes, label, n, h):
+    w = make_word(modes, label)
+    for sp in (SPA, SPD):
+        for d in range(2):
+            got = heis_mode(sp, _unit(sp, d), -n, FockState.of(w))
+            assert got.terms == {make_word(w.modes + ((n, d),), w.label): 1}
+        want = FockState({make_word(w.modes + ((n, d),), w.label): x
+                          for d, x in enumerate(h)})
+        assert heis_mode(sp, h, -n, FockState.of(w)) == want
