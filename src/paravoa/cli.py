@@ -2,8 +2,7 @@
 
 Machine output is a single JSON document on stdout; --pretty adds a human
 summary on stderr.  Exit codes: 0 all checks pass, 1 verification failure,
-2 usage or config error, an inconclusive classification, or a result degree
-above the truncation ceiling.
+2 usage or config error, or a result degree above the truncation ceiling.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .exactnum import QuadScalar
 from .fock import FULL_L, FockSpace, FockState, enumerate_basis
 from .lattice import GramLattice, _json_int, is_primitive
 from .monoid import (
-    Inconclusive,
     MonoidDescriptor,
     PreconditionViolated,
     borel_in,
@@ -173,7 +171,7 @@ def emit(obj: dict, pretty: bool, lines: Optional[list] = None) -> None:
 
 
 def cmd_classify(cfg: SessionConfig, args) -> int:
-    rep = classify(cfg.lattice, cfg.descriptor(args.descriptor), cfg.box_radius)
+    rep = classify(cfg.lattice, cfg.descriptor(args.descriptor))
     out = rep.to_json()
     emit(out, args.pretty, [f"{args.descriptor}: {rep.type}"
                             + (f", boundary alpha {rep.alpha}" if rep.alpha else "")])
@@ -227,8 +225,10 @@ def _character_target(cfg: SessionConfig, args):
     if name in cfg.descriptors:
         P = cfg.descriptors[name]
         if args.t is not None or args.i is not None:
-            mods = irreducibles(L, P, {"ts": [parse_fraction(args.t or "0", "--t")]},
-                                cfg.box_radius)
+            if P.kind == "type1":
+                raise ConfigError(f"--t/--i select type-II modules; "
+                                  f"descriptor {name!r} is TYPE_I")
+            mods = irreducibles(L, P, {"ts": [parse_fraction(args.t or "0", "--t")]})
             i = int(args.i or 0)
             for m in mods:
                 if m.i == i:
@@ -285,8 +285,7 @@ def cmd_verify_iso(cfg: SessionConfig, args) -> int:
 def cmd_verify_ideal(cfg: SessionConfig, args) -> int:
     rep = check_ideal(cfg.lattice, cfg.descriptor(args.descriptor), cfg.ctx(),
                       sample_degree=parse_size(args.sample_degree,
-                                               "--sample-degree"),
-                      box_radius=cfg.box_radius)
+                                               "--sample-degree"))
     ok = not rep["failures"]
     emit(rep, args.pretty,
          [f"ideal stability: {rep['instances']} instances, "
@@ -317,7 +316,7 @@ def cmd_verify_commutators(cfg: SessionConfig, args) -> int:
 
 def cmd_zhu_nil(cfg: SessionConfig, args) -> int:
     cert = nilpotency_certificate(cfg.lattice, cfg.descriptor(args.descriptor),
-                                  parse_vec(args.beta), cfg.ctx(), cfg.box_radius)
+                                  parse_vec(args.beta), cfg.ctx())
     emit(cert, args.pretty,
          [f"beta={tuple(cert['beta'])}, N={cert['N']}, "
           f"steps={len(cert['steps'])}: {'ok' if cert['ok'] else 'FAILED'}"])
@@ -327,13 +326,12 @@ def cmd_zhu_nil(cfg: SessionConfig, args) -> int:
 def cmd_fusion(cfg: SessionConfig, args) -> int:
     L = cfg.lattice
     P = cfg.descriptor(args.descriptor)
-    R = cfg.box_radius
-    if classify(L, P, R).type == "TYPE_I":
+    if classify(L, P).type == "TYPE_I":
         lams = [parse_vec(s) for s in (args.lams or "0,0").split(";")]
-        mods = irreducibles(L, P, {"lams": lams}, R)
+        mods = irreducibles(L, P, {"lams": lams})
     else:
         ts = [parse_fraction(t, "--ts") for t in (args.ts or "0").split(",")]
-        mods = irreducibles(L, P, {"ts": ts}, R)
+        mods = irreducibles(L, P, {"ts": ts})
     table = []
     for m1 in mods:
         for m2 in mods:
@@ -457,7 +455,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         cfg = load_config(args.config)
         return args.fn(cfg, args)
-    except (ConfigError, PreconditionViolated, ValueError, Inconclusive,
+    except (ConfigError, PreconditionViolated, ValueError,
             TruncationOverflow) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -33,7 +33,6 @@ FULL_L = "FULL_L"
 @dataclass(frozen=True)
 class MONOID:
     P: MonoidDescriptor
-    budget: int = 64
 
 
 class BasisWord(NamedTuple):
@@ -216,7 +215,7 @@ def enumerate_basis(L: GramLattice, ambient, degree: int) -> list[BasisWord]:
     out: list[BasisWord] = []
     for v in _labels_up_to(L, 2 * degree):
         if isinstance(ambient, MONOID):
-            if not member(L, ambient.P, v, budget=ambient.budget):
+            if not member(L, ambient.P, v):
                 continue
         elif ambient != FULL_L:
             raise ValueError(f"unknown ambient {ambient!r}")

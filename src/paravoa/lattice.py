@@ -1,5 +1,5 @@
 """Rank-two even lattices: exact inner products, hyperplane side tests,
-cones, primitivity, half-plane bases, and discriminant-group data.
+cones, primitivity and half-plane bases.
 
 Lattice points are integer coordinate pairs in a fixed basis; vectors of
 the ambient plane carry QuadScalar coordinates in the same basis, so a
@@ -23,7 +23,6 @@ __all__ = [
     "GramLattice",
     "LatVec",
     "HVec",
-    "DiscriminantData",
     "Side",
     "PLUS",
     "ZERO",
@@ -38,7 +37,6 @@ __all__ = [
     "is_basis_pair",
     "cone_member",
     "halfplane_basis",
-    "discriminant",
     "perp_primitive",
 ]
 
@@ -166,12 +164,6 @@ class GramLattice:
         )
 
 
-@dataclass(frozen=True)
-class DiscriminantData:
-    invariant_factors: tuple[int, ...]
-    coset_reps: tuple[tuple[Fraction, Fraction], ...]
-
-
 def inner(L: GramLattice, u: HVec, v: HVec) -> QuadScalar:
     """u^T G v, exactly."""
     g = L.gram
@@ -283,45 +275,6 @@ def halfplane_basis(L: GramLattice, gamma: HVec) -> tuple[LatVec, LatVec]:
     # other is on the line or on the wrong side: b1 - other is strictly positive
     b2 = (b1[0] - other[0], b1[1] - other[1])
     return (b1, b2)
-
-
-def _smith_2x2(g) -> tuple[int, ...]:
-    """Invariant factors of a nonsingular 2x2 integer matrix."""
-    a, b = g[0]
-    c, d = g[1]
-    det = abs(a * d - b * c)
-    entries = [abs(x) for x in (a, b, c, d) if x != 0]
-    d1 = entries[0]
-    for x in entries[1:]:
-        d1 = math.gcd(d1, x)
-    d2 = det // d1
-    return (d1, d2)
-
-
-def discriminant(L: GramLattice) -> DiscriminantData:
-    """Smith normal form of the Gram matrix and dual-coset representatives.
-
-    Coset representatives are rational coordinate pairs lambda with
-    G*lambda integral, pairwise distinct modulo Z^2; there are det(G) of
-    them, enumerated canonically with coordinates in [0, 1).
-    """
-    g = L.gram
-    det = L.det
-    inv = _smith_2x2(g)
-    # lambda = G^{-1} k for k in Z^2; reduce mod Z^2 and dedupe
-    seen = []
-    reps: list[tuple[Fraction, Fraction]] = []
-    for k1 in range(det):
-        for k2 in range(det):
-            x = Fraction(g[1][1] * k1 - g[0][1] * k2, det) % 1
-            y = Fraction(-g[1][0] * k1 + g[0][0] * k2, det) % 1
-            if (x, y) not in seen:
-                seen.append((x, y))
-                reps.append((x, y))
-        if len(reps) == det:
-            break
-    reps.sort()
-    return DiscriminantData(invariant_factors=inv, coset_reps=tuple(reps))
 
 
 def perp_primitive(L: GramLattice, alpha: LatVec) -> LatVec:

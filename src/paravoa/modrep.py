@@ -149,11 +149,9 @@ def _colored_partitions(colors: int, cap: int) -> list[int]:
     return counts
 
 
-def irreducibles(L: GramLattice, P: MonoidDescriptor, sample_params: dict,
-                 box_radius: int = 8) -> list:
-    """Finite sample of the irreducible-module families attached to (L, P),
-    with P classified at box_radius."""
-    rep = classify(L, P, box_radius)
+def irreducibles(L: GramLattice, P: MonoidDescriptor, sample_params: dict) -> list:
+    """Finite sample of the irreducible-module families attached to (L, P)."""
+    rep = classify(L, P)
     if not rep.is_parabolic:
         raise NotParabolic("P must be parabolic")
     out = []
@@ -299,9 +297,9 @@ def fusion(m1: ModuleLabel, m2: ModuleLabel, m3: ModuleLabel) -> int:
 
 
 def c1_decide(L: GramLattice, P: MonoidDescriptor, box_radius: int = 8) -> C1Report:
-    """Sufficient-condition search for C1-cofiniteness of V_P, with P
-    classified at box_radius and witnesses sought within box_radius + 4."""
-    rep = classify(L, P, box_radius)
+    """Sufficient-condition search for C1-cofiniteness of V_P, with
+    witnesses sought within box_radius + 4."""
+    rep = classify(L, P)
     if not rep.is_parabolic:
         raise NotParabolic("P must be parabolic")
     if rep.type == "TYPE_I":

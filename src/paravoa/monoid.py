@@ -2,12 +2,14 @@
 dichotomy, Borel-type construction, and constructive saturation witnesses.
 
 Descriptors are finite: a half-plane direction gamma, a basis cone, or an
-explicit generator list whose classification is box-relative.  A half-plane
-descriptor is decided by one integer normal pair (p, q): v is on the
-positive side of gamma when p.v + (q.v)*sqrt(D) > 0.  `validate` returns
-that pair, so `member` validates and decides with integers only; the pair
-is rebuilt on each call rather than cached, which costs a few integer
-products.
+explicit generator list.  A half-plane descriptor is decided by one integer
+normal pair (p, q): v is on the positive side of gamma when
+p.v + (q.v)*sqrt(D) > 0.  `validate` returns that pair, so `member`
+validates and decides with integers only; the pair is rebuilt on each call
+rather than cached, which costs a few integer products.  A generator list
+is decided exactly, also in integers, by `_compile`: a functional that is
+positive off the lineality of the generators' cone, and the group the
+generators on that lineality span.
 """
 
 from __future__ import annotations
@@ -40,14 +42,11 @@ from .lattice import (
 __all__ = [
     "MonoidDescriptor",
     "ClassificationReport",
-    "Inconclusive",
-    "SearchBudgetExceeded",
     "PreconditionViolated",
     "member",
     "classify",
     "borel_in",
     "saturate_witnesses",
-    "closure_box",
 ]
 
 TYPE_I = "TYPE_I"
@@ -57,14 +56,6 @@ OTHER = "OTHER"
 
 # the field each descriptor kind is read from
 _NEEDS = {"type1": "gamma", "type2": "gamma", "cone": "cone", "generators": "generators"}
-
-
-class Inconclusive(RuntimeError):
-    pass
-
-
-class SearchBudgetExceeded(RuntimeError):
-    pass
 
 
 class PreconditionViolated(ValueError):
@@ -156,9 +147,7 @@ class ClassificationReport:
         return obj
 
 
-def member(
-    L: GramLattice, P: MonoidDescriptor, v: LatVec, budget: int = 32
-) -> bool:
+def member(L: GramLattice, P: MonoidDescriptor, v: LatVec) -> bool:
     n = P.validate(L)
     if P.kind == "type1":
         s = _side_of(n, v)
@@ -171,11 +160,70 @@ def member(
         return _side_of(n, v) != MINUS
     if P.kind == "cone":
         return cone_member(P.cone[0], P.cone[1], v) is not None
-    # generators: bounded saturation search
-    r = max(abs(v[0]), abs(v[1]), 1)
-    if r > budget:
-        raise SearchBudgetExceeded(f"|v| exceeds search budget {budget}")
-    return v in closure_box(L, list(P.generators), r)
+    # generators: v = lam + (positive generators), lam in the lineality group;
+    # each positive generator raises f by at least 1, so classes mod the
+    # group with f at most f(v) are all the search needs
+    f, lam, pos = _compile(P.generators)
+    top = f[0] * v[0] + f[1] * v[1]
+    target = _reduce(v, lam)
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier and target not in seen:
+        new = []
+        for p in frontier:
+            for g in pos:
+                q = _reduce((p[0] + g[0], p[1] + g[1]), lam)
+                if q not in seen and f[0] * q[0] + f[1] * q[1] <= top:
+                    seen.add(q)
+                    new.append(q)
+        frontier = new
+    return target in seen
+
+
+def _compile(gens) -> tuple[LatVec, tuple[int, int, int], list[LatVec]]:
+    """The generated monoid in integers: a functional f that is >= 0 on every
+    generator, zero on the lineality of their cone and positive elsewhere on
+    it; the Hermite form of the group the generators with f = 0 span (they
+    span the monoid's part on the lineality, which is a group); and the
+    generators with f > 0.
+
+    f sums the candidates +-perp(s) and s that are >= 0 on every generator,
+    so it lies in the relative interior of the dual cone: a boundary ray
+    s of the cone gives its inward normal, and on a ray, where +-perp(s)
+    cancel, s itself counts."""
+    f = (0, 0)
+    for s in gens:
+        for c in ((-s[1], s[0]), (s[1], -s[0]), s):
+            if all(c[0] * g[0] + c[1] * g[1] >= 0 for g in gens):
+                f = (f[0] + c[0], f[1] + c[1])
+    at = [(f[0] * g[0] + f[1] * g[1], g) for g in gens]
+    return f, _hermite(g for h, g in at if h == 0), [g for h, g in at if h > 0]
+
+
+def _hermite(vecs) -> tuple[int, int, int]:
+    """(a, b, d) with Z-span(vecs) = Z(a, b) + Z(0, d): a, d >= 0, b = 0
+    when a = 0, and 0 <= b < d when d > 0."""
+    a = b = d = 0
+    for x, y in vecs:
+        g, s, t = _ext_gcd(a, x)
+        if g:
+            # rows s(a, b) + t(x, y) = (g, .) and (x/g)(a, b) - (a/g)(x, y)
+            # = (0, .) span what (a, b) and (x, y) span: det = -1
+            a, b, d = g, s * b + t * y, math.gcd(d, (x * b - a * y) // g)
+        else:
+            d = math.gcd(d, y)
+    return a, (b % d if d else b), d
+
+
+def _reduce(v: LatVec, lam: tuple[int, int, int]) -> LatVec:
+    """The representative of v mod the Hermite form lam = (a, b, d): first
+    coordinate in [0, a) when a > 0, second in [0, d) when d > 0."""
+    a, b, d = lam
+    x, y = v
+    if a:
+        k = x // a
+        x, y = x - k * a, y - k * b
+    return (x, y % d if d else y)
 
 
 def _in_ideal(L: GramLattice, P: MonoidDescriptor, rep: ClassificationReport,
@@ -187,26 +235,6 @@ def _in_ideal(L: GramLattice, P: MonoidDescriptor, rep: ClassificationReport,
     return side(L, rep.gamma, v) == PLUS
 
 
-def closure_box(L: GramLattice, gens: list[LatVec], R: int) -> set[LatVec]:
-    """Points of the generated submonoid inside [-R, R]^2, saturating
-    nonnegative combinations with intermediates confined to a 3R box."""
-    if R < 1:
-        raise ValueError("R must be >= 1")
-    bound = 3 * R
-    reached = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in gens:
-                q = (p[0] + g[0], p[1] + g[1])
-                if abs(q[0]) <= bound and abs(q[1]) <= bound and q not in reached:
-                    reached.add(q)
-                    new.append(q)
-        frontier = new
-    return {p for p in reached if abs(p[0]) <= R and abs(p[1]) <= R}
-
-
 def borel_in(L: GramLattice, gamma: HVec) -> MonoidDescriptor:
     """The unique Borel-type submonoid inside the closed positive half-plane
     of gamma, as a type-I descriptor (boundary ray fixed by orientation)."""
@@ -216,8 +244,10 @@ def borel_in(L: GramLattice, gamma: HVec) -> MonoidDescriptor:
 
 
 def classify(
-    L: GramLattice, P: MonoidDescriptor, box_radius: int = 8
+    L: GramLattice, P: MonoidDescriptor, box_radius: Optional[int] = None
 ) -> ClassificationReport:
+    """Type and boundary data of P, exact for every kind.  box_radius is
+    accepted for callers that still pass one, and ignored."""
     n = P.validate(L)
     if n is not None:
         return ClassificationReport(
@@ -227,37 +257,34 @@ def classify(
     if P.kind == "cone":
         # a basis cone never contains a Borel-type submonoid
         return ClassificationReport(is_parabolic=False, type=CONIC)
-    return _classify_generators(L, P, box_radius)
+    return _classify_generators(L, P)
 
 
-def _classify_generators(
-    L: GramLattice, P: MonoidDescriptor, R: int
-) -> ClassificationReport:
-    """Match the generated monoid, inside the box, against the two closed
-    forms of the dichotomy.  Box-relative: may raise Inconclusive."""
-    pts = closure_box(L, list(P.generators), R)
-    box = set(L.box(R))
-    if pts == box:
-        # the whole lattice (at box scale): not a proper submonoid
+def _classify_generators(L: GramLattice, P: MonoidDescriptor) -> ClassificationReport:
+    """All of L when the lineality group is Z^2.  Type II when it is Z*alpha
+    with alpha primitive and a positive generator s has det[alpha, s] = +-1:
+    alpha and s are then a basis, so every lattice point on the positive
+    side is reached.  Never type I: a type-I monoid needs infinitely many
+    generators at height one over its boundary ray."""
+    _, (a, b, d), pos = _compile(P.generators)
+    if a * d == 1:
+        # the note stays: classify's stdout is promised byte-stable
         return ClassificationReport(is_parabolic=False, type=OTHER,
                                     witnesses={"note": "closure fills the box"})
-    # candidate boundary directions: primitive points of the closure
-    candidates: list[LatVec] = []
-    for p in sorted(pts):
-        if p != (0, 0) and math.gcd(abs(p[0]), abs(p[1])) == 1 and p not in candidates:
-            candidates.append(p)
-    g = L.gram
-    for a0 in candidates:
-        # gamma orthogonal to a0: gamma perp under G, both orientations
-        w = (a0[0] * g[0][0] + a0[1] * g[1][0], a0[0] * g[0][1] + a0[1] * g[1][1])
-        for s in (1, -1):
-            for kind in ("type2", "type1"):
-                d = MonoidDescriptor(kind=kind, gamma=L.hvec(-s * w[1], s * w[0]))
-                if all((v in pts) == member(L, d, v) for v in box):
-                    return classify(L, d)
-    raise Inconclusive(
-        f"generated monoid matches neither closed form inside radius {R}"
-    )
+    if a * d == 0 and math.gcd(a, b, d) == 1:
+        alpha = (a, b) if d == 0 else (0, d)
+        a0 = min(alpha, (-alpha[0], -alpha[1]))
+        for s in pos:
+            sign = a0[0] * s[1] - a0[1] * s[0]
+            if sign in (1, -1):
+                # gamma = sign * (-w1, w0) with w = G a0 is orthogonal to a0,
+                # and (gamma|s) = sign * det(G) * det[a0, s] = det(G) > 0
+                g = L.gram
+                w = (a0[0] * g[0][0] + a0[1] * g[1][0],
+                     a0[0] * g[0][1] + a0[1] * g[1][1])
+                gamma = L.hvec(-sign * w[1], sign * w[0])
+                return classify(L, MonoidDescriptor(kind="type2", gamma=gamma))
+    return ClassificationReport(is_parabolic=False, type=OTHER)
 
 
 def saturate_witnesses(

@@ -295,12 +295,11 @@ def check_lemma35(sp: FockSpace, beta, m: int, u: BasisWord, v: FockState,
 
 
 def check_ideal(L: GramLattice, P: MonoidDescriptor,
-                ctx: TruncationCtx, sample_degree: int = 2,
-                box_radius: int = 8) -> dict:
+                ctx: TruncationCtx, sample_degree: int = 2) -> dict:
     """Spot check that modes of V_P elements keep ideal elements inside the
     ideal: labels of a_n b stay in S (= P minus 0 for type I, the open
-    positive side for type II).  P is classified at box_radius."""
-    rep = classify(L, P, box_radius)
+    positive side for type II)."""
+    rep = classify(L, P)
     if not rep.is_parabolic:
         raise PreconditionViolated("P must be parabolic")
     sp = FockSpace.full_lattice(L)

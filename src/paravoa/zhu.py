@@ -30,7 +30,6 @@ from .vertexops import (
 )
 
 __all__ = [
-    "circle",
     "star",
     "reduce_35",
     "nilpotency_certificate",
@@ -48,12 +47,6 @@ def _weight_of(sp: FockSpace, a: FockState) -> int:
     return int(wt)
 
 
-def circle(sp: FockSpace, a: FockState, b: FockState,
-           ctx: Optional[TruncationCtx] = None) -> FockState:
-    """a o b = sum_j C(wt a, j) a_{j-2} b, an element of O(V)."""
-    return reduce_35(sp, a, b, 0, 0, ctx)
-
-
 def star(sp: FockSpace, a: FockState, b: FockState,
          ctx: Optional[TruncationCtx] = None) -> FockState:
     """a * b = sum_j C(wt a, j) a_{j-1} b."""
@@ -68,7 +61,8 @@ def star(sp: FockSpace, a: FockState, b: FockState,
 
 def reduce_35(sp: FockSpace, a: FockState, b: FockState, m: int, n: int,
               ctx: Optional[TruncationCtx] = None) -> FockState:
-    """sum_j C(wt a + n, j) a_{j-2-m} b for m >= n >= 0; lies in O(V)."""
+    """sum_j C(wt a + n, j) a_{j-2-m} b for m >= n >= 0; lies in O(V).  At
+    m = n = 0 it is Zhu's a o b."""
     if not (m >= n >= 0):
         raise PreconditionViolated("need m >= n >= 0")
     if a.is_zero() or b.is_zero():
@@ -91,7 +85,7 @@ def state_json(s: FockState) -> list:
 
 
 def nilpotency_certificate(L: GramLattice, P: MonoidDescriptor, beta: LatVec,
-                           ctx: TruncationCtx, box_radius: int = 8) -> dict:
+                           ctx: TruncationCtx) -> dict:
     """Replayable evidence that [M(1, 2*beta)] vanishes in A(V_P).
 
     Chain: (i) e^beta_{-m} e^beta = 0 for a sweep of m <= 2N and the first
@@ -100,9 +94,9 @@ def nilpotency_certificate(L: GramLattice, P: MonoidDescriptor, beta: LatVec,
     e^{2 beta} in O(V_P); (iii) the mode-shift congruences
     h(-k-2)u = -h(-k-1)u mod O(V_P), each one literally a residue element,
     checked on sampled words of M(1, 2*beta); (iv) h(-1)-dressings generated
-    by star products against [e^{2 beta}].  P is classified at box_radius.
+    by star products against [e^{2 beta}].
     """
-    rep = classify(L, P, box_radius)
+    rep = classify(L, P)
     if not rep.is_parabolic:
         raise PreconditionViolated("P must be parabolic")
     if beta == (0, 0) or not _in_ideal(L, P, rep, beta):

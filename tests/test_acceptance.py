@@ -24,7 +24,6 @@ from paravoa.modrep import (
 from paravoa.monoid import (
     MonoidDescriptor,
     classify,
-    closure_box,
     member,
     saturate_witnesses,
 )
@@ -69,7 +68,7 @@ def test_accept_01_classification_dichotomy():
         kind = ("type1", "type2")[rng.randrange(2)]
         instances.append((L, MonoidDescriptor(kind=kind, gamma=rand_gamma(L, rng))))
     for L, P in instances:
-        rep = classify(L, P, box_radius=R)
+        rep = classify(L, P)
         assert rep.type in ("TYPE_I", "TYPE_II")
         alpha = rep.alpha
         for v in L.box(R):
@@ -113,7 +112,8 @@ def test_accept_02_saturation():
         gens = [alpha, beta, beta_p] + [
             v for v in L.box(R) if side(L, gamma, v) == PLUS
         ]
-        assert closure_box(L, gens, R) == set(L.box(R))
+        G = MonoidDescriptor(kind="generators", generators=tuple(gens))
+        assert all(member(L, G, v) for v in L.box(R))
         done += 1
     report(2, "saturation witnesses", time.time() - t0, 30)
 

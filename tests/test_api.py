@@ -1,5 +1,6 @@
 """The public surface other code looks up by name: every module's __all__,
-and the names perfbench/tracing.py wraps when it traces a benchmark run."""
+the names perfbench/tracing.py wraps when it traces a benchmark run, and
+everything one round of each benchmark workload calls."""
 
 import importlib
 import pathlib
@@ -17,17 +18,20 @@ def test_every_exported_name_resolves(name):
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
 
 
-def load_tracing():
-    path = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def load_perfbench(name):
+    path = str(ROOT / "perfbench")
     sys.path.insert(0, path)
     try:
-        return importlib.import_module("tracing")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(path)
 
 
 def test_tracer_installs_and_restores_every_attribute():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     import paravoa.cli  # noqa: F401  (imports every layer)
 
     mods = {layer: sys.modules[f"paravoa.{layer}"] for layer in tracing.LAYERS}
@@ -46,3 +50,36 @@ def test_tracer_installs_and_restores_every_attribute():
     for o, old in zip(owners, before):
         now = vars(o)
         assert [k for k, v in old.items() if now.get(k) is not v] == [], o
+
+
+@pytest.mark.parametrize("workload", ("geometry", "modes", "quotient", "cli"))
+def test_benchmark_round_passes_its_checks(workload, tmp_path, monkeypatch):
+    # one set-up and every operation once, checked as the benchmark's worker
+    # checks its first round: an error is allowed only on an operation the
+    # benchmark keeps as failing
+    inputs, workloads = load_perfbench("inputs"), load_perfbench("workloads")
+    checks = load_perfbench("checks")
+    import paravoa
+    import paravoa.cli  # noqa: F401  (imports every layer)
+
+    monkeypatch.chdir(ROOT)  # the cli workload runs `python -m` on ROOT/src
+    cls = workloads.WORKLOADS[workload]
+    inp = inputs.generate(workload, 1)
+    wl = cls(inp, paravoa, str(tmp_path)) if workload == "cli" else cls(inp, paravoa)
+    problems = []
+    try:
+        for op in wl.setup().ops:
+            try:
+                res = op.run()
+            except Exception as exc:
+                if not op.kept_failing:
+                    problems.append(f"{op.label}: {type(exc).__name__}: {exc}")
+                continue
+            try:
+                op.check(res)
+            except checks.CheckError as exc:
+                problems.append(f"{op.label}: check failed: {exc}")
+    finally:
+        if hasattr(wl, "cleanup"):
+            wl.cleanup()
+    assert problems == []

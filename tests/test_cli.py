@@ -406,16 +406,23 @@ def test_negative_size_is_usage_error(capsys, argv):
     assert err.count("\n") == 1
 
 
-def test_inconclusive_classification_is_exit_2(capsys, tmp_path):
+def test_quadrant_classification_is_other(capsys, tmp_path):
     p = tmp_path / "gens.json"
     p.write_text(json.dumps({
         "lattice": {"gram": [[2, 0], [0, 2]]},
         "descriptors": {"G": {"kind": "generators", "generators": [[1, 0], [0, 1]]}},
     }))
     code, out, err = run(capsys, "--config", str(p), "classify", "G")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"parabolic": False, "type": "OTHER"}
+
+
+def test_character_module_of_a_type1_descriptor_is_usage_error(capsys):
+    code, out, err = run(capsys, "--config", "diag22", "character", "P1",
+                         "--cap", "2", "--t", "0")
     assert code == 2 and out == ""
-    assert err.startswith("error: generated monoid matches neither")
-    assert err.count("\n") == 1
+    assert err == ("error: --t/--i select type-II modules; "
+                   "descriptor 'P1' is TYPE_I\n")
 
 
 def test_ceiling_overflow_is_exit_2_before_any_work(capsys):
@@ -518,10 +525,10 @@ def test_geometry_commands_are_byte_stable(capsys, tmp_path):
     assert h.hexdigest() == GEOMETRY_DIGEST
 
 
-# -- boxRadius reaches every command that classifies ----------------------------
+# -- generators are classified exactly, whatever boxRadius says ------------------
 
-# the monoid generated by (1,0) and (-4,1) matches the type-I half-plane
-# above the a1 axis inside radius 4, and is a proper cone beyond it
+# the monoid generated by (1,0) and (-4,1) is a pointed cone: (-5,1) and
+# (5,-1) are both outside it, so it is not parabolic at any radius
 @pytest.mark.parametrize("radius", [3, 8])
 def test_commands_classify_at_the_config_box_radius(capsys, tmp_path, radius):
     path = tmp_path / "gens.json"
@@ -531,20 +538,12 @@ def test_commands_classify_at_the_config_box_radius(capsys, tmp_path, radius):
         "boxRadius": radius,
     }))
     code, out, err = run(capsys, "--config", str(path), "classify", "G")
-    commands = (("zhu-nil", "G", "0,1"), ("verify-ideal", "G", "--sample-degree", "1"),
-                ("fusion", "G"), ("c1", "G"))
-    if radius == 8:
-        assert code == 2 and err.startswith("error: generated monoid matches neither")
-        for argv in commands:
-            assert run(capsys, "--config", str(path), *argv) == (2, "", err)
-        return
-    assert code == 0 and json.loads(out)["type"] == "TYPE_I"
-    got = {argv[0]: run(capsys, "--config", str(path), *argv) for argv in commands}
-    assert {k: v[0] for k, v in got.items()} == dict.fromkeys(got, 0)
-    assert json.loads(got["zhu-nil"][1])["ok"]
-    assert json.loads(got["verify-ideal"][1])["failures"] == []
-    assert {m["kind"] for m in json.loads(got["fusion"][1])["modules"]} == {"TYPE_I_MOD"}
-    assert json.loads(got["c1"][1]) == {"verdict": "NOT_COFINITE"}
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"parabolic": False, "type": "OTHER"}
+    for argv in (("zhu-nil", "G", "0,1"), ("verify-ideal", "G", "--sample-degree", "1"),
+                 ("fusion", "G"), ("c1", "G")):
+        assert run(capsys, "--config", str(path), *argv) == (
+            2, "", "error: P must be parabolic\n"), argv
 
 
 # -- fuzzed argument vectors -----------------------------------------------------

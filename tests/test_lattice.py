@@ -16,7 +16,6 @@ from paravoa.lattice import (
     ZeroVector,
     _cramer,
     cone_member,
-    discriminant,
     halfplane_basis,
     inner,
     is_basis_pair,
@@ -194,37 +193,6 @@ def test_halfplane_basis_irrational():
 def test_halfplane_basis_rejects_zero():
     with pytest.raises(ZeroGamma):
         halfplane_basis(A2, A2.hvec(0, 0))
-
-
-def test_discriminant_diag22():
-    d = discriminant(DIAG22)
-    assert d.invariant_factors == (2, 2)
-    assert len(d.coset_reps) == 4
-
-
-def test_discriminant_a2():
-    d = discriminant(A2)
-    assert d.invariant_factors == (1, 3)
-    assert len(d.coset_reps) == 3
-
-
-def test_discriminant_rank_one_style():
-    # Z-alpha with (alpha|alpha) = 2N inside diag(2N, 2): 2N cosets along alpha
-    N = 3
-    L = GramLattice(gram=((2 * N, 0), (0, 2)))
-    d = discriminant(L)
-    xs = {r[0] for r in d.coset_reps if r[1] == 0}
-    assert xs == {Fraction(i, 2 * N) for i in range(2 * N)}
-
-
-def test_coset_reps_are_dual_vectors():
-    for L in (A2, DIAG22):
-        d = discriminant(L)
-        g = L.gram
-        for (x, y) in d.coset_reps:
-            gx = g[0][0] * x + g[0][1] * y
-            gy = g[1][0] * x + g[1][1] * y
-            assert gx.denominator == 1 and gy.denominator == 1
 
 
 def test_perp_primitive():

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paravoa.exactnum import QuadScalar
 from paravoa.lattice import (
@@ -13,19 +14,65 @@ from paravoa.lattice import (
     side,
 )
 from paravoa.monoid import (
-    Inconclusive,
+    ClassificationReport,
     MonoidDescriptor,
     PreconditionViolated,
-    SearchBudgetExceeded,
     borel_in,
     classify,
-    closure_box,
     member,
     saturate_witnesses,
 )
 
 A2 = GramLattice(gram=((2, -1), (-1, 2)), D=2)
 DIAG22 = GramLattice(gram=((2, 0), (0, 2)), D=2)
+
+
+def closure_box(gens, R):
+    """Brute-force oracle: points of the generated submonoid inside
+    [-R, R]^2, saturating nonnegative combinations with intermediates
+    confined to a 3R box."""
+    bound = 3 * R
+    reached = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        new = []
+        for p in frontier:
+            for g in gens:
+                q = (p[0] + g[0], p[1] + g[1])
+                if abs(q[0]) <= bound and abs(q[1]) <= bound and q not in reached:
+                    reached.add(q)
+                    new.append(q)
+        frontier = new
+    return {p for p in reached if abs(p[0]) <= R and abs(p[1]) <= R}
+
+
+def box_type(gens, R):
+    """The closure inside [-R, R]^2 matched against all of the box and the
+    two half-plane forms bounded by each primitive direction a0 in it:
+    ("ALL",), ("TYPE_II", a0, s), ("TYPE_I", a0, s) or ("OTHER",), with s
+    the sign of det[a0, v] on the open positive side."""
+    pts = closure_box(gens, R)
+    box = [(m, n) for m in range(-R, R + 1) for n in range(-R, R + 1)]
+    if len(pts) == len(box):
+        return ("ALL",)
+    for a0 in sorted(p for p in pts if p != (0, 0) and math.gcd(*p) == 1):
+        for s in (1, -1):
+            def det(v):
+                return s * (a0[0] * v[1] - a0[1] * v[0])
+            if all((v in pts) == (det(v) >= 0) for v in box):
+                return ("TYPE_II", a0, s)
+            if all((v in pts) == (det(v) > 0 or (det(v) == 0 and (
+                    v[0] * a0[0] + v[1] * a0[1] >= 0))) for v in box):
+                return ("TYPE_I", a0, s)
+    return ("OTHER",)
+
+
+def gens_desc(gens):
+    return MonoidDescriptor(kind="generators", generators=tuple(gens))
+
+
+GENS = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=1, max_size=4)
 
 
 def irr(L, x, y):
@@ -54,18 +101,67 @@ def test_member_cone():
 
 
 def test_member_generators_budget():
-    d = MonoidDescriptor(kind="generators", generators=((1, 0),))
-    with pytest.raises(SearchBudgetExceeded):
-        member(DIAG22, d, (100, 0), budget=32)
+    # exact at any distance: no search budget
+    d = gens_desc([(1, 0)])
+    assert member(DIAG22, d, (100, 0)) and member(DIAG22, d, (1000, 0))
+    assert not member(DIAG22, d, (-1, 0)) and not member(DIAG22, d, (100, 1))
 
 
 def test_closure_box_quadrant():
-    pts = closure_box(DIAG22, [(1, 0), (0, 1)], 2)
-    assert pts == {(m, n) for m in range(3) for n in range(3)}
+    quadrant = {(m, n) for m in range(3) for n in range(3)}
+    assert closure_box([(1, 0), (0, 1)], 2) == quadrant
+    d = gens_desc([(1, 0), (0, 1)])
+    assert {v for v in DIAG22.box(2) if member(DIAG22, d, v)} == quadrant
 
 
 def test_closure_box_even_ray():
-    assert closure_box(DIAG22, [(2, 0)], 3) == {(0, 0), (2, 0)}
+    assert closure_box([(2, 0)], 3) == {(0, 0), (2, 0)}
+    d = gens_desc([(2, 0)])
+    assert {v for v in DIAG22.box(3) if member(DIAG22, d, v)} == {(0, 0), (2, 0)}
+
+
+def test_member_numerical_semigroup_ray():
+    # <2, 3> on a ray misses 1 only; +-perp cancel there, so f must count s
+    d = gens_desc([(2, 0), (3, 0)])
+    assert [member(DIAG22, d, (k, 0)) for k in range(-1, 6)] == [
+        False, True, False, True, True, True, True]
+
+
+@settings(max_examples=200, deadline=None)
+@given(GENS)
+def test_member_matches_brute_force_closure(gens):
+    pts = closure_box(gens, 4)
+    d = gens_desc(gens)
+    assert {v for v in DIAG22.box(4) if member(DIAG22, d, v)} == pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(GENS)
+def test_classify_generators_matches_box_at_radius_10(gens):
+    want = box_type(gens, 10)
+    for L in (A2, DIAG22):
+        rep = classify(L, gens_desc(gens))
+        if want[0] == "ALL":
+            assert rep == ClassificationReport(
+                is_parabolic=False, type="OTHER",
+                witnesses={"note": "closure fills the box"})
+        elif want[0] == "TYPE_II":
+            a0, s = want[1], want[2]
+            assert rep.is_parabolic and rep.type == "TYPE_II"
+            assert rep.alpha in (a0, (-a0[0], -a0[1]))
+            for v in L.box(10):
+                det = s * (a0[0] * v[1] - a0[1] * v[0])
+                assert side(L, rep.gamma, v) == (det > 0) - (det < 0)
+        else:
+            assert want == ("OTHER",)
+            assert rep == ClassificationReport(is_parabolic=False, type="OTHER")
+
+
+@pytest.mark.parametrize("gens", [[(1, 0), (-4, 1)], [(1, 0), (0, 1)]])
+def test_pointed_cones_are_other_at_every_radius(gens):
+    for R in (1, 3, 8, 100):
+        rep = classify(DIAG22, gens_desc(gens), R)
+        assert rep == ClassificationReport(is_parabolic=False, type="OTHER")
 
 
 def test_classify_type2():
@@ -88,9 +184,10 @@ def test_classify_cone():
 
 def test_classify_generators_halfplane():
     d = MonoidDescriptor(kind="generators", generators=((1, 0), (-1, 0), (0, 1)))
-    rep = classify(DIAG22, d, box_radius=5)
+    rep = classify(DIAG22, d)
     assert rep.type == "TYPE_II"
     assert rep.alpha == (1, 0)
+    assert side(DIAG22, rep.gamma, (0, 1)) == PLUS
 
 
 def test_type2_requires_lattice_line():
@@ -218,6 +315,6 @@ def test_saturation_fills_lattice():
         gens = [alpha] + [
             v for v in DIAG22.box(5) if side(DIAG22, g, v) == PLUS
         ]
-        pts = closure_box(DIAG22, gens, 5)
-        assert pts == set(DIAG22.box(5))
+        d = gens_desc(gens)
+        assert all(member(DIAG22, d, v) for v in DIAG22.box(5))
         trials += 1

@@ -19,7 +19,6 @@ from paravoa.vertexops import (
     word_mode,
 )
 from paravoa.zhu import (
-    circle,
     eq33_certificate,
     nilpotency_certificate,
     reduce_35,
@@ -58,20 +57,20 @@ def test_quotient_dimension():
     assert quotient_dimension([a, b], []) == 2
 
 
-# -- circle / star ---------------------------------------------------------
+# -- circle (reduce_35 at m = n = 0) / star ---------------------------------
 
 
 def test_circle_vacuum_left():
     for w in enumerate_basis(DIAG22, FULL_L, 2):
-        assert circle(SPD, SPD.vacuum(), FockState.of(w)).is_zero()
+        assert reduce_35(SPD, SPD.vacuum(), FockState.of(w), 0, 0).is_zero()
 
 
 def test_circle_bilinear():
     a = h1(SPD)
     ap = FockState.of(SPD.word(((1, 1),)))
     b = SPD.exp_state((1, 0))
-    lhs = circle(SPD, a + ap, b)
-    assert lhs == circle(SPD, a, b) + circle(SPD, ap, b)
+    lhs = reduce_35(SPD, a + ap, b, 0, 0)
+    assert lhs == reduce_35(SPD, a, b, 0, 0) + reduce_35(SPD, ap, b, 0, 0)
 
 
 def test_star_unit():
@@ -87,9 +86,12 @@ def test_star_h_example():
 
 
 def test_reduce35_m0_is_circle():
+    # a o b = sum_j C(wt a, j) a_{j-2} b, and wt e^(0,1) = 1 on diag22
     a = SPD.exp_state((0, 1))
-    b = SPD.exp_state((0, 1))
-    assert reduce_35(SPD, a, b, 0, 0) == circle(SPD, a, b)
+    b = SPD.exp_state((0, -1))
+    circle = state_mode(SPD, a, -2, b) + state_mode(SPD, a, -1, b)
+    assert not circle.is_zero()
+    assert reduce_35(SPD, a, b, 0, 0) == circle
 
 
 def test_reduce35_vacuum_vanishes():
