@@ -2,7 +2,9 @@
 
 Machine output is a single JSON document on stdout; --pretty adds a human
 summary on stderr.  Exit codes: 0 all checks pass, 1 verification failure,
-2 usage or config error, or a result degree above the truncation ceiling.
+2 a ParavoaError: a usage or config error, input that breaks a precondition,
+or a result degree above the truncation ceiling (TruncationOverflow).  Any
+other exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from typing import Optional
 
 from .exactnum import QuadScalar
 from .fock import FULL_L, FockSpace, FockState, enumerate_basis
-from .lattice import GramLattice, _json_int, is_primitive
+from .lattice import PLUS, GramLattice, ParavoaError, _json_int, is_primitive, side
 from .monoid import (
     MonoidDescriptor,
-    PreconditionViolated,
     borel_in,
     classify,
     member,
@@ -35,20 +36,10 @@ from .modrep import (
     fusion,
     irreducibles,
 )
-from .vertexops import (
-    TruncationCtx,
-    TruncationOverflow,
-    check_commutator,
-    check_ideal,
-    check_phi_hom,
-)
+from .vertexops import TruncationCtx, check_commutator, check_ideal, check_phi_hom
 from .zhu import nilpotency_certificate
 
-__all__ = ["main", "SessionConfig", "ConfigError"]
-
-
-class ConfigError(ValueError):
-    pass
+__all__ = ["main", "SessionConfig"]
 
 
 class SessionConfig:
@@ -58,26 +49,26 @@ class SessionConfig:
             sections.update((k, obj.get(k, {})) for k in ("descriptors", "truncation"))
         for what, x in sections.items():
             if not isinstance(x, dict):
-                raise ConfigError(f"{source}: {what}: expected a JSON object, got {x!r}")
+                raise ParavoaError(f"{source}: {what}: expected a JSON object, got {x!r}")
         try:
             self.lattice = GramLattice.from_json(obj["lattice"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{source}: bad lattice spec: {exc}") from exc
+        except (KeyError, TypeError, ParavoaError) as exc:
+            raise ParavoaError(f"{source}: bad lattice spec: {exc}") from exc
         self.descriptors: dict = {}
         for name, d in sections["descriptors"].items():
             try:
                 desc = MonoidDescriptor.from_json(d, self.lattice)
                 desc.validate(self.lattice)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{source}: descriptor {name!r}: {exc}") from exc
+            except (KeyError, TypeError, ParavoaError) as exc:
+                raise ParavoaError(f"{source}: descriptor {name!r}: {exc}") from exc
             self.descriptors[name] = desc
         try:
             self.max_degree = _json_int(sections["truncation"].get("maxDegree", 6),
                                         "truncation.maxDegree", 0)
             self.box_radius = _json_int(obj.get("boxRadius", 8), "boxRadius", 1)
             self.seed = _json_int(obj.get("seed", 0), "seed")
-        except ValueError as exc:
-            raise ConfigError(f"{source}: {exc}") from exc
+        except ParavoaError as exc:
+            raise ParavoaError(f"{source}: {exc}") from exc
         self.source = source
 
     def ctx(self) -> TruncationCtx:
@@ -85,7 +76,7 @@ class SessionConfig:
 
     def descriptor(self, name: str) -> MonoidDescriptor:
         if name not in self.descriptors:
-            raise ConfigError(
+            raise ParavoaError(
                 f"unknown descriptor {name!r}; config has {sorted(self.descriptors)}"
             )
         return self.descriptors[name]
@@ -94,21 +85,25 @@ class SessionConfig:
 def load_config(spec: str) -> SessionConfig:
     """Load a config from a path, or a bundled name like 'a2' / 'diag22'."""
     bundled = resources.files("paravoa").joinpath(f"configs/{spec}.json")
-    if "/" not in spec and not spec.endswith(".json") and bundled.is_file():
-        text, source = bundled.read_text(), f"bundled:{spec}"
-    else:
-        try:
+    is_bundled = "/" not in spec and not spec.endswith(".json") and bundled.is_file()
+    source = f"bundled:{spec}" if is_bundled else spec
+    try:
+        if is_bundled:
+            text = bundled.read_text()
+        else:
             with open(spec) as f:
                 text = f.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {spec!r}: {exc}") from exc
-        source = spec
-    try:
         obj = json.loads(text)
+    except OSError as exc:
+        raise ParavoaError(f"cannot read config {spec!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(
+        raise ParavoaError(
             f"{source}: JSON parse error at line {exc.lineno}, col {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        # bytes that are not UTF-8, a NUL in the path, or an integer literal
+        # past Python's digit limit
+        raise ParavoaError(str(exc)) from exc
     return SessionConfig(obj, source)
 
 
@@ -124,39 +119,47 @@ def parse_scalar(s: str, D: int) -> QuadScalar:
 def parse_vec(s: str) -> tuple[int, int]:
     parts = s.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"expected 'x,y' integer vector, got {s!r}")
-    return (int(parts[0]), int(parts[1]))
+        raise ParavoaError(f"expected 'x,y' integer vector, got {s!r}")
+    return (parse_int(parts[0], "vector entry"), parse_int(parts[1], "vector entry"))
 
 
 def parse_alpha(s: str) -> tuple[int, int]:
     """An 'x,y' lattice vector that must be primitive (so not zero)."""
     v = parse_vec(s)
     if v == (0, 0) or not is_primitive(v):
-        raise ConfigError(f"alpha must be a primitive lattice vector, got {s!r}")
+        raise ParavoaError(f"alpha must be a primitive lattice vector, got {s!r}")
     return v
 
 
 def parse_fraction(s: str, what: str) -> Fraction:
-    """A rational 'p', 'p/q' or decimal argument; ConfigError if malformed."""
+    """A rational 'p', 'p/q' or decimal argument; ParavoaError if malformed."""
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad {what} {s!r}: {exc}") from exc
+        raise ParavoaError(f"bad {what} {s!r}: {exc}") from exc
+
+
+def parse_int(s: str, what: str) -> int:
+    """An integer argument; ParavoaError if malformed."""
+    try:
+        return int(s)
+    except ValueError as exc:
+        raise ParavoaError(f"bad {what} {s!r}: {exc}") from exc
 
 
 def parse_size(s: str, what: str, rational: bool = False):
     """A non-negative size argument: an integer, or a rational read as
-    parse_fraction reads it if rational is set; ConfigError if negative."""
-    v = parse_fraction(s, what) if rational else int(s)
+    parse_fraction reads it if rational is set; ParavoaError if negative."""
+    v = parse_fraction(s, what) if rational else parse_int(s, what)
     if v < 0:
-        raise ConfigError(f"{what} must be non-negative, got {s!r}")
+        raise ParavoaError(f"{what} must be non-negative, got {s!r}")
     return v
 
 
 def parse_hvec(s: str, D: int):
     parts = s.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"expected 'x,y' vector, got {s!r}")
+        raise ParavoaError(f"expected 'x,y' vector, got {s!r}")
     return (parse_scalar(parts[0], D), parse_scalar(parts[1], D))
 
 
@@ -182,6 +185,7 @@ def cmd_borel(cfg: SessionConfig, args) -> int:
     L = cfg.lattice
     gamma = parse_hvec(args.gamma, L.D)
     desc = borel_in(L, gamma)
+    alpha = desc.boundary_alpha(L)
     R = cfg.box_radius
     box = list(L.box(R))
     union_ok = all(member(L, desc, v) or member(L, desc, (-v[0], -v[1])) for v in box)
@@ -189,7 +193,7 @@ def cmd_borel(cfg: SessionConfig, args) -> int:
     inter_ok = inter == [(0, 0)]
     out = {
         "descriptor": desc.to_json(),
-        "alpha": list(desc.boundary_alpha(L)) if desc.boundary_alpha(L) else None,
+        "alpha": list(alpha) if alpha else None,
         "boxRadius": R,
         "unionCoversBox": union_ok,
         "intersectionIsZero": inter_ok,
@@ -204,8 +208,6 @@ def cmd_saturate(cfg: SessionConfig, args) -> int:
     gamma = parse_hvec(args.gamma, L.D)
     alpha = parse_vec(args.alpha)
     beta, beta_p = saturate_witnesses(L, gamma, alpha)
-    from .lattice import PLUS, side
-
     checks = {
         "betaPositiveSide": side(L, gamma, beta) == PLUS,
         "betaPrimePositiveSide": side(L, gamma, beta_p) == PLUS,
@@ -226,14 +228,14 @@ def _character_target(cfg: SessionConfig, args):
         P = cfg.descriptors[name]
         if args.t is not None or args.i is not None:
             if P.kind == "type1":
-                raise ConfigError(f"--t/--i select type-II modules; "
-                                  f"descriptor {name!r} is TYPE_I")
+                raise ParavoaError(f"--t/--i select type-II modules; "
+                                   f"descriptor {name!r} is TYPE_I")
             mods = irreducibles(L, P, {"ts": [parse_fraction(args.t or "0", "--t")]})
-            i = int(args.i or 0)
+            i = parse_int(args.i or "0", "--i")
             for m in mods:
                 if m.i == i:
                     return m
-            raise ConfigError(f"no module with coset index {i}")
+            raise ParavoaError(f"no module with coset index {i}")
         return Selector(kind="V_P", L=L, P=P)
     alpha = parse_alpha(args.alpha) if args.alpha else None
     if name in ("VL", "V_L"):
@@ -244,7 +246,7 @@ def _character_target(cfg: SessionConfig, args):
         return Selector(kind="V_H", L=L, alpha=alpha)
     if name == "M1":
         return Selector(kind="M1", L=L)
-    raise ConfigError(f"unknown character target {name!r}")
+    raise ParavoaError(f"unknown character target {name!r}")
 
 
 def _default_alpha(cfg: SessionConfig):
@@ -252,7 +254,7 @@ def _default_alpha(cfg: SessionConfig):
         a = desc.boundary_alpha(cfg.lattice)
         if a is not None:
             return a
-    raise ConfigError("no descriptor provides a boundary line; pass --alpha")
+    raise ParavoaError("no descriptor provides a boundary line; pass --alpha")
 
 
 def cmd_character(cfg: SessionConfig, args) -> int:
@@ -455,8 +457,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         cfg = load_config(args.config)
         return args.fn(cfg, args)
-    except (ConfigError, PreconditionViolated, ValueError,
-            TruncationOverflow) as exc:
+    except ParavoaError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -23,11 +23,7 @@ from typing import Union
 
 RationalLike = Union[int, Fraction]
 
-__all__ = ["QuadScalar", "DivisionByZero", "ZERO", "ONE"]
-
-
-class DivisionByZero(ZeroDivisionError):
-    pass
+__all__ = ["QuadScalar", "ZERO", "ONE"]
 
 
 @lru_cache(maxsize=256)
@@ -138,7 +134,7 @@ class QuadScalar:
     def inverse(self) -> "QuadScalar":
         if not self.b:
             if not self.a:
-                raise DivisionByZero("division by zero in Q(sqrt(D))")
+                raise ZeroDivisionError("division by zero in Q(sqrt(D))")
             return _make(1 / self.a, _F0, self.D)
         # (a + b sqrt D)^-1 = (a - b sqrt D) / (a^2 - b^2 D), nonzero for
         # squarefree D > 1 and b != 0
@@ -150,7 +146,7 @@ class QuadScalar:
             return self * other.inverse()
         if isinstance(other, (int, Fraction)):
             if not other:
-                raise DivisionByZero("division by zero in Q(sqrt(D))")
+                raise ZeroDivisionError("division by zero in Q(sqrt(D))")
             return _make(self.a / other, self.b / other if self.b else _F0, self.D)
         return NotImplemented
 

@@ -27,9 +27,7 @@ __all__ = [
     "PLUS",
     "ZERO",
     "MINUS",
-    "ZeroGamma",
-    "ZeroVector",
-    "DependentGenerators",
+    "ParavoaError",
     "inner",
     "side",
     "line_intersection",
@@ -47,37 +45,31 @@ PLUS, ZERO, MINUS = 1, 0, -1
 Side = int
 
 
-class ZeroGamma(ValueError):
-    pass
-
-
-class ZeroVector(ValueError):
-    pass
-
-
-class DependentGenerators(ValueError):
-    pass
+class ParavoaError(ValueError):
+    """Bad input: a malformed config or argument, or data that breaks a
+    precondition such as P being parabolic.  The CLI exits 2 on it and on
+    nothing else."""
 
 
 def _json_int(x, what: str, lo: Optional[int] = None) -> int:
     """x if it is a JSON integer (a bool or a float is not one) and at least
-    lo; ValueError naming the field what otherwise."""
+    lo; ParavoaError naming the field what otherwise."""
     if isinstance(x, bool) or not isinstance(x, int) or (lo is not None and x < lo):
         at_least = "" if lo is None else f" >= {lo}"
-        raise ValueError(f"{what}: expected an integer{at_least}, got {x!r}")
+        raise ParavoaError(f"{what}: expected an integer{at_least}, got {x!r}")
     return x
 
 
 def _json_str(x, what: str) -> str:
     if not isinstance(x, str):
-        raise ValueError(f"{what}: expected a string, got {x!r}")
+        raise ParavoaError(f"{what}: expected a string, got {x!r}")
     return x
 
 
 def _json_pair(v, what: str, item=_json_int) -> tuple:
     """v as a pair of integers, or of what item reads (pairs, scalars)."""
     if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ValueError(f"{what}: expected a pair, got {v!r}")
+        raise ParavoaError(f"{what}: expected a pair, got {v!r}")
     return (item(v[0], what), item(v[1], what))
 
 
@@ -92,8 +84,8 @@ def _json_scalar(x, what: str, D: int) -> QuadScalar:
             return QuadScalar(Fraction(ab[0]), Fraction(ab[1]), D)
     except (ValueError, ZeroDivisionError):
         pass
-    raise ValueError(f"{what}: expected an integer, a rational string or "
-                     f"{{\"a\", \"b\"}} of those, got {x!r}")
+    raise ParavoaError(f"{what}: expected an integer, a rational string or "
+                       f"{{\"a\", \"b\"}} of those, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -106,13 +98,13 @@ class GramLattice:
     def __post_init__(self):
         g = self.gram
         if g[0][1] != g[1][0]:
-            raise ValueError("Gram matrix must be symmetric")
+            raise ParavoaError("Gram matrix must be symmetric")
         if g[0][0] % 2 != 0 or g[1][1] % 2 != 0:
-            raise ValueError("diagonal Gram entries must be even (even lattice)")
+            raise ParavoaError("diagonal Gram entries must be even (even lattice)")
         if not self.positive_definite:
-            raise ValueError("Gram matrix must be positive-definite")
+            raise ParavoaError("Gram matrix must be positive-definite")
         if self.D != 1 and not _squarefree(self.D):
-            raise ValueError(f"D must be 1 or a squarefree integer > 1, got {self.D}")
+            raise ParavoaError(f"D must be 1 or a squarefree integer > 1, got {self.D}")
 
     @property
     def positive_definite(self) -> bool:
@@ -184,7 +176,7 @@ def _normal(L: GramLattice, gamma: HVec) -> tuple[LatVec, LatVec, int]:
         raise ValueError(f"mixed quadratic fields: sqrt({x.D}) vs sqrt({y.D})")
     parts = (x.a, y.a, x.b, y.b)
     if not any(parts):
-        raise ZeroGamma("gamma must be nonzero")
+        raise ParavoaError("gamma must be nonzero")
     den = math.lcm(*(f.denominator for f in parts))
     a0, a1, b0, b1 = (f.numerator * (den // f.denominator) for f in parts)
     g = L.gram
@@ -218,7 +210,7 @@ def side(L: GramLattice, gamma: HVec, v: LatVec) -> Side:
 
 def is_primitive(v: LatVec) -> bool:
     if v == (0, 0):
-        raise ZeroVector("the zero vector is neither primitive nor imprimitive")
+        raise ParavoaError("the zero vector is neither primitive nor imprimitive")
     return math.gcd(abs(v[0]), abs(v[1])) == 1
 
 
@@ -243,10 +235,10 @@ def is_basis_pair(u: LatVec, v: LatVec) -> bool:
 
 def _cramer(c1, c2, rhs) -> tuple[Fraction, Fraction]:
     """The rational (x, y) with x*c1 + y*c2 = rhs, for integer or rational
-    2-vectors; DependentGenerators if c1 and c2 are dependent."""
+    2-vectors; ParavoaError if c1 and c2 are dependent."""
     det = c1[0] * c2[1] - c1[1] * c2[0]
     if det == 0:
-        raise DependentGenerators("2x2 system with linearly dependent columns")
+        raise ParavoaError("2x2 system with linearly dependent columns")
     return (Fraction(rhs[0] * c2[1] - rhs[1] * c2[0], det),
             Fraction(c1[0] * rhs[1] - c1[1] * rhs[0], det))
 
@@ -281,7 +273,7 @@ def perp_primitive(L: GramLattice, alpha: LatVec) -> LatVec:
     """Primitive integer vector spanning the rational orthogonal complement
     of alpha, oriented with first nonzero coordinate positive."""
     if alpha == (0, 0):
-        raise ZeroVector("alpha must be nonzero")
+        raise ParavoaError("alpha must be nonzero")
     g = L.gram
     w = (
         alpha[0] * g[0][0] + alpha[1] * g[1][0],

@@ -15,25 +15,24 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactnum import QuadScalar
-from .fock import FockSpace, FockState
+from .fock import FockSpace, FockState, _labels_up_to
 from .lattice import (
     GramLattice,
     HVec,
     LatVec,
+    ParavoaError,
     inner,
     is_basis_pair,
     perp_primitive,
 )
 from .linalg import quotient_dimension
-from .monoid import MonoidDescriptor, classify, member
+from .monoid import MonoidDescriptor, member, parabolic
 from .vertexops import TruncationCtx, _translate, _unit, exp_mode, heis_mode
 
 __all__ = [
     "ModuleLabel",
     "QSeries",
     "C1Report",
-    "NotParabolic",
-    "MixedTypes",
     "irreducibles",
     "character",
     "check_tensor_character",
@@ -45,14 +44,6 @@ __all__ = [
 
 TYPE_I_MOD = "TYPE_I_MOD"
 TYPE_II_MOD = "TYPE_II_MOD"
-
-
-class NotParabolic(ValueError):
-    pass
-
-
-class MixedTypes(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -151,9 +142,7 @@ def _colored_partitions(colors: int, cap: int) -> list[int]:
 
 def irreducibles(L: GramLattice, P: MonoidDescriptor, sample_params: dict) -> list:
     """Finite sample of the irreducible-module families attached to (L, P)."""
-    rep = classify(L, P)
-    if not rep.is_parabolic:
-        raise NotParabolic("P must be parabolic")
+    rep = parabolic(L, P)
     out = []
     if rep.type == "TYPE_I":
         for lam in sample_params.get("lams", ()):
@@ -260,8 +249,6 @@ def _on_line(v: LatVec, alpha: LatVec) -> bool:
 
 
 def _labels_norm(L: GramLattice, cap, keep) -> list[LatVec]:
-    from .fock import _labels_up_to
-
     return [v for v in _labels_up_to(L, math.floor(2 * cap)) if keep(v)]
 
 
@@ -285,12 +272,12 @@ def check_tensor_character(L: GramLattice, alpha: LatVec, cap) -> dict:
 def fusion(m1: ModuleLabel, m2: ModuleLabel, m3: ModuleLabel) -> int:
     kinds = {m1.kind, m2.kind, m3.kind}
     if len(kinds) != 1:
-        raise MixedTypes(f"mixed module kinds {kinds}")
+        raise ParavoaError(f"mixed module kinds {kinds}")
     if m1.kind == TYPE_I_MOD:
         s = tuple(a + b for a, b in zip(m1.lam, m2.lam))
         return 1 if s == m3.lam else 0
     if (m1.alpha, m1.N) != (m2.alpha, m2.N) or (m1.alpha, m1.N) != (m3.alpha, m3.N):
-        raise MixedTypes("labels must share the same lattice data")
+        raise ParavoaError("labels must share the same lattice data")
     if m1.t + m2.t != m3.t:
         return 0
     return 1 if (m1.i + m2.i - m3.i) % (2 * m1.N) == 0 else 0
@@ -299,9 +286,7 @@ def fusion(m1: ModuleLabel, m2: ModuleLabel, m3: ModuleLabel) -> int:
 def c1_decide(L: GramLattice, P: MonoidDescriptor, box_radius: int = 8) -> C1Report:
     """Sufficient-condition search for C1-cofiniteness of V_P, with
     witnesses sought within box_radius + 4."""
-    rep = classify(L, P)
-    if not rep.is_parabolic:
-        raise NotParabolic("P must be parabolic")
+    rep = parabolic(L, P)
     if rep.type == "TYPE_I":
         return C1Report(verdict="NOT_COFINITE")
     alpha = rep.alpha

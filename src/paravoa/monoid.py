@@ -25,7 +25,7 @@ from .lattice import (
     MINUS,
     PLUS,
     ZERO,
-    DependentGenerators,
+    ParavoaError,
     _cramer,
     _json_pair,
     _json_scalar,
@@ -42,9 +42,9 @@ from .lattice import (
 __all__ = [
     "MonoidDescriptor",
     "ClassificationReport",
-    "PreconditionViolated",
     "member",
     "classify",
+    "parabolic",
     "borel_in",
     "saturate_witnesses",
 ]
@@ -56,10 +56,6 @@ OTHER = "OTHER"
 
 # the field each descriptor kind is read from
 _NEEDS = {"type1": "gamma", "type2": "gamma", "cone": "cone", "generators": "generators"}
-
-
-class PreconditionViolated(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -80,22 +76,22 @@ class MonoidDescriptor:
         a half-plane kind and None for the others."""
         if self.kind in ("type1", "type2"):
             if self.gamma is None:
-                raise PreconditionViolated(f"{self.kind} descriptor needs gamma")
+                raise ParavoaError(f"{self.kind} descriptor needs gamma")
             n = _normal(L, self.gamma)
             if self.kind == "type2" and _line(n) is None:
-                raise PreconditionViolated(
+                raise ParavoaError(
                     "type-II requires the hyperplane to meet the lattice in a line"
                 )
             return n
         if self.kind == "cone":
             a1, a2 = self.cone
             if a1[0] * a2[1] - a1[1] * a2[0] == 0:
-                raise DependentGenerators("cone generators must be independent")
+                raise ParavoaError("cone generators must be independent")
         elif self.kind == "generators":
             if not self.generators:
-                raise PreconditionViolated("empty generator list")
+                raise ParavoaError("empty generator list")
         else:
-            raise PreconditionViolated(f"unknown descriptor kind {self.kind!r}")
+            raise ParavoaError(f"unknown descriptor kind {self.kind!r}")
         return None
 
     def to_json(self) -> dict:
@@ -111,12 +107,12 @@ class MonoidDescriptor:
     @classmethod
     def from_json(cls, obj: dict, L: GramLattice) -> "MonoidDescriptor":
         if not isinstance(obj, dict):
-            raise ValueError(f"expected a JSON object, got {obj!r}")
+            raise ParavoaError(f"expected a JSON object, got {obj!r}")
         kind = obj.get("kind")
         if not isinstance(kind, str) or kind not in _NEEDS:
-            raise ValueError(f"kind: expected one of {', '.join(_NEEDS)}, got {kind!r}")
+            raise ParavoaError(f"kind: expected one of {', '.join(_NEEDS)}, got {kind!r}")
         if _NEEDS[kind] not in obj:
-            raise ValueError(f"{_NEEDS[kind]}: required by kind {kind!r}")
+            raise ParavoaError(f"{_NEEDS[kind]}: required by kind {kind!r}")
         gamma = None
         if "gamma" in obj:
             gamma = _json_pair(obj["gamma"], "gamma",
@@ -260,6 +256,15 @@ def classify(
     return _classify_generators(L, P)
 
 
+def parabolic(L: GramLattice, P: MonoidDescriptor) -> ClassificationReport:
+    """P's classification; ParavoaError unless P is parabolic, which every
+    module, fusion, Zhu and C1 construction needs."""
+    rep = classify(L, P)
+    if not rep.is_parabolic:
+        raise ParavoaError("P must be parabolic")
+    return rep
+
+
 def _classify_generators(L: GramLattice, P: MonoidDescriptor) -> ClassificationReport:
     """All of L when the lineality group is Z^2.  Type II when it is Z*alpha
     with alpha primitive and a positive generator s has det[alpha, s] = +-1:
@@ -295,9 +300,9 @@ def saturate_witnesses(
     opposite sides of the line R*alpha: det[alpha, beta] = +1 and
     det[alpha, beta'] = -1."""
     if alpha == (0, 0) or not is_primitive(alpha):
-        raise PreconditionViolated("alpha must be primitive")
+        raise ParavoaError("alpha must be primitive")
     if side(L, gamma, alpha) != MINUS:
-        raise PreconditionViolated("alpha must lie strictly on the negative side")
+        raise ParavoaError("alpha must lie strictly on the negative side")
     a1, a2 = halfplane_basis(L, gamma)
     # alpha = m*a1 + n*a2 in the half-plane basis; m*y0 - n*x0 = g0 = +-1
     m, n = (int(x) for x in _cramer(a1, a2, alpha))

@@ -26,14 +26,22 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactnum import ONE, ZERO, QuadScalar
-from .fock import BasisWord, FockSpace, FockState, _add_into, _adopt, make_word
-from .lattice import GramLattice, LatVec, _cramer, perp_primitive
-from .monoid import MonoidDescriptor, PreconditionViolated, _in_ideal, classify
+from .fock import (
+    MONOID,
+    BasisWord,
+    FockSpace,
+    FockState,
+    _add_into,
+    _adopt,
+    enumerate_basis,
+    make_word,
+)
+from .lattice import GramLattice, LatVec, ParavoaError, _cramer, perp_primitive
+from .monoid import MonoidDescriptor, _in_ideal, parabolic
 
 __all__ = [
     "TruncationCtx",
     "TruncationOverflow",
-    "BadLabel",
     "TensorState",
     "heis_mode",
     "exp_mode",
@@ -51,12 +59,8 @@ __all__ = [
 ]
 
 
-class TruncationOverflow(RuntimeError):
-    pass
-
-
-class BadLabel(ValueError):
-    pass
+class TruncationOverflow(ParavoaError):
+    """A result degree above the truncation ceiling."""
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,7 @@ def exp_mode(sp: FockSpace, a, n: int, v: FockState, ctx=None) -> FockState:
         # e_a z^a: sign and label shift, z-power shift by (a|label)
         t0 = sp.label_inner(a, w.label)
         if t0.denominator != 1:
-            raise BadLabel(f"(a|label) = {t0} is not an integer")
+            raise ParavoaError(f"(a|label) = {t0} is not an integer")
         sgn = sp.eps(a, w.label)
         newlab = tuple(x + y for x, y in zip(a, w.label))
         for p, st in enumerate(series):
@@ -274,11 +278,11 @@ def check_lemma35(sp: FockSpace, beta, m: int, u: BasisWord, v: FockState,
     for _, d in u.modes:
         p = sum((beta[e] * sp.mode_gram[e][d] for e in range(sp.rank)), ZERO)
         if p:
-            raise PreconditionViolated("beta must be orthogonal to u's mode directions")
+            raise ParavoaError("beta must be orthogonal to u's mode directions")
     lp = sum((beta[d] * sp.pair_label_mode(u.label, d) for d in range(sp.rank)),
              ZERO)
     if lp:
-        raise PreconditionViolated("beta must be orthogonal to u's label")
+        raise ParavoaError("beta must be orthogonal to u's label")
     cap = ctx.max_degree
     du = sp.degree(u)
     dv = max((sp.degree(w) for w, _ in v), default=0)
@@ -299,12 +303,8 @@ def check_ideal(L: GramLattice, P: MonoidDescriptor,
     """Spot check that modes of V_P elements keep ideal elements inside the
     ideal: labels of a_n b stay in S (= P minus 0 for type I, the open
     positive side for type II)."""
-    rep = classify(L, P)
-    if not rep.is_parabolic:
-        raise PreconditionViolated("P must be parabolic")
+    rep = parabolic(L, P)
     sp = FockSpace.full_lattice(L)
-    from .fock import MONOID, enumerate_basis
-
     a_words = []
     b_words = []
     for d in range(sample_degree + 1):
@@ -399,7 +399,7 @@ def phi_map(v: FockState) -> TensorState:
         left = tuple((n, 0) for n, d in w.modes if d == 0)
         right = tuple((n, 0) for n, d in w.modes if d == 1)
         if len(w.label) != 1:
-            raise BadLabel("adapted words carry a single integer label coordinate")
+            raise ParavoaError("adapted words carry a single integer label coordinate")
         _add_into(out, (((BasisWord(left, ()), BasisWord(right, (w.label[0],))), c),))
     return _adopt(TensorState, out)
 
@@ -453,18 +453,25 @@ def from_adapted(L: GramLattice, alpha: LatVec, beta: LatVec,
 
 def to_adapted(L: GramLattice, alpha: LatVec, beta: LatVec,
                v: FockState) -> FockState:
-    """Inverse of from_adapted; BadLabel if some label is not in Z*alpha."""
-    coeffs = [_cramer(beta, alpha, e) for e in ((1, 0), (0, 1))]
+    """Inverse of from_adapted; ParavoaError if some label is not in Z*alpha."""
+    return _to_adapted(alpha, _inverse_dirs(alpha, beta), v)
+
+
+def _inverse_dirs(alpha: LatVec, beta: LatVec) -> list:
+    """The lattice-basis directions as rational combinations of beta, alpha."""
+    return [_cramer(beta, alpha, e) for e in ((1, 0), (0, 1))]
+
+
+def _to_adapted(alpha: LatVec, dirs: list, v: FockState) -> FockState:
+    """to_adapted with the inverse change of basis dirs already solved."""
+    i = 0 if alpha[0] else 1
     out: dict = {}
     for w, c in v:
         lab = w.label
-        if alpha[0]:
-            p = Fraction(lab[0], alpha[0])
-        else:
-            p = Fraction(lab[1], alpha[1])
-        if p.denominator != 1 or (p * alpha[0], p * alpha[1]) != lab:
-            raise BadLabel(f"label {lab} is not an integer multiple of {alpha}")
-        _rebase(out, w, c, coeffs, (int(p),))
+        p, r = divmod(lab[i], alpha[i])
+        if r or p * alpha[1 - i] != lab[1 - i]:
+            raise ParavoaError(f"label {lab} is not an integer multiple of {alpha}")
+        _rebase(out, w, c, dirs, (p,))
     return _adopt(FockState, out)
 
 
@@ -479,7 +486,7 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
     """
     beta = perp_primitive(L, alpha)
     if L.inner_int(alpha, beta) != 0:
-        raise PreconditionViolated("no rational orthogonal direction")
+        raise ParavoaError("no rational orthogonal direction")
     adapted = FockSpace.hyperplane_adapted(L, alpha, beta)
     full = FockSpace.full_lattice(L)
     sp1 = FockSpace.rank_one_heisenberg(L.norm(beta))
@@ -497,13 +504,14 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
     # each basis word's two images and degree, computed once
     images = [(u, from_adapted(L, alpha, beta, FockState.of(u)),
                phi_map(FockState.of(u)), adapted.degree(u)) for u in basis]
+    dirs = _inverse_dirs(alpha, beta)
     instances = 0
     failures = []
     for u, fu, pu, du in images:
         for v, fv, pv, dv in images:
             nmin = math.ceil(du + dv - 1 - ctx.max_degree)
             for n in range(nmin, int(du + dv)):
-                lhs = phi_map(to_adapted(L, alpha, beta, state_mode(full, fu, n, fv)))
+                lhs = phi_map(_to_adapted(alpha, dirs, state_mode(full, fu, n, fv)))
                 rhs = tensor_mode(sp1, sp2, pu, n, pv)
                 instances += 1
                 if lhs != rhs:

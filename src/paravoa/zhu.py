@@ -16,9 +16,9 @@ import math
 from typing import Optional
 
 from .fock import BasisWord, FockSpace, FockState, _add_into, _adopt
-from .lattice import GramLattice, LatVec
+from .lattice import GramLattice, LatVec, ParavoaError
 from .linalg import in_span
-from .monoid import MonoidDescriptor, PreconditionViolated, _in_ideal, classify
+from .monoid import MonoidDescriptor, _in_ideal, parabolic
 from .vertexops import (
     TruncationCtx,
     TruncationOverflow,
@@ -43,7 +43,7 @@ def _weight_of(sp: FockSpace, a: FockState) -> int:
     if wt is None:
         raise ValueError("weight of the zero state is undefined")
     if wt.denominator != 1:
-        raise PreconditionViolated(f"weight {wt} is not an integer")
+        raise ParavoaError(f"weight {wt} is not an integer")
     return int(wt)
 
 
@@ -64,7 +64,7 @@ def reduce_35(sp: FockSpace, a: FockState, b: FockState, m: int, n: int,
     """sum_j C(wt a + n, j) a_{j-2-m} b for m >= n >= 0; lies in O(V).  At
     m = n = 0 it is Zhu's a o b."""
     if not (m >= n >= 0):
-        raise PreconditionViolated("need m >= n >= 0")
+        raise ParavoaError("need m >= n >= 0")
     if a.is_zero() or b.is_zero():
         return FockState()
     wa = _weight_of(sp, a)
@@ -96,14 +96,12 @@ def nilpotency_certificate(L: GramLattice, P: MonoidDescriptor, beta: LatVec,
     checked on sampled words of M(1, 2*beta); (iv) h(-1)-dressings generated
     by star products against [e^{2 beta}].
     """
-    rep = classify(L, P)
-    if not rep.is_parabolic:
-        raise PreconditionViolated("P must be parabolic")
+    rep = parabolic(L, P)
     if beta == (0, 0) or not _in_ideal(L, P, rep, beta):
-        raise PreconditionViolated(f"beta {beta} is not in the semigroup S")
+        raise ParavoaError(f"beta {beta} is not in the semigroup S")
     twoN = L.norm(beta)
     if twoN < 2:
-        raise PreconditionViolated("(beta|beta) must be >= 2")
+        raise ParavoaError("(beta|beta) must be >= 2")
     N = twoN // 2
     # step (ii)'s residue element R(e^beta, e^beta, 2N-1, 0) has degree 4N
     ctx.check(2 * twoN)

@@ -18,6 +18,19 @@ def test_every_exported_name_resolves(name):
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
 
 
+def test_paravoa_defines_two_exception_classes():
+    from paravoa.lattice import ParavoaError
+    from paravoa.vertexops import TruncationOverflow
+
+    defined = {obj for name in MODULES
+               for obj in vars(importlib.import_module(f"paravoa.{name}")).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__.startswith("paravoa.")}
+    assert defined == {ParavoaError, TruncationOverflow}
+    assert issubclass(TruncationOverflow, ParavoaError)
+    assert issubclass(ParavoaError, ValueError)
+
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paravoa.cli import (
-    ConfigError,
     SessionConfig,
     load_config,
     main,
@@ -22,6 +21,7 @@ from paravoa.cli import (
     parse_scalar,
     parse_vec,
 )
+from paravoa.lattice import ParavoaError
 
 
 def run(capsys, *argv):
@@ -54,12 +54,12 @@ def test_config_from_path(tmp_path):
 def test_config_parse_error_has_line(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{\n  broken\n}")
-    with pytest.raises(ConfigError, match="line 2"):
+    with pytest.raises(ParavoaError, match="line 2"):
         load_config(str(p))
 
 
 def test_config_rejects_odd_gram():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ParavoaError, match="bad lattice spec: diagonal Gram entries"):
         SessionConfig({"lattice": {"gram": [[1, 0], [0, 2]]}}, "test")
 
 
@@ -351,6 +351,11 @@ def test_alpha_must_be_primitive(capsys, argv):
     ("--config", "diag22", "fusion", "P2", "--ts", "0,,1"),
     ("--config", "diag22", "borel", "1/0,1"),
     ("--config", "diag22", "borel", "1,1~1/0"),
+    ("--config", "diag22", "verify-commutators", "--samples", "x"),
+    ("--config", "diag22", "verify-iso", "--cap", "x"),
+    ("--config", "diag22", "character", "P2", "--i", "x"),
+    ("--config", "diag22", "saturate", "1,1", "1,x"),
+    ("--config", "diag22", "zhu-nil", "P2", "1,x"),
 ], ids=lambda a: " ".join(a[2:]))
 def test_bad_fraction_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -374,6 +379,16 @@ def test_values_starting_with_minus(capsys, argv, pick, want):
     assert pick(json.loads(out)) == want
 
 
+def test_a_bug_is_a_traceback_not_a_usage_error(monkeypatch):
+    # only ParavoaError means bad input; any other ValueError propagates
+    def broken(*args):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("paravoa.cli.classify", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["--config", "diag22", "classify", "P2"])
+
+
 def test_fusion_lams_need_two_components(capsys):
     code, out, err = run(capsys, "--config", "a2", "fusion", "P1", "--lams", "1")
     assert code == 2 and out == "" and err.startswith("error: expected 'x,y'")
@@ -383,11 +398,12 @@ def test_fusion_lams_need_two_components(capsys):
 
 def test_parse_helpers():
     assert parse_alpha("1,-2") == (1, -2)
-    for bad in ("0,0", "2,4", "1"):
-        with pytest.raises(ConfigError):
+    for bad, want in (("0,0", "alpha must be a primitive"), ("2,4", "alpha must be a primitive"),
+                      ("1", "expected 'x,y' integer vector")):
+        with pytest.raises(ParavoaError, match=want):
             parse_alpha(bad)
     assert parse_fraction("3/6", "--cap") == Fraction(1, 2)
-    with pytest.raises(ConfigError, match="--cap"):
+    with pytest.raises(ParavoaError, match="bad --cap '1/0'"):
         parse_fraction("1/0", "--cap")
 
 

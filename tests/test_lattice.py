@@ -7,13 +7,11 @@ from hypothesis import given, strategies as st
 
 from paravoa.exactnum import QuadScalar
 from paravoa.lattice import (
-    DependentGenerators,
     GramLattice,
     MINUS,
     PLUS,
     ZERO,
-    ZeroGamma,
-    ZeroVector,
+    ParavoaError,
     _cramer,
     cone_member,
     halfplane_basis,
@@ -115,7 +113,7 @@ def test_is_primitive():
     assert is_primitive((1, 2))
     assert not is_primitive((2, 4))
     assert is_primitive((-3, 5))
-    with pytest.raises(ZeroVector):
+    with pytest.raises(ParavoaError, match="the zero vector is neither primitive"):
         is_primitive((0, 0))
 
 
@@ -133,7 +131,7 @@ def test_cone_member():
 
 def test_cone_member_dependent_generators():
     for a1, a2 in (((1, 2), (2, 4)), ((1, 0), (-3, 0)), ((0, 0), (1, 1))):
-        with pytest.raises(DependentGenerators):
+        with pytest.raises(ParavoaError, match="linearly dependent columns"):
             cone_member(a1, a2, (1, 1))
 
 
@@ -145,7 +143,7 @@ pairs = st.tuples(entries, entries)
 @given(pairs, pairs, pairs)
 def test_cramer_solves_the_system(c1, c2, rhs):
     if c1[0] * c2[1] == c1[1] * c2[0]:
-        with pytest.raises(DependentGenerators):
+        with pytest.raises(ParavoaError, match="linearly dependent columns"):
             _cramer(c1, c2, rhs)
         return
     x, y = _cramer(c1, c2, rhs)
@@ -191,7 +189,7 @@ def test_halfplane_basis_irrational():
 
 
 def test_halfplane_basis_rejects_zero():
-    with pytest.raises(ZeroGamma):
+    with pytest.raises(ParavoaError, match="gamma must be nonzero"):
         halfplane_basis(A2, A2.hvec(0, 0))
 
 

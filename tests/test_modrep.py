@@ -6,12 +6,10 @@ from paravoa import linalg, modrep, vertexops
 from paravoa.cli import load_config
 from paravoa.exactnum import QuadScalar
 from paravoa.fock import FockSpace, FockState
-from paravoa.lattice import GramLattice
+from paravoa.lattice import GramLattice, ParavoaError
 from paravoa.modrep import (
     C1Report,
-    MixedTypes,
     ModuleLabel,
-    NotParabolic,
     Selector,
     c1_decide,
     c1_quotient_dims,
@@ -56,7 +54,7 @@ def test_irreducibles_type1():
 
 def test_irreducibles_rejects_cone():
     P = MonoidDescriptor(kind="cone", cone=((1, 0), (0, 1)))
-    with pytest.raises(NotParabolic):
+    with pytest.raises(ParavoaError, match="P must be parabolic"):
         irreducibles(DIAG22, P, {})
 
 
@@ -146,7 +144,7 @@ def test_fusion_type1():
 def test_fusion_mixed_types_rejected():
     t2 = irreducibles(DIAG22, P2_D, {"ts": [Fraction(0)]})[0]
     t1 = irreducibles(DIAG22, P1_D, {"lams": [(0, 0)]})[0]
-    with pytest.raises(MixedTypes):
+    with pytest.raises(ParavoaError, match="mixed module kinds"):
         fusion(t1, t2, t2)
 
 

@@ -9,6 +9,7 @@ from paravoa.lattice import (
     GramLattice,
     MINUS,
     PLUS,
+    ParavoaError,
     inner,
     is_basis_pair,
     side,
@@ -16,7 +17,6 @@ from paravoa.lattice import (
 from paravoa.monoid import (
     ClassificationReport,
     MonoidDescriptor,
-    PreconditionViolated,
     borel_in,
     classify,
     member,
@@ -192,7 +192,7 @@ def test_classify_generators_halfplane():
 
 def test_type2_requires_lattice_line():
     d = MonoidDescriptor(kind="type2", gamma=irr(DIAG22, 1, 1))
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ParavoaError, match="type-II requires the hyperplane to meet"):
         d.validate(DIAG22)
 
 
@@ -286,9 +286,9 @@ def test_saturate_witnesses_orientation_sweep():
 
 
 def test_saturate_witnesses_precondition():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ParavoaError, match="alpha must be primitive"):
         saturate_witnesses(DIAG22, DIAG22.hvec(1, 2), (2, 0))  # not primitive
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ParavoaError, match="alpha must lie strictly on the negative side"):
         saturate_witnesses(DIAG22, DIAG22.hvec(1, 2), (1, 0))  # wrong side
 
 

@@ -14,11 +14,10 @@ from paravoa.fock import (
     enumerate_basis,
     make_word,
 )
-from paravoa.lattice import GramLattice
+from paravoa.lattice import GramLattice, ParavoaError
 from paravoa.modrep import Selector, character, check_tensor_character
-from paravoa.monoid import MonoidDescriptor, PreconditionViolated
+from paravoa.monoid import MonoidDescriptor
 from paravoa.vertexops import (
-    BadLabel,
     _unit,
     _translate,
     TensorState,
@@ -286,7 +285,7 @@ def test_lemma35_dressed_word():
 
 
 def test_lemma35_precondition():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ParavoaError, match="beta must be orthogonal to u's label"):
         check_lemma35(SPD, E1, 1, SPD.word((), (1, 0)), vac(SPD), TruncationCtx(4))
 
 
@@ -332,7 +331,7 @@ def test_adapted_round_trip():
 
 def test_to_adapted_bad_label():
     s = FockState.of(make_word((), (0, 1)))
-    with pytest.raises(BadLabel):
+    with pytest.raises(ParavoaError, match=r"label \(0, 1\) is not an integer multiple"):
         to_adapted(DIAG22, (1, 0), (0, 1), s)
 
 

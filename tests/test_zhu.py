@@ -6,9 +6,9 @@ import pytest
 from paravoa import zhu
 from paravoa.exactnum import QuadScalar
 from paravoa.fock import FULL_L, FockSpace, FockState, enumerate_basis
-from paravoa.lattice import GramLattice
+from paravoa.lattice import GramLattice, ParavoaError
 from paravoa.linalg import in_span, quotient_dimension, rank_of
-from paravoa.monoid import MonoidDescriptor, PreconditionViolated
+from paravoa.monoid import MonoidDescriptor
 from paravoa.vertexops import (
     TruncationCtx,
     TruncationOverflow,
@@ -103,7 +103,7 @@ def test_reduce35_vacuum_vanishes():
 
 def test_reduce35_precondition():
     a = h1(SPD)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ParavoaError, match="need m >= n >= 0"):
         reduce_35(SPD, a, a, 0, 1)
 
 
@@ -162,13 +162,13 @@ def test_certificate_records_cocycle_sign():
 
 def test_certificate_rejects_zero_beta():
     P = MonoidDescriptor(kind="type2", gamma=DIAG22.hvec(0, 1))
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ParavoaError, match=r"beta \(0, 0\) is not in the semigroup S"):
         nilpotency_certificate(DIAG22, P, (0, 0), TruncationCtx(6))
 
 
 def test_certificate_rejects_beta_outside_S():
     P = MonoidDescriptor(kind="type2", gamma=DIAG22.hvec(0, 1))
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ParavoaError, match=r"beta \(1, 0\) is not in the semigroup S"):
         nilpotency_certificate(DIAG22, P, (1, 0), TruncationCtx(6))  # boundary
 
 
