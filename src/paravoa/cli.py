@@ -104,6 +104,8 @@ def load_config(spec: str) -> SessionConfig:
         # bytes that are not UTF-8, a NUL in the path, or an integer literal
         # past Python's digit limit
         raise ParavoaError(str(exc)) from exc
+    except RecursionError as exc:
+        raise ParavoaError(f"{source}: JSON nested too deeply") from exc
     return SessionConfig(obj, source)
 
 

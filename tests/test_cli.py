@@ -58,6 +58,16 @@ def test_config_parse_error_has_line(tmp_path):
         load_config(str(p))
 
 
+def test_deeply_nested_config_is_usage_error(capsys, tmp_path):
+    # json.loads ends in RecursionError past the interpreter's depth limit
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000)
+    code, out, err = run(capsys, "--config", str(p), "classify", "P2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_config_rejects_odd_gram():
     with pytest.raises(ParavoaError, match="bad lattice spec: diagonal Gram entries"):
         SessionConfig({"lattice": {"gram": [[1, 0], [0, 2]]}}, "test")

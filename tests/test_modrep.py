@@ -267,7 +267,15 @@ def test_c1_dims_match_all_pairs_span_vp_family(monkeypatch, gram):
                         ("type1", L.hvec(1, QuadScalar(0, 1, 2)))):
         P = MonoidDescriptor(kind=kind, gamma=gamma)
         want = all_pairs_dims(L, 4, lambda v: member(L, P, v))
-        assert c1_quotient_dims(L, "V_P", 4, P=P) == want, (kind, gamma)
+        dims = c1_quotient_dims(L, "V_P", 4, P=P)
+        assert dims == want, (kind, gamma)
+        # both sides above come from linalg; this one does not: the vacuum,
+        # h_1(-1) and h_2(-1), and one e^lam per strongly indecomposable lam
+        labels = modrep._labels_norm(L, Fraction(4), lambda v: member(L, P, v))
+        si = modrep._strongly_indecomposable(L, labels)
+        for d, got in enumerate(dims):
+            n_si = sum(1 for lam in si if L.norm(lam) == 2 * d)
+            assert got == (d == 0) + 2 * (d == 1) + n_si, (kind, gamma, d)
 
 
 @pytest.mark.parametrize("gram", reduced_forms(), ids=str)

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paravoa import zhu
 from paravoa.exactnum import QuadScalar
@@ -55,6 +56,122 @@ def test_quotient_dimension():
     b = SPD.word(((1, 1),))
     assert quotient_dimension([a, b], [FockState.of(a)]) == 1
     assert quotient_dimension([a, b], []) == 2
+
+
+def test_irrational_coefficient_raises():
+    # elimination is over Q; engine coefficients are always rational
+    a, b = h1(SPD), FockState.of(SPD.word(((1, 1),)))
+    irr = FockState({SPD.word(((1, 0),)): QuadScalar(0, 1, 2)})
+    with pytest.raises(ValueError, match="irrational"):
+        rank_of([a, irr])
+    with pytest.raises(ValueError, match="irrational"):
+        in_span([a, irr], b)
+    with pytest.raises(ValueError, match="irrational"):
+        in_span([a, b], irr)
+
+
+# oracle: Gauss-Jordan over Fraction on dense vectors, rows taken greedily
+# in input order, each pivot normalized to 1 and kept fully reduced
+
+def _gauss_jordan(rows):
+    """[(pivot column, vector, history)] of the greedy independent subset
+    of rows; history maps a row index to its coefficient."""
+    basis = []
+    for i, r in enumerate(rows):
+        v, hist = _oracle_reduce(basis, list(r), {i: Fraction(1)})
+        if not any(v):
+            continue
+        col = next(j for j, x in enumerate(v) if x)
+        inv = 1 / v[col]
+        v = [x * inv for x in v]
+        hist = {k: x * inv for k, x in hist.items()}
+        for n, (pc, pv, ph) in enumerate(basis):
+            c = pv[col]
+            if c:
+                basis[n] = (pc, [x - c * y for x, y in zip(pv, v)],
+                            _oracle_sub(ph, hist, c))
+        basis.append((col, v, hist))
+    return basis
+
+
+def _oracle_sub(h, g, c):
+    out = dict(h)
+    for k, x in g.items():
+        out[k] = out.get(k, 0) - c * x
+    return {k: x for k, x in out.items() if x}
+
+
+def _oracle_reduce(basis, v, hist):
+    for col, pv, ph in basis:
+        c = v[col]
+        if c:
+            v = [x - c * y for x, y in zip(v, pv)]
+            hist = _oracle_sub(hist, ph, c)
+    return v, hist
+
+
+LABEL_WORDS = [SPD.word(label=(i, 0)) for i in range(5)]
+
+_entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 10**6))
+_dense = st.lists(_entry, min_size=len(LABEL_WORDS), max_size=len(LABEL_WORDS))
+
+
+@st.composite
+def _row_lists(draw):
+    """Sparse rational rows, with zero rows, duplicates and combinations
+    of earlier rows among them, and a target in or out of their span."""
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["new", "sparse", "zero", "dup", "combo"]))
+        if kind in ("dup", "combo") and rows:
+            picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1,
+                                  max_size=3 if kind == "combo" else 1))
+            cs = [draw(_entry) if kind == "combo" else Fraction(1) for _ in picks]
+            rows.append([sum(c * rows[p][j] for c, p in zip(cs, picks))
+                         for j in range(len(LABEL_WORDS))])
+        elif kind == "zero":
+            rows.append([Fraction(0)] * len(LABEL_WORDS))
+        else:
+            v = draw(_dense)
+            if kind == "sparse":
+                keep = draw(st.integers(0, len(LABEL_WORDS) - 1))
+                v = [x if j == keep else Fraction(0) for j, x in enumerate(v)]
+            rows.append(v)
+    if rows and draw(st.booleans()):
+        cs = [draw(_entry) for _ in rows]
+        target = [sum(c * r[j] for c, r in zip(cs, rows))
+                  for j in range(len(LABEL_WORDS))]
+    else:
+        target = draw(_dense)
+    return rows, target
+
+
+def _state(v):
+    return FockState({w: x for w, x in zip(LABEL_WORDS, v)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_lists(), st.lists(st.integers(0, len(LABEL_WORDS) - 1), max_size=6))
+def test_linalg_matches_fraction_gauss_jordan(rows_target, word_picks):
+    rows, target = rows_target
+    states = [_state(r) for r in rows]
+    basis = _gauss_jordan(rows)
+    assert rank_of(states) == len(basis)
+    units = [[Fraction(j == k) for j in range(len(LABEL_WORDS))]
+             for k in word_picks]
+    want = len(_gauss_jordan(rows + units)) - len(basis)
+    assert quotient_dimension([LABEL_WORDS[k] for k in word_picks], states) == want
+    rest, hist = _oracle_reduce(basis, list(target), {})
+    combo = in_span(states, _state(target))
+    if any(rest):
+        assert combo is None
+        return
+    # target + sum_k hist[k]*rows[k] reduced to zero
+    assert combo == sorted((k, QuadScalar(-x)) for k, x in hist.items())
+    rebuilt = FockState()
+    for i, c in combo:
+        rebuilt = rebuilt + states[i].scale(c)
+    assert rebuilt == _state(target)
 
 
 # -- circle (reduce_35 at m = n = 0) / star ---------------------------------
