@@ -13,6 +13,8 @@ reducing a row visits only the pivots whose word it holds.  Rows are plain
 terms dicts, reduced in place on a private copy.  The pivots taken are
 those of elimination over Q, so the greedy independent subset of the input
 rows, and a target's combination over it, do not depend on the scaling.
+Reducing a target only reads the pivots, so a `Span` is eliminated once
+and then solves any number of targets.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional
 from .exactnum import QuadScalar
 from .fock import FockState
 
-__all__ = ["rank_of", "in_span", "quotient_dimension"]
+__all__ = ["rank_of", "Span", "quotient_dimension"]
 
 
 def _integer_row(terms: dict) -> tuple:
@@ -129,22 +131,28 @@ def quotient_dimension(basis_words, span_states) -> int:
     return r
 
 
-def in_span(span_states, target: FockState) -> Optional[list]:
-    """Coefficients expressing target in the given span, or None.
+class Span:
+    """The span of some states, eliminated once.  `solve` only reads the
+    pivot rows, so one span answers any number of targets."""
 
-    Returns a list of (index, QuadScalar) over the input ordering.
-    """
-    pivots: dict = {}
-    scales = []
-    for idx, s in enumerate(span_states):
-        row, m = _integer_row(s.terms)
-        scales.append(m)
-        _add_pivot(pivots, row, {idx: 1})
-    t, m = _integer_row(target.terms)
-    # s*m*target + sum_i minus[i]*scales[i]*span_states[i] == t throughout
-    minus: dict = {}
-    s = _eliminate(pivots, t, minus)
-    if t:
-        return None
-    return sorted((k, QuadScalar(Fraction(-v * scales[k], s * m)))
-                  for k, v in minus.items())
+    def __init__(self, span_states):
+        self._pivots: dict = {}
+        self._scales = []
+        for idx, s in enumerate(span_states):
+            row, m = _integer_row(s.terms)
+            self._scales.append(m)
+            _add_pivot(self._pivots, row, {idx: 1})
+
+    def solve(self, target: FockState) -> Optional[list]:
+        """Coefficients expressing target in the span, or None.
+
+        Returns a list of (index, QuadScalar) over the input ordering.
+        """
+        t, m = _integer_row(target.terms)
+        # s*m*target + sum_i minus[i]*scales[i]*span_states[i] == t throughout
+        minus: dict = {}
+        s = _eliminate(self._pivots, t, minus)
+        if t:
+            return None
+        return sorted((k, QuadScalar(Fraction(-v * self._scales[k], s * m)))
+                      for k, v in minus.items())

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .fock import BasisWord, FockSpace, FockState, _add_into, _adopt
 from .lattice import GramLattice, LatVec, ParavoaError
-from .linalg import in_span
+from .linalg import Span
 from .monoid import MonoidDescriptor, _in_ideal, parabolic
 from .vertexops import (
     TruncationCtx,
@@ -39,9 +39,9 @@ __all__ = [
 
 
 def _weight_of(sp: FockSpace, a: FockState) -> int:
+    """The integer weight of a nonzero homogeneous state; every caller
+    handles the zero state first."""
     wt = sp.state_degree(a)
-    if wt is None:
-        raise ValueError("weight of the zero state is undefined")
     if wt.denominator != 1:
         raise ParavoaError(f"weight {wt} is not an integer")
     return int(wt)
@@ -187,21 +187,16 @@ def nilpotency_certificate(L: GramLattice, P: MonoidDescriptor, beta: LatVec,
     }
 
 
-def eq33_certificate(sp: FockSpace, a: FockState, b: FockState,
-                     pool: list[BasisWord], ctx: TruncationCtx,
-                     mmax: int = 2) -> dict:
-    """Try to express a*b - sum_j C(wt b - 1, j) b_{j-1} a as a combination
-    of residue elements built from the pool; honest Unresolved on failure.
-    For the vacuum b (weight 0) the sum is the single term C(-1, 0) 1_{-1} a."""
-    wb = _weight_of(sp, b)
-    rhs: dict = {}
-    for j in range(max(wb, 1)):
-        c = _binom(wb - 1, j)
-        if c:
-            _add_into(rhs, state_mode(sp, b, j - 1, a).terms.items(), c)
-    diff = star(sp, a, b, ctx) - _adopt(FockState, rhs)
-    if diff.is_zero():
-        return {"status": "resolved", "combination": []}
+def _residue_span(sp: FockSpace, pool: list[BasisWord], ctx: TruncationCtx,
+                  mmax: int) -> tuple:
+    """(meta, span): every nonzero R(x, y, m, n) over the pool with
+    m <= mmax that fits under the ceiling, eliminated once per space, pool,
+    ceiling and mmax and kept on the space."""
+    cache = sp.__dict__.setdefault("_residue_spans", {})
+    key = (tuple(pool), ctx.max_degree, mmax)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
     gens = []
     meta = []
     for x in pool:
@@ -220,7 +215,31 @@ def eq33_certificate(sp: FockSpace, a: FockState, b: FockState,
                         gens.append(r)
                         meta.append({"x": x.to_str(), "y": y.to_str(),
                                      "m": m, "n": n})
-    combo = in_span(gens, diff)
+    hit = cache[key] = (meta, Span(gens))
+    return hit
+
+
+def eq33_certificate(sp: FockSpace, a: FockState, b: FockState,
+                     pool: list[BasisWord], ctx: TruncationCtx,
+                     mmax: int = 2) -> dict:
+    """Try to express a*b - sum_j C(wt b - 1, j) b_{j-1} a as a combination
+    of residue elements built from the pool; honest Unresolved on failure.
+    For the vacuum b (weight 0) the sum is the single term C(-1, 0) 1_{-1} a,
+    and for a zero a or b both sides are 0.  The residue span is built and
+    eliminated once per space, pool, ceiling and mmax, and reused."""
+    if a.is_zero() or b.is_zero():
+        return {"status": "resolved", "combination": []}
+    wb = _weight_of(sp, b)
+    rhs: dict = {}
+    for j in range(max(wb, 1)):
+        c = _binom(wb - 1, j)
+        if c:
+            _add_into(rhs, state_mode(sp, b, j - 1, a).terms.items(), c)
+    diff = star(sp, a, b, ctx) - _adopt(FockState, rhs)
+    if diff.is_zero():
+        return {"status": "resolved", "combination": []}
+    meta, span = _residue_span(sp, pool, ctx, mmax)
+    combo = span.solve(diff)
     if combo is None:
         return {"status": "unresolved"}
     return {

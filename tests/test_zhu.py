@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from paravoa import zhu
 from paravoa.exactnum import QuadScalar
 from paravoa.fock import FULL_L, FockSpace, FockState, enumerate_basis
 from paravoa.lattice import GramLattice, ParavoaError
-from paravoa.linalg import in_span, quotient_dimension, rank_of
+from paravoa.linalg import Span, quotient_dimension, rank_of
 from paravoa.monoid import MonoidDescriptor
 from paravoa.vertexops import (
     TruncationCtx,
@@ -46,9 +48,9 @@ def test_rank_and_span():
     a = h1(SPD)
     b = FockState.of(SPD.word(((1, 1),)))
     assert rank_of([a, b, a + b]) == 2
-    combo = in_span([a, b], a.scale(3) + b.scale(-2))
+    combo = Span([a, b]).solve(a.scale(3) + b.scale(-2))
     assert combo == [(0, QuadScalar(3)), (1, QuadScalar(-2))]
-    assert in_span([a], b) is None
+    assert Span([a]).solve(b) is None
 
 
 def test_quotient_dimension():
@@ -65,9 +67,9 @@ def test_irrational_coefficient_raises():
     with pytest.raises(ValueError, match="irrational"):
         rank_of([a, irr])
     with pytest.raises(ValueError, match="irrational"):
-        in_span([a, irr], b)
+        Span([a, irr])
     with pytest.raises(ValueError, match="irrational"):
-        in_span([a, b], irr)
+        Span([a, b]).solve(irr)
 
 
 # oracle: Gauss-Jordan over Fraction on dense vectors, rows taken greedily
@@ -119,7 +121,7 @@ _dense = st.lists(_entry, min_size=len(LABEL_WORDS), max_size=len(LABEL_WORDS))
 @st.composite
 def _row_lists(draw):
     """Sparse rational rows, with zero rows, duplicates and combinations
-    of earlier rows among them, and a target in or out of their span."""
+    of earlier rows among them, and targets in or out of their span."""
     rows = []
     for _ in range(draw(st.integers(0, 7))):
         kind = draw(st.sampled_from(["new", "sparse", "zero", "dup", "combo"]))
@@ -137,13 +139,15 @@ def _row_lists(draw):
                 keep = draw(st.integers(0, len(LABEL_WORDS) - 1))
                 v = [x if j == keep else Fraction(0) for j, x in enumerate(v)]
             rows.append(v)
-    if rows and draw(st.booleans()):
-        cs = [draw(_entry) for _ in rows]
-        target = [sum(c * r[j] for c, r in zip(cs, rows))
-                  for j in range(len(LABEL_WORDS))]
-    else:
-        target = draw(_dense)
-    return rows, target
+    targets = []
+    for _ in range(draw(st.integers(1, 4))):
+        if rows and draw(st.booleans()):
+            cs = [draw(_entry) for _ in rows]
+            targets.append([sum(c * r[j] for c, r in zip(cs, rows))
+                            for j in range(len(LABEL_WORDS))])
+        else:
+            targets.append(draw(_dense))
+    return rows, targets
 
 
 def _state(v):
@@ -152,8 +156,8 @@ def _state(v):
 
 @settings(max_examples=150, deadline=None)
 @given(_row_lists(), st.lists(st.integers(0, len(LABEL_WORDS) - 1), max_size=6))
-def test_linalg_matches_fraction_gauss_jordan(rows_target, word_picks):
-    rows, target = rows_target
+def test_linalg_matches_fraction_gauss_jordan(rows_targets, word_picks):
+    rows, targets = rows_targets
     states = [_state(r) for r in rows]
     basis = _gauss_jordan(rows)
     assert rank_of(states) == len(basis)
@@ -161,17 +165,22 @@ def test_linalg_matches_fraction_gauss_jordan(rows_target, word_picks):
              for k in word_picks]
     want = len(_gauss_jordan(rows + units)) - len(basis)
     assert quotient_dimension([LABEL_WORDS[k] for k in word_picks], states) == want
-    rest, hist = _oracle_reduce(basis, list(target), {})
-    combo = in_span(states, _state(target))
-    if any(rest):
-        assert combo is None
-        return
-    # target + sum_k hist[k]*rows[k] reduced to zero
-    assert combo == sorted((k, QuadScalar(-x)) for k, x in hist.items())
-    rebuilt = FockState()
-    for i, c in combo:
-        rebuilt = rebuilt + states[i].scale(c)
-    assert rebuilt == _state(target)
+    # one span solves every target in turn, the first one twice: solving
+    # only reads its pivots, so each answer is that of a fresh span
+    span = Span(states)
+    for target in targets + targets[:1]:
+        combo = span.solve(_state(target))
+        assert combo == Span(states).solve(_state(target))
+        rest, hist = _oracle_reduce(basis, list(target), {})
+        if any(rest):
+            assert combo is None
+            continue
+        # target + sum_k hist[k]*rows[k] reduced to zero
+        assert combo == sorted((k, QuadScalar(-x)) for k, x in hist.items())
+        rebuilt = FockState()
+        for i, c in combo:
+            rebuilt = rebuilt + states[i].scale(c)
+        assert rebuilt == _state(target)
 
 
 # -- circle (reduce_35 at m = n = 0) / star ---------------------------------
@@ -308,19 +317,103 @@ def test_eq33_trivial_instance():
     assert rep["status"] == "resolved"
 
 
+def _eq33_difference(sp, a, b):
+    """a*b - sum_j C(wt b - 1, j) b_{j-1} a; C(-1, 0) = 1 for the vacuum b."""
+    wb = int(sp.state_degree(b))
+    out = star(sp, a, b)
+    for j in range(max(wb, 1)):
+        c = math.comb(wb - 1, j) if wb else 1
+        out = out - state_mode(sp, b, j - 1, a).scale(c)
+    return out
+
+
+def assert_replays(sp, a, b, pool, mmax, cert):
+    """A resolved certificate's residue combination rebuilds a*b minus the
+    b-side exactly."""
+    assert cert["status"] == "resolved"
+    words = {w.to_str(): w for w in pool}
+    total = FockState()
+    for t in cert["combination"]:
+        assert 0 <= t["n"] <= t["m"] <= mmax
+        r = reduce_35(sp, FockState.of(words[t["x"]]),
+                      FockState.of(words[t["y"]]), t["m"], t["n"])
+        assert t["coeff"]["b"] == "0"
+        total = total + r.scale(Fraction(t["coeff"]["a"]))
+    assert total == _eq33_difference(sp, a, b)
+
+
 def test_eq33_exp_pair():
-    a = SPD.exp_state((1, 0))
-    b = SPD.exp_state((-1, 0))
+    sp = FockSpace.full_lattice(DIAG22)
+    a = sp.exp_state((1, 0))
+    b = sp.exp_state((-1, 0))
     pool = [
         w
         for d in range(3)
         for w in enumerate_basis(DIAG22, FULL_L, d)
         if w.label in ((0, 0), (1, 0), (-1, 0))
     ]
-    rep = eq33_certificate(SPD, a, b, pool, TruncationCtx(6), mmax=1)
-    assert rep["status"] in ("resolved", "unresolved")
-    if rep["status"] == "resolved":
-        assert isinstance(rep["combination"], list)
+    assert not _eq33_difference(sp, a, b).is_zero()
+    for cap in range(3, 7):
+        for mmax in range(3):
+            rep = eq33_certificate(sp, a, b, pool, TruncationCtx(cap), mmax)
+            assert rep["combination"]
+            assert_replays(sp, a, b, pool, mmax, rep)
+
+
+def _diag22_pool(max_deg):
+    return [w for d in range(max_deg + 1)
+            for w in enumerate_basis(DIAG22, FULL_L, d)
+            if DIAG22.norm(w.label) <= 2]
+
+
+def _named(pool, name):
+    return FockState.of({w.to_str(): w for w in pool}[name])
+
+
+POOL1 = _diag22_pool(1)
+POOL2 = _diag22_pool(2)[:10]
+# pairs of calls that differ in one component of the residue span's key:
+# the ceiling, mmax, then the pool; the first call of each is unresolved
+# and the second resolved
+KEY_PAIRS = [
+    ((_named(POOL1, "e[-1,0]"), _named(POOL1, "e[1,0]")),
+     (POOL1, 1, 2), (POOL1, 2, 2)),
+    ((_named(POOL2, "a1(-1)e[0,0]"), _named(POOL2, "a1(-1)e[0,-1]")),
+     (POOL2, 4, 0), (POOL2, 4, 1)),
+    ((_named(POOL2, "a1(-1)e[0,0]"), _named(POOL2, "a1(-1)e[0,-1]")),
+     ([], 4, 1), (POOL2, 4, 1)),
+]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_eq33_span_cache_keys_on_pool_ceiling_and_mmax(reverse):
+    # one space serves every call, interleaved; each certificate must be
+    # the one a fresh space gives
+    sp = FockSpace.full_lattice(DIAG22)
+    for (a, b), unresolved, resolved in KEY_PAIRS:
+        calls = [unresolved, resolved]
+        for pool, cap, mmax in reversed(calls) if reverse else calls:
+            rep = eq33_certificate(sp, a, b, pool, TruncationCtx(cap), mmax)
+            fresh = eq33_certificate(FockSpace.full_lattice(DIAG22), a, b,
+                                     pool, TruncationCtx(cap), mmax)
+            assert rep == fresh
+            if (pool, cap, mmax) == unresolved:
+                assert rep == {"status": "unresolved"}
+            else:
+                assert_replays(sp, a, b, pool, mmax, rep)
+
+
+def test_eq33_certificates_are_byte_stable():
+    # all ordered pairs of the 7-word pool on one shared space; the digest
+    # is that of the same certificates with a span eliminated per call
+    sp = FockSpace.full_lattice(DIAG22)
+    certs = [eq33_certificate(sp, FockState.of(a), FockState.of(b), POOL1,
+                              TruncationCtx(4), 2)
+             for a in POOL1 for b in POOL1]
+    assert len(certs) == 49
+    assert all(c["status"] == "resolved" for c in certs)
+    digest = hashlib.sha256(json.dumps(certs, sort_keys=True).encode()).hexdigest()
+    assert digest == "378734b715638423f80ef79212ddb178213c75ee9c90729ba7aeb8fb6c51b3f7"
 
 
 def test_state_json_round_structure():
@@ -334,6 +427,18 @@ def test_eq33_vacuum_b_is_resolved_empty():
     rep = eq33_certificate(SPD, SPD.exp_state((1, 0)), SPD.vacuum(), [],
                            TruncationCtx(4))
     assert rep == {"status": "resolved", "combination": []}
+
+
+def test_eq33_zero_side_is_resolved_empty(monkeypatch):
+    # a*0 and 0*b vanish, as does the b-side, so no residue span is needed
+    def no_span(*args):
+        raise AssertionError("a residue span was built")
+
+    monkeypatch.setattr(zhu, "Span", no_span)
+    x = SPD.exp_state((1, 0))
+    for a, b in ((x, FockState()), (FockState(), x)):
+        rep = eq33_certificate(SPD, a, b, POOL1, TruncationCtx(4))
+        assert rep == {"status": "resolved", "combination": []}
 
 
 # -- coefficient type of engine outputs --------------------------------------
@@ -367,7 +472,7 @@ def test_engine_outputs_carry_quadscalar_coefficients():
     for s in span:
         assert_quad_coeffs(s)
     target = span[0].scale(3) + span[1].scale(Fraction(-1, 2))
-    combo = in_span(span, target)
+    combo = Span(span).solve(target)
     assert combo is not None
     for _, c in combo:
         assert type(c) is QuadScalar and type(c.a) is Fraction
