@@ -270,17 +270,17 @@ def check_tensor_character(L: GramLattice, alpha: LatVec, cap) -> dict:
 
 
 def fusion(m1: ModuleLabel, m2: ModuleLabel, m3: ModuleLabel) -> int:
-    kinds = {m1.kind, m2.kind, m3.kind}
-    if len(kinds) != 1:
+    if not m1.kind == m2.kind == m3.kind:
+        kinds = ", ".join(sorted({m1.kind, m2.kind, m3.kind}))
         raise ParavoaError(f"mixed module kinds {kinds}")
     if m1.kind == TYPE_I_MOD:
         s = tuple(a + b for a, b in zip(m1.lam, m2.lam))
         return 1 if s == m3.lam else 0
-    if (m1.alpha, m1.N) != (m2.alpha, m2.N) or (m1.alpha, m1.N) != (m3.alpha, m3.N):
+    if not (m1.alpha == m2.alpha == m3.alpha and m1.N == m2.N == m3.N):
         raise ParavoaError("labels must share the same lattice data")
-    if m1.t + m2.t != m3.t:
+    if (m1.i + m2.i - m3.i) % (2 * m1.N):  # in integers, and most triples stop here
         return 0
-    return 1 if (m1.i + m2.i - m3.i) % (2 * m1.N) == 0 else 0
+    return 1 if m1.t + m2.t == m3.t else 0
 
 
 def c1_decide(L: GramLattice, P: MonoidDescriptor, box_radius: int = 8) -> C1Report:
@@ -294,14 +294,10 @@ def c1_decide(L: GramLattice, P: MonoidDescriptor, box_radius: int = 8) -> C1Rep
     saw_candidate = False
     best = None
     # smallest boxes first, orthogonal pairings preferred: witnesses come
-    # out small and deterministic
-    ring = sorted(
-        ((b1, b2) for b1 in range(-R, R + 1) for b2 in range(-R, R + 1)
-         if (b1, b2) != (0, 0)),
-        key=lambda v: (max(abs(v[0]), abs(v[1])),
-                       abs(L.inner_int(alpha, v)), v),
-    )
-    for beta in ring:
+    # out small and deterministic; each sup-norm ring is sorted only when
+    # the rings inside it held no witness
+    for beta in (v for r in range(1, R + 1) for v in sorted(
+            _ring(r), key=lambda v: (abs(L.inner_int(alpha, v)), v))):
         if not is_basis_pair(alpha, beta):
             continue
         if not member(L, P, beta):
@@ -328,6 +324,12 @@ def c1_decide(L: GramLattice, P: MonoidDescriptor, box_radius: int = 8) -> C1Rep
     if saw_candidate:
         return C1Report(verdict="CONDITION_FAILED", condition_values=best)
     return C1Report(verdict="UNKNOWN")
+
+
+def _ring(r: int):
+    """The lattice points of sup norm r."""
+    for b1 in range(-r, r + 1):
+        yield from ((b1, b2) for b2 in (range(-r, r + 1) if abs(b1) == r else (-r, r)))
 
 
 def _strongly_indecomposable(L: GramLattice, labels) -> list[LatVec]:

@@ -5,17 +5,19 @@ Descriptors are finite: a half-plane direction gamma, a basis cone, or an
 explicit generator list.  A half-plane descriptor is decided by one integer
 normal pair (p, q): v is on the positive side of gamma when
 p.v + (q.v)*sqrt(D) > 0.  `validate` returns that pair, so `member`
-validates and decides with integers only; the pair is rebuilt on each call
-rather than cached, which costs a few integer products.  A generator list
-is decided exactly, also in integers, by `_compile`: a functional that is
-positive off the lineality of the generators' cone, and the group the
-generators on that lineality span.
+validates and decides with integers only.  A generator list is decided
+exactly, also in integers, by `_compile`: a functional that is positive off
+the lineality of the generators' cone, and the group the generators on that
+lineality span.  A descriptor is checked once per lattice: the lattice and
+the answer on it are kept in the instance, and a generator list is compiled
+once, on first use.  A failed check is not kept, so it raises every time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .lattice import (
@@ -64,6 +66,7 @@ class MonoidDescriptor:
     gamma: Optional[HVec] = None
     cone: Optional[tuple[LatVec, LatVec]] = None
     generators: tuple[LatVec, ...] = ()
+    _checked = None  # (L, validate's answer on L), set when a check passes
 
     def boundary_alpha(self, L: GramLattice) -> Optional[LatVec]:
         """Primitive generator of P(gamma) meeting L, with the fixed orientation."""
@@ -74,6 +77,10 @@ class MonoidDescriptor:
     def validate(self, L: GramLattice):
         """Check the descriptor on L; return gamma's normal pair (p, q, D) for
         a half-plane kind and None for the others."""
+        last = self._checked
+        if last is not None and (last[0] is L or last[0] == L):
+            return last[1]
+        n = None
         if self.kind in ("type1", "type2"):
             if self.gamma is None:
                 raise ParavoaError(f"{self.kind} descriptor needs gamma")
@@ -82,8 +89,7 @@ class MonoidDescriptor:
                 raise ParavoaError(
                     "type-II requires the hyperplane to meet the lattice in a line"
                 )
-            return n
-        if self.kind == "cone":
+        elif self.kind == "cone":
             a1, a2 = self.cone
             if a1[0] * a2[1] - a1[1] * a2[0] == 0:
                 raise ParavoaError("cone generators must be independent")
@@ -92,7 +98,13 @@ class MonoidDescriptor:
                 raise ParavoaError("empty generator list")
         else:
             raise ParavoaError(f"unknown descriptor kind {self.kind!r}")
-        return None
+        object.__setattr__(self, "_checked", (L, n))
+        return n
+
+    @cached_property
+    def _compiled(self) -> tuple[LatVec, tuple[int, int, int], list[LatVec]]:
+        """_compile(generators), on first use: it depends on nothing else."""
+        return _compile(self.generators)
 
     def to_json(self) -> dict:
         obj: dict = {"kind": self.kind}
@@ -159,7 +171,7 @@ def member(L: GramLattice, P: MonoidDescriptor, v: LatVec) -> bool:
     # generators: v = lam + (positive generators), lam in the lineality group;
     # each positive generator raises f by at least 1, so classes mod the
     # group with f at most f(v) are all the search needs
-    f, lam, pos = _compile(P.generators)
+    f, lam, pos = P._compiled
     top = f[0] * v[0] + f[1] * v[1]
     target = _reduce(v, lam)
     seen = {(0, 0)}
@@ -271,7 +283,7 @@ def _classify_generators(L: GramLattice, P: MonoidDescriptor) -> ClassificationR
     alpha and s are then a basis, so every lattice point on the positive
     side is reached.  Never type I: a type-I monoid needs infinitely many
     generators at height one over its boundary ray."""
-    _, (a, b, d), pos = _compile(P.generators)
+    _, (a, b, d), pos = P._compiled
     if a * d == 1:
         # the note stays: classify's stdout is promised byte-stable
         return ClassificationReport(is_parabolic=False, type=OTHER,

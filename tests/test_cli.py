@@ -551,6 +551,43 @@ def test_geometry_commands_are_byte_stable(capsys, tmp_path):
     assert h.hexdigest() == GEOMETRY_DIGEST
 
 
+# type-II descriptors on the lattice lines through (1,0), (0,1) and (1,2);
+# fusion runs on the first two, whose boundary vectors are short, and c1 on
+# all three: the (1,2) line fails the C1 condition on some forms
+FUSION_C1_LINES = {"X": (1, 0), "Y": (0, 1), "Q": (1, 2)}
+FUSION_C1_COMMANDS = (
+    ("fusion", "X", "--ts=-1/3,0,1/2"), ("fusion", "Y", "--ts=-1/3,0,1/2"),
+    ("c1", "X"), ("c1", "Y"), ("c1", "Q"),
+)
+# sha256 over exit code, stdout and stderr of every run, in order
+FUSION_C1_DIGEST = "c93d911ddd60abb0fee8260a2399c609f1510c65c640143ff7765793414a82c6"
+
+
+def test_fusion_and_c1_are_byte_stable(capsys, tmp_path):
+    h = hashlib.sha256()
+    path = tmp_path / "form.json"
+    for radius in (1, 3, 8):
+        for i, gram in enumerate(reduced_forms()):
+            for s in (1, -1):
+                # gamma = s * (-w1, w0) with w = G a0 is orthogonal to a0
+                descriptors = {}
+                for name, a0 in FUSION_C1_LINES.items():
+                    w = [gram[0][0] * a0[0] + gram[0][1] * a0[1],
+                         gram[1][0] * a0[0] + gram[1][1] * a0[1]]
+                    descriptors[name] = {"kind": "type2",
+                                         "gamma": [str(-s * w[1]), str(s * w[0])]}
+                path.write_text(json.dumps({
+                    "lattice": {"gram": gram, "D": (2, 3, 5)[i % 3]},
+                    "descriptors": descriptors,
+                    "boxRadius": radius,
+                }))
+                for argv in FUSION_C1_COMMANDS:
+                    code = main(["--config", str(path), *argv])
+                    out = capsys.readouterr()
+                    h.update(f"{code}\n{out.out}{out.err}".encode())
+    assert h.hexdigest() == FUSION_C1_DIGEST
+
+
 # -- generators are classified exactly, whatever boxRadius says ------------------
 
 # the monoid generated by (1,0) and (-4,1) is a pointed cone: (-5,1) and

@@ -18,7 +18,7 @@ from paravoa.modrep import (
     fusion,
     irreducibles,
 )
-from paravoa.monoid import MonoidDescriptor, member
+from paravoa.monoid import MonoidDescriptor, classify, member
 from paravoa.vertexops import TruncationCtx, _translate, word_mode
 
 try:
@@ -142,10 +142,51 @@ def test_fusion_type1():
 
 
 def test_fusion_mixed_types_rejected():
+    # the kinds are named in sorted order, whatever the order of the labels
     t2 = irreducibles(DIAG22, P2_D, {"ts": [Fraction(0)]})[0]
     t1 = irreducibles(DIAG22, P1_D, {"lams": [(0, 0)]})[0]
-    with pytest.raises(ParavoaError, match="mixed module kinds"):
-        fusion(t1, t2, t2)
+    for args in ((t1, t2, t2), (t2, t2, t1), (t2, t1, t1)):
+        with pytest.raises(ParavoaError) as exc:
+            fusion(*args)
+        assert str(exc.value) == "mixed module kinds TYPE_II_MOD, TYPE_I_MOD"
+
+
+def type2_modules(N, ts, a0=(1, 0)):
+    """The type-II modules of the type-II monoid on the line through a0, in
+    a lattice where a0 has norm 2N and is orthogonal to the other basis
+    vector."""
+    gram = ((2 * N, 0), (0, 2)) if a0 == (1, 0) else ((2, 0), (0, 2 * N))
+    L = GramLattice(gram=gram, D=2)
+    gamma = L.hvec(0, 1) if a0 == (1, 0) else L.hvec(1, 0)
+    return irreducibles(L, MonoidDescriptor(kind="type2", gamma=gamma), {"ts": ts})
+
+
+FUSION_TS = [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_fusion_rule_type2_exhaustive(N):
+    # M(t1, i1) x M(t2, i2) -> M(t3, i3) exactly when t1 + t2 = t3 and
+    # i1 + i2 = i3 mod 2N
+    mods = type2_modules(N, FUSION_TS)
+    assert len(mods) == 4 * 2 * N and {m.N for m in mods} == {N}
+    for m1 in mods:
+        for m2 in mods:
+            for m3 in mods:
+                rule = m1.t + m2.t == m3.t and (m1.i + m2.i - m3.i) % (2 * N) == 0
+                assert fusion(m1, m2, m3) == int(rule)
+
+
+def test_fusion_labels_must_share_lattice_data():
+    # another N, or the same N on another boundary line
+    m = type2_modules(2, [Fraction(0)])[0]
+    for other in (type2_modules(1, [Fraction(0)])[0],
+                  type2_modules(2, [Fraction(0)], a0=(0, 1))[0]):
+        assert (other.alpha, other.N) != (m.alpha, m.N)
+        for args in ((other, m, m), (m, other, m), (m, m, other)):
+            with pytest.raises(ParavoaError) as exc:
+                fusion(*args)
+            assert str(exc.value) == "labels must share the same lattice data"
 
 
 def test_fusion_group_law():
@@ -187,6 +228,58 @@ def test_c1_diag22_orthogonal_witness():
     rep = c1_decide(DIAG22, P2_D)
     assert rep.verdict == "COFINITE"
     assert rep.condition_values[0] == 0  # orthogonal pairing branch
+
+
+def c1_oracle(L, P, box_radius=8):
+    """c1_decide with the whole witness box sorted at once, by sup norm, then
+    |(alpha|v)|, then v: the order the ring-by-ring search must keep."""
+    rep = classify(L, P)
+    if rep.type == "TYPE_I":
+        return C1Report(verdict="NOT_COFINITE")
+    alpha, R = rep.alpha, box_radius + 4
+    box = sorted(((b1, b2) for b1 in range(-R, R + 1) for b2 in range(-R, R + 1)
+                  if (b1, b2) != (0, 0)),
+                 key=lambda v: (max(abs(v[0]), abs(v[1])), abs(L.inner_int(alpha, v)), v))
+    best = None
+    for beta in box:
+        if abs(alpha[0] * beta[1] - alpha[1] * beta[0]) != 1 or not member(L, P, beta):
+            continue
+        n = abs(L.inner_int(alpha, beta))
+        if n == 0:
+            return C1Report("COFINITE", (alpha, beta),
+                            (0, L.norm(beta) // 2, L.norm(alpha) // 2, 0))
+        l, k = sorted((L.norm(alpha) // 2, L.norm(beta) // 2))
+        val = n * n + l * l - 4 * l * k
+        if val <= 0:
+            return C1Report("COFINITE", (alpha, beta), (n, k, l, val))
+        if best is None or val < best[3]:
+            best = (n, k, l, val)
+    return C1Report("CONDITION_FAILED" if best else "UNKNOWN", None, best)
+
+
+C1_ALPHAS = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, 3)]
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_c1_decide_matches_full_box_sort(gram):
+    # type II on the line through alpha, both orientations, at three radii
+    L = GramLattice(gram=gram, D=3)
+    verdicts = {}
+    for alpha in C1_ALPHAS:
+        w = (gram[0][0] * alpha[0] + gram[0][1] * alpha[1],
+             gram[1][0] * alpha[0] + gram[1][1] * alpha[1])
+        for s in (1, -1):
+            P = MonoidDescriptor(kind="type2", gamma=L.hvec(-s * w[1], s * w[0]))
+            for radius in (1, 3, 8):
+                rep = c1_decide(L, P, radius)
+                assert rep == c1_oracle(L, P, radius), (alpha, s, radius)
+                verdicts[alpha, s, radius] = rep
+    if gram == ((2, -1), (-1, 8)):
+        # no basis partner of alpha = (1, 2) meets the condition: the best
+        # has n = 15, k = 15, l = 4 and value 1, and the whole box is walked
+        for s in (1, -1):
+            assert verdicts[(1, 2), s, 8] == C1Report(
+                "CONDITION_FAILED", None, (15, 15, 4, 1))
 
 
 def test_c1_quotient_dims_vh():

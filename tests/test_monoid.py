@@ -1,10 +1,14 @@
+import dataclasses
+import json
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paravoa import lattice, monoid
 from paravoa.exactnum import QuadScalar
+from paravoa.fock import MONOID, enumerate_basis
 from paravoa.lattice import (
     GramLattice,
     MINUS,
@@ -194,6 +198,74 @@ def test_type2_requires_lattice_line():
     d = MonoidDescriptor(kind="type2", gamma=irr(DIAG22, 1, 1))
     with pytest.raises(ParavoaError, match="type-II requires the hyperplane to meet"):
         d.validate(DIAG22)
+
+
+# -- a descriptor is checked and compiled once per lattice ---------------------
+
+SWEEP = [(m, n) for m in range(-3, 4) for n in range(-3, 4)]
+
+
+def test_descriptor_is_compiled_once(monkeypatch):
+    # a 7x7 member sweep plus a Fock basis over P's labels, on one
+    # descriptor: the generators are compiled once, gamma's pair built once
+    calls = {"compile": 0, "normal": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(monoid, "_compile", counted("compile", monoid._compile))
+    normal = counted("normal", lattice._normal)
+    monkeypatch.setattr(lattice, "_normal", normal)
+    monkeypatch.setattr(monoid, "_normal", normal)
+    # both are closed half-planes: y >= 0, and (gamma|v) = 2x + 4y >= 0
+    for P, name, inside in (
+            (gens_desc([(1, 0), (-1, 0), (1, 1)]), "compile", lambda v: v[1] >= 0),
+            (MonoidDescriptor(kind="type2", gamma=DIAG22.hvec(1, 2)), "normal",
+             lambda v: v[0] + 2 * v[1] >= 0)):
+        calls.update(compile=0, normal=0)
+        assert [member(DIAG22, P, v) for v in SWEEP] == [inside(v) for v in SWEEP]
+        assert enumerate_basis(DIAG22, MONOID(P), 4)
+        assert calls[name] == 1, (P.kind, calls)
+
+
+MEMO_DESCRIPTORS = [
+    MonoidDescriptor(kind="type1", gamma=DIAG22.hvec(0, 1)),
+    MonoidDescriptor(kind="type2", gamma=DIAG22.hvec(0, 1)),
+    MonoidDescriptor(kind="type2", gamma=DIAG22.hvec(1, 2)),
+    MonoidDescriptor(kind="type1", gamma=irr(DIAG22, 1, 1)),
+    MonoidDescriptor(kind="cone", cone=((2, 1), (1, 1))),
+    gens_desc([(1, 0), (-1, 0), (1, 1)]),
+    gens_desc([(1, 0), (0, 1)]),
+]
+
+
+def answers(L, P):
+    return (P.validate(L), classify(L, P), [member(L, P, v) for v in SWEEP])
+
+
+@pytest.mark.parametrize("P", MEMO_DESCRIPTORS, ids=lambda P: json.dumps(P.to_json()))
+def test_descriptor_memo_keys_on_the_lattice(P):
+    # one descriptor serves both lattices in turn; each answer must be the
+    # one a fresh descriptor gives
+    fresh = {L: answers(L, dataclasses.replace(P)) for L in (DIAG22, A2)}
+    assert fresh[DIAG22] != fresh[A2] or P.kind in ("cone", "generators")
+    for L in (DIAG22, A2, DIAG22, A2):
+        assert answers(L, P) == fresh[L]
+
+
+@pytest.mark.parametrize("P,message", [
+    (gens_desc([]), "empty generator list"),
+    (MonoidDescriptor(kind="type2", gamma=irr(DIAG22, 1, 1)),
+     "type-II requires the hyperplane to meet"),
+])
+def test_failed_check_is_not_kept(P, message):
+    for call in (P.validate, P.validate, lambda L: member(L, P, (1, 0)),
+                 lambda L: classify(L, P)):
+        with pytest.raises(ParavoaError, match=message):
+            call(DIAG22)
 
 
 def test_borel_axioms_in_box():
