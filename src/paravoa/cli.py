@@ -25,6 +25,7 @@ from .monoid import (
     borel_in,
     classify,
     member,
+    parabolic,
     saturate_witnesses,
 )
 from .modrep import (
@@ -189,10 +190,12 @@ def cmd_borel(cfg: SessionConfig, args) -> int:
     desc = borel_in(L, gamma)
     alpha = desc.boundary_alpha(L)
     R = cfg.box_radius
-    box = list(L.box(R))
-    union_ok = all(member(L, desc, v) or member(L, desc, (-v[0], -v[1])) for v in box)
-    inter = [v for v in box if member(L, desc, v) and member(L, desc, (-v[0], -v[1]))]
-    inter_ok = inter == [(0, 0)]
+    # off the boundary line exactly one of v, -v is strictly positive, and
+    # on it P decides k*alpha by the sign of k: so both axioms hold on all of
+    # L, and in every box, unless P holds both or neither of +-alpha
+    plus, minus = ((member(L, desc, alpha), member(L, desc, (-alpha[0], -alpha[1])))
+                   if alpha else (True, False))
+    union_ok, inter_ok = plus or minus, not (plus and minus)
     out = {
         "descriptor": desc.to_json(),
         "alpha": list(alpha) if alpha else None,
@@ -228,6 +231,7 @@ def _character_target(cfg: SessionConfig, args):
     name = args.target
     if name in cfg.descriptors:
         P = cfg.descriptors[name]
+        _inapplicable(args, ("alpha",), f"descriptor {name!r}")
         if args.t is not None or args.i is not None:
             if P.kind == "type1":
                 raise ParavoaError(f"--t/--i select type-II modules; "
@@ -239,16 +243,21 @@ def _character_target(cfg: SessionConfig, args):
                     return m
             raise ParavoaError(f"no module with coset index {i}")
         return Selector(kind="V_P", L=L, P=P)
-    alpha = parse_alpha(args.alpha) if args.alpha else None
-    if name in ("VL", "V_L"):
-        return Selector(kind="V_L", L=L)
     if name in ("VH", "V_H"):
-        if alpha is None:
-            alpha = _default_alpha(cfg)
+        _inapplicable(args, ("t", "i"), f"target {name!r}")
+        alpha = parse_alpha(args.alpha) if args.alpha else _default_alpha(cfg)
         return Selector(kind="V_H", L=L, alpha=alpha)
-    if name == "M1":
-        return Selector(kind="M1", L=L)
+    if name in ("VL", "V_L", "M1"):
+        _inapplicable(args, ("alpha", "t", "i"), f"target {name!r}")
+        return Selector(kind="M1" if name == "M1" else "V_L", L=L)
     raise ParavoaError(f"unknown character target {name!r}")
+
+
+def _inapplicable(args, options, where: str) -> None:
+    """ParavoaError for the first of these options given: none applies here."""
+    for opt in options:
+        if getattr(args, opt) is not None:
+            raise ParavoaError(f"--{opt} does not apply to {where}")
 
 
 def _default_alpha(cfg: SessionConfig):
@@ -330,10 +339,13 @@ def cmd_zhu_nil(cfg: SessionConfig, args) -> int:
 def cmd_fusion(cfg: SessionConfig, args) -> int:
     L = cfg.lattice
     P = cfg.descriptor(args.descriptor)
-    if classify(L, P).type == "TYPE_I":
+    kind = parabolic(L, P).type
+    if kind == "TYPE_I":
+        _inapplicable(args, ("ts",), f"{kind} descriptor {args.descriptor!r}")
         lams = [parse_vec(s) for s in (args.lams or "0,0").split(";")]
         mods = irreducibles(L, P, {"lams": lams})
     else:
+        _inapplicable(args, ("lams",), f"{kind} descriptor {args.descriptor!r}")
         ts = [parse_fraction(t, "--ts") for t in (args.ts or "0").split(",")]
         mods = irreducibles(L, P, {"ts": ts})
     table = []
@@ -358,13 +370,13 @@ def cmd_c1(cfg: SessionConfig, args) -> int:
 def cmd_c1_dims(cfg: SessionConfig, args) -> int:
     L = cfg.lattice
     cap = parse_size(args.cap, "--cap")
-    ctx = TruncationCtx(max(cap, cfg.max_degree))
     if args.target in ("VH", "V_H"):
         alpha = parse_alpha(args.alpha) if args.alpha else _default_alpha(cfg)
-        dims = c1_quotient_dims(L, "V_H", cap, ctx, alpha=alpha)
+        dims = c1_quotient_dims(L, "V_H", cap, alpha=alpha)
     else:
-        dims = c1_quotient_dims(L, "V_P", cap, ctx,
-                                P=cfg.descriptor(args.target))
+        P = cfg.descriptor(args.target)
+        _inapplicable(args, ("alpha",), f"descriptor {args.target!r}")
+        dims = c1_quotient_dims(L, "V_P", cap, P=P)
     out = {"target": args.target, "cap": cap, "dims": dims}
     emit(out, args.pretty, ["dims per degree: " + " ".join(map(str, dims))])
     return 0

@@ -190,21 +190,14 @@ def _mode_words(rank: int, m: int):
 
 
 def _labels_up_to(L: GramLattice, maxnorm: int) -> list[LatVec]:
-    """All lattice points with (v|v) <= maxnorm, sorted."""
-    R = 1
-    while True:
-        ring = [
-            (m, n)
-            for m in range(-R, R + 1)
-            for n in range(-R, R + 1)
-            if max(abs(m), abs(n)) == R
-        ]
-        # positive-definite: the form's minimum on the sup-norm ring scales
-        # like R^2, so once a ring clears maxnorm every larger one does
-        if min(L.norm(v) for v in ring) > maxnorm:
-            break
-        R += 1
-    return sorted(v for v in L.box(R) if L.norm(v) <= maxnorm)
+    """All lattice points with (v|v) <= maxnorm, sorted: over each x the
+    norm is at least x^2 det / g11, and over each y at least y^2 det / g00."""
+    (g00, _), (_, g11) = L.gram
+    top = max(maxnorm, 0)
+    X = math.isqrt(top * g11 // L.det)
+    Y = math.isqrt(top * g00 // L.det)
+    return [(x, y) for x in range(-X, X + 1) for y in range(-Y, Y + 1)
+            if L.norm((x, y)) <= maxnorm]
 
 
 def enumerate_basis(L: GramLattice, ambient, degree: int) -> list[BasisWord]:

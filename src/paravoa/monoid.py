@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 from .lattice import (
     GramLattice,
@@ -234,13 +234,15 @@ def _reduce(v: LatVec, lam: tuple[int, int, int]) -> LatVec:
     return (x, y % d if d else y)
 
 
-def _in_ideal(L: GramLattice, P: MonoidDescriptor, rep: ClassificationReport,
-              v: LatVec) -> bool:
-    """v in the ideal S of the parabolic P, given P's classification: P minus
-    0 for type I, the open positive side of gamma for type II."""
+def _ideal(L: GramLattice, P: MonoidDescriptor,
+           rep: ClassificationReport) -> Callable[[LatVec], bool]:
+    """The test of v in the ideal S of the parabolic P, given P's
+    classification: P minus 0 for type I, the open positive side of gamma
+    for type II, whose normal pair is built once, here."""
     if rep.type == TYPE_I:
-        return v != (0, 0) and member(L, P, v)
-    return side(L, rep.gamma, v) == PLUS
+        return lambda v: v != (0, 0) and member(L, P, v)
+    n = _normal(L, rep.gamma)
+    return lambda v: _side_of(n, v) == PLUS
 
 
 def borel_in(L: GramLattice, gamma: HVec) -> MonoidDescriptor:

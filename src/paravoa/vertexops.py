@@ -1,10 +1,10 @@
 """Exact vertex-operator mode actions on lattice Fock modules.
 
 Everything here is exact rational/quadratic arithmetic; no coefficient is
-ever silently dropped.  The truncation context only guards the degree of
-a requested result: asking for a mode whose target degree exceeds the
-ceiling raises instead of truncating, so identity checks can never be
-fooled by an over-eager cutoff.
+ever silently dropped.  The mode engine takes no ceiling: TruncationCtx
+alone holds the rule deg(u_n v) = deg u + deg v - n - 1 <= max_degree, the
+checks ask it which modes fit, and a result above the ceiling raises
+instead of truncating, so no check is fooled by an over-eager cutoff.
 
 Modes of exponential vectors come from the product form
 E^-(-a,z) E^+(-a,z) e_a z^a.  Both exponentials have the shape
@@ -37,7 +37,7 @@ from .fock import (
     make_word,
 )
 from .lattice import GramLattice, LatVec, ParavoaError, _cramer, perp_primitive
-from .monoid import MonoidDescriptor, _in_ideal, parabolic
+from .monoid import MonoidDescriptor, _ideal, parabolic
 
 __all__ = [
     "TruncationCtx",
@@ -45,7 +45,6 @@ __all__ = [
     "TensorState",
     "heis_mode",
     "exp_mode",
-    "general_mode",
     "word_mode",
     "state_mode",
     "check_commutator",
@@ -71,11 +70,19 @@ class TruncationCtx:
         if self.max_degree < 0:
             raise ValueError("max_degree must be >= 0")
 
+    def fits(self, degree) -> bool:
+        """Whether a result of this degree is at most the ceiling."""
+        return degree <= self.max_degree
+
     def check(self, degree) -> None:
         """TruncationOverflow if a result of this degree is above the ceiling."""
-        if degree > self.max_degree:
+        if not self.fits(degree):
             raise TruncationOverflow(
                 f"result degree {degree} exceeds ceiling {self.max_degree}")
+
+    def lowest_mode(self, degree) -> int:
+        """The least n for which u_n v fits, given degree = deg u + deg v."""
+        return math.ceil(degree - 1 - self.max_degree)
 
 
 def _binom(m: int, j: int) -> int:
@@ -159,12 +166,9 @@ def _exp_series(sp: FockSpace, h, s: int, v: FockState, top: int) -> list:
     return xs
 
 
-def exp_mode(sp: FockSpace, a, n: int, v: FockState, ctx=None) -> FockState:
+def exp_mode(sp: FockSpace, a, n: int, v: FockState) -> FockState:
     """Coefficient of z^(-n-1) in Y(e^a, z) v."""
     a = tuple(int(x) for x in a)
-    if ctx is not None and v:
-        ctx.check(max(sp.degree(w) for w, _ in v)
-                  + Fraction(sp.label_inner(a, a), 2) - n - 1)
     acoords = sp.label_coords(a)
     out: dict = {}
     for w, c in v:
@@ -244,14 +248,6 @@ def state_mode(sp: FockSpace, a: FockState, k: int, v: FockState) -> FockState:
     return _adopt(FockState, out)
 
 
-def general_mode(sp: FockSpace, u: BasisWord, n: int, v: FockState,
-                 ctx: Optional[TruncationCtx] = None) -> FockState:
-    """Coefficient of z^(-n-1) in Y(u, z) v for an arbitrary basis word u."""
-    if ctx is not None and v:
-        ctx.check(sp.degree(u) + max(sp.degree(w) for w, _ in v) - n - 1)
-    return word_mode(sp, u, n, v)
-
-
 def check_commutator(sp: FockSpace, a: FockState, b: FockState, m: int, n: int,
                      v: FockState, ctx: Optional[TruncationCtx] = None) -> FockState:
     """a_m b_n v - b_n a_m v - sum_j C(m,j) (a_j b)_{m+n-j} v; zero iff the
@@ -283,14 +279,12 @@ def check_lemma35(sp: FockSpace, beta, m: int, u: BasisWord, v: FockState,
              ZERO)
     if lp:
         raise ParavoaError("beta must be orthogonal to u's label")
-    cap = ctx.max_degree
     du = sp.degree(u)
     dv = max((sp.degree(w) for w, _ in v), default=0)
     out = {}
     # n ranges so that deg(u_n v) and deg(u_n beta(m) v) stay within the cap
-    nmin = math.ceil(du + dv - 1 - cap)
     nmax = math.floor(du + dv - 1 + max(-m, 0))
-    for n in range(nmin, nmax + 1):
+    for n in range(ctx.lowest_mode(du + dv), nmax + 1):
         r = heis_mode(sp, beta, m, word_mode(sp, u, n, v)) - word_mode(
             sp, u, n, heis_mode(sp, beta, m, v)
         )
@@ -303,26 +297,25 @@ def check_ideal(L: GramLattice, P: MonoidDescriptor,
     """Spot check that modes of V_P elements keep ideal elements inside the
     ideal: labels of a_n b stay in S (= P minus 0 for type I, the open
     positive side for type II)."""
-    rep = parabolic(L, P)
+    in_ideal = _ideal(L, P, parabolic(L, P))
     sp = FockSpace.full_lattice(L)
     a_words = []
     b_words = []
     for d in range(sample_degree + 1):
         for w in enumerate_basis(L, MONOID(P), d):
             a_words.append(w)
-            if _in_ideal(L, P, rep, w.label):
+            if in_ideal(w.label):
                 b_words.append(w)
     instances = 0
     failures = []
     for a in a_words:
         for b in b_words:
             da, db = sp.degree(a), sp.degree(b)
-            nmin = math.ceil(da + db - 1 - ctx.max_degree)
-            for n in range(nmin, int(da + db)):
-                res = general_mode(sp, a, n, FockState.of(b), ctx)
+            for n in range(ctx.lowest_mode(da + db), int(da + db)):
+                res = word_mode(sp, a, n, FockState.of(b))
                 instances += 1
                 for w, _ in res:
-                    if not _in_ideal(L, P, rep, w.label):
+                    if not in_ideal(w.label):
                         failures.append(
                             {"a": a.to_str(), "b": b.to_str(), "n": n,
                              "label": list(w.label)}
@@ -492,9 +485,8 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
     sp1 = FockSpace.rank_one_heisenberg(L.norm(beta))
     sp2 = FockSpace.rank_one_lattice(L.norm(alpha), eps_exp=adapted.eps_table[0][0])
     twoN = L.norm(alpha)
-    pmax = 0
-    while (pmax + 1) ** 2 * twoN <= 2 * degree_cap:
-        pmax += 1
+    # the labels p*alpha of degree p^2 * twoN / 2 at most degree_cap
+    pmax = math.isqrt(2 * degree_cap // twoN)
     labels = [(p,) for p in range(-pmax, pmax + 1)]
 
     basis = []
@@ -509,8 +501,7 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
     failures = []
     for u, fu, pu, du in images:
         for v, fv, pv, dv in images:
-            nmin = math.ceil(du + dv - 1 - ctx.max_degree)
-            for n in range(nmin, int(du + dv)):
+            for n in range(ctx.lowest_mode(du + dv), int(du + dv)):
                 lhs = phi_map(_to_adapted(alpha, dirs, state_mode(full, fu, n, fv)))
                 rhs = tensor_mode(sp1, sp2, pu, n, pv)
                 instances += 1

@@ -18,10 +18,9 @@ from typing import Optional
 from .fock import BasisWord, FockSpace, FockState, _add_into, _adopt
 from .lattice import GramLattice, LatVec, ParavoaError
 from .linalg import Span
-from .monoid import MonoidDescriptor, _in_ideal, parabolic
+from .monoid import MonoidDescriptor, _ideal, parabolic
 from .vertexops import (
     TruncationCtx,
-    TruncationOverflow,
     _binom,
     _unit,
     exp_mode,
@@ -96,19 +95,19 @@ def nilpotency_certificate(L: GramLattice, P: MonoidDescriptor, beta: LatVec,
     checked on sampled words of M(1, 2*beta); (iv) h(-1)-dressings generated
     by star products against [e^{2 beta}].
     """
-    rep = parabolic(L, P)
-    if beta == (0, 0) or not _in_ideal(L, P, rep, beta):
+    if beta == (0, 0) or not _ideal(L, P, parabolic(L, P))(beta):
         raise ParavoaError(f"beta {beta} is not in the semigroup S")
     twoN = L.norm(beta)
     if twoN < 2:
         raise ParavoaError("(beta|beta) must be >= 2")
     N = twoN // 2
-    # step (ii)'s residue element R(e^beta, e^beta, 2N-1, 0) has degree 4N
-    ctx.check(2 * twoN)
     sp = FockSpace.full_lattice(L)
     eb = sp.exp_state(beta)
     e2b = sp.exp_state((2 * beta[0], 2 * beta[1]))
     eps_sign = sp.eps(beta, beta)
+    # step (ii)'s residue element R(e^beta, e^beta, 2N-1, 0) has degree 4N,
+    # the highest of any step: made first, it raises before any other work
+    r = reduce_35(sp, eb, eb, twoN - 1, 0, ctx)
     steps = []
     ok = True
 
@@ -130,7 +129,6 @@ def nilpotency_certificate(L: GramLattice, P: MonoidDescriptor, beta: LatVec,
     })
 
     # (ii) e^{2 beta} in O(V_P) via one residue element
-    r = reduce_35(sp, eb, eb, twoN - 1, 0, ctx)
     good = r == e2b.scale(eps_sign)
     ok = ok and good
     steps.append({
@@ -144,16 +142,17 @@ def nilpotency_certificate(L: GramLattice, P: MonoidDescriptor, beta: LatVec,
 
     # (iii) shift congruences on sampled words of M(1, 2*beta)
     lab2 = (2 * beta[0], 2 * beta[1])
-    half2 = L.norm(lab2) // 2
-    samples = []
-    for extra in range(0, max(0, ctx.max_degree - half2 - 1)):
-        samples.extend(sp.basis(half2 + extra, labels=[lab2]))
+    # the first six words u whose k = 0 relation, of degree deg u + 2, fits
+    samples, deg = [], L.norm(lab2) // 2
+    while len(samples) < 6 and ctx.fits(deg + 2):
+        samples.extend(sp.basis(deg, labels=[lab2]))
+        deg += 1
     units = [_unit(sp, d) for d in range(sp.rank)]
     for u in samples[:6]:
         us = FockState.of(u)
         for d, hd in enumerate(units):
             for k in range(0, 2):
-                if sp.degree(u) + k + 2 > ctx.max_degree:
+                if not ctx.fits(sp.degree(u) + k + 2):
                     continue
                 h1 = FockState.of(sp.word(((1, d),)))
                 lhs = heis_mode(sp, hd, -k - 2, us) + heis_mode(sp, hd, -k - 1, us)
@@ -193,7 +192,7 @@ def _residue_span(sp: FockSpace, pool: list[BasisWord], ctx: TruncationCtx,
     m <= mmax that fits under the ceiling, eliminated once per space, pool,
     ceiling and mmax and kept on the space."""
     cache = sp.__dict__.setdefault("_residue_spans", {})
-    key = (tuple(pool), ctx.max_degree, mmax)
+    key = (tuple(pool), ctx, mmax)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -201,16 +200,17 @@ def _residue_span(sp: FockSpace, pool: list[BasisWord], ctx: TruncationCtx,
     meta = []
     for x in pool:
         xs = FockState.of(x)
-        if sp.degree(x).denominator != 1:
+        dx = sp.degree(x)
+        if dx.denominator != 1:
             continue
         for y in pool:
             ys = FockState.of(y)
             for m in range(mmax + 1):
+                # R(x, y, m, n) has degree deg x + deg y + m + 1 for every n
+                if not ctx.fits(dx + sp.degree(y) + m + 1):
+                    break
                 for n in range(m + 1):
-                    try:
-                        r = reduce_35(sp, xs, ys, m, n, ctx)
-                    except TruncationOverflow:
-                        continue
+                    r = reduce_35(sp, xs, ys, m, n)
                     if r:
                         gens.append(r)
                         meta.append({"x": x.to_str(), "y": y.to_str(),

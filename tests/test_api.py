@@ -2,6 +2,7 @@
 the names perfbench/tracing.py wraps when it traces a benchmark run, and
 everything one round of each benchmark workload calls."""
 
+import ast
 import importlib
 import pathlib
 import sys
@@ -32,6 +33,50 @@ def test_paravoa_defines_two_exception_classes():
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _ceiling_reads(tree: ast.AST, cls: str = "") -> list:
+    """(line, what) of each read of .max_degree and each except clause naming
+    TruncationOverflow outside class TruncationCtx; SessionConfig may read
+    its own config field."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            found += _ceiling_reads(node, node.name)
+            continue
+        if cls != "TruncationCtx":
+            if (isinstance(node, ast.Attribute) and node.attr == "max_degree"
+                    and isinstance(node.ctx, ast.Load)
+                    and not (cls == "SessionConfig" and isinstance(node.value, ast.Name)
+                             and node.value.id == "self")):
+                found.append((node.lineno, ".max_degree"))
+            if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                    and "TruncationOverflow" in ast.unparse(node.type)):
+                found.append((node.lineno, "except TruncationOverflow"))
+        found += _ceiling_reads(node, cls)
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_truncation_ctx_compares_with_the_ceiling(name):
+    # callers ask TruncationCtx (fits, check, lowest_mode) instead of
+    # reading the ceiling or catching its overflow
+    path = ROOT / "src" / "paravoa" / f"{name}.py"
+    assert _ceiling_reads(ast.parse(path.read_text())) == []
+
+
+def test_the_ceiling_check_sees_what_it_forbids():
+    bad = ast.parse(
+        "def f(ctx):\n"
+        "    try:\n"
+        "        return ctx.max_degree\n"
+        "    except (KeyError, TruncationOverflow):\n"
+        "        pass\n"
+        "class SessionConfig:\n"
+        "    def ctx(self, other):\n"
+        "        return self.max_degree + other.max_degree\n")
+    assert sorted(_ceiling_reads(bad)) == [
+        (3, ".max_degree"), (4, "except TruncationOverflow"), (8, ".max_degree")]
 
 
 def load_perfbench(name):

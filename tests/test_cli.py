@@ -21,7 +21,12 @@ from paravoa.cli import (
     parse_scalar,
     parse_vec,
 )
+from paravoa import lattice, monoid
+from paravoa.fock import FULL_L, FockSpace, FockState, enumerate_basis
 from paravoa.lattice import ParavoaError
+from paravoa.monoid import borel_in, member
+from paravoa.vertexops import TruncationCtx
+from paravoa.zhu import eq33_certificate
 
 
 def run(capsys, *argv):
@@ -451,6 +456,47 @@ def test_character_module_of_a_type1_descriptor_is_usage_error(capsys):
                    "descriptor 'P1' is TYPE_I\n")
 
 
+# options a target or descriptor kind does not use exit 2, not silently
+INAPPLICABLE = [
+    (("diag22", "character", "VL", "--cap", "2", "--t", "5"), "--t does not apply to target 'VL'"),
+    (("diag22", "character", "VL", "--i", "1"), "--i does not apply to target 'VL'"),
+    (("diag22", "character", "VL", "--alpha", "1,0"), "--alpha does not apply to target 'VL'"),
+    (("diag22", "character", "M1", "--alpha", "1,0"), "--alpha does not apply to target 'M1'"),
+    (("diag22", "character", "M1", "--t", "0"), "--t does not apply to target 'M1'"),
+    (("diag22", "character", "VH", "--t=1/2"), "--t does not apply to target 'VH'"),
+    (("diag22", "character", "VH", "--i", "0"), "--i does not apply to target 'VH'"),
+    (("diag22", "character", "P2", "--alpha", "1,0"), "--alpha does not apply to descriptor 'P2'"),
+    (("a2", "character", "P1", "--alpha", "1,0"), "--alpha does not apply to descriptor 'P1'"),
+    (("diag22", "c1-dims", "P2", "--alpha", "1,0"), "--alpha does not apply to descriptor 'P2'"),
+    (("diag22", "c1-dims", "P1", "--cap", "1", "--alpha", "0,1"),
+     "--alpha does not apply to descriptor 'P1'"),
+    (("diag22", "fusion", "P2", "--lams", "1,0"),
+     "--lams does not apply to TYPE_II descriptor 'P2'"),
+    (("a2", "fusion", "P1", "--ts", "0"), "--ts does not apply to TYPE_I descriptor 'P1'"),
+]
+
+
+@pytest.mark.parametrize("argv,want", INAPPLICABLE, ids=[" ".join(a) for a, _ in INAPPLICABLE])
+def test_inapplicable_option_is_usage_error(capsys, argv, want):
+    assert run(capsys, "--config", *argv) == (2, "", f"error: {want}\n")
+
+
+def test_verify_ideal_builds_the_normal_pair_once_per_descriptor(monkeypatch, capsys):
+    # config loading checks P1 and P2, and check_ideal builds its ideal test once
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return normal(*args)
+
+    normal = lattice._normal
+    monkeypatch.setattr(lattice, "_normal", counted)
+    monkeypatch.setattr(monoid, "_normal", counted)
+    assert main(["--config", "diag22", "verify-ideal", "P2"]) == 0
+    capsys.readouterr()
+    assert calls[0] <= 3
+
+
 def test_ceiling_overflow_is_exit_2_before_any_work(capsys):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "--config", "diag22", "zhu-nil", "P2", "0,2")
@@ -666,3 +712,84 @@ def test_main_never_raises_on_fuzzed_arguments(parts):
         code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+# -- the degree ceiling at its edges --------------------------------------------
+
+CEILING_COMMANDS = (
+    ("verify-ideal", "P1", "--sample-degree", "1"),
+    ("verify-ideal", "P2", "--sample-degree", "1"),
+    ("zhu-nil", "P2", "0,1"), ("zhu-nil", "P1", "0,1"),
+    ("verify-iso", "--cap", "2"), ("c1-dims", "VH", "--cap", "3"),
+)
+# sha256 over exit code, stdout and stderr of every run, in order, on the
+# bundled configs at truncation.maxDegree 0..8; zhu-nil exits 2 below 4
+CEILING_CLI_DIGEST = "c4725f40bfd7357986adb6d3b158abf08854310ed6fdcae37fcc53bc7b6f2151"
+# sha256 of the Eq. 3.3 certificates of every ordered pair of the diag22
+# words of degree <= 1 and label norm <= 2, at ceilings 2..5 on one space
+CEILING_EQ33_DIGEST = "ae1a38e16b6c5489f1e4b6219f9c4146170639dd7af219bfe58670c1b008217f"
+
+
+def test_ceiling_edges_are_byte_stable(capsys, tmp_path):
+    h = hashlib.sha256()
+    exits = []
+    for name in ("diag22", "a2"):
+        obj = json.loads(resources.files("paravoa").joinpath(
+            f"configs/{name}.json").read_text())
+        for ceiling in range(9):
+            obj["truncation"] = {"maxDegree": ceiling}
+            path = tmp_path / f"{name}-{ceiling}.json"
+            path.write_text(json.dumps(obj))
+            for argv in CEILING_COMMANDS:
+                code = main(["--config", str(path), *argv])
+                out = capsys.readouterr()
+                exits.append(code)
+                h.update(f"{code}\n{out.out}{out.err}".encode())
+    assert exits.count(2) == 16 and exits.count(0) == 92
+    assert h.hexdigest() == CEILING_CLI_DIGEST
+
+    L = load_config("diag22").lattice
+    sp = FockSpace.full_lattice(L)
+    pool = [w for d in range(2) for w in enumerate_basis(L, FULL_L, d)
+            if L.norm(w.label) <= 2]
+    certs = [eq33_certificate(sp, FockState.of(a), FockState.of(b), pool,
+                              TruncationCtx(ceiling), 2)
+             for ceiling in range(2, 6) for a in pool for b in pool]
+    digest = hashlib.sha256(json.dumps(certs, sort_keys=True).encode()).hexdigest()
+    assert digest == CEILING_EQ33_DIGEST
+
+
+# -- Borel axioms, decided on all of L, against the sweep of the box ---------------
+
+BOREL_GAMMAS = ("1,2", "-3/2,1", "0,1", "1~1,-1", "2,-1~1")
+
+
+def test_borel_matches_the_box_sweep(capsys, tmp_path):
+    # rational gammas have a boundary line through L and irrational ones do
+    # not; the sweep tests both v and -v at every point of the box
+    neg = lambda v: (-v[0], -v[1])
+    path = tmp_path / "form.json"
+    lines = set()
+    for i, gram in enumerate(reduced_forms()):
+        for radius in (1, 3, 8):
+            path.write_text(json.dumps({"lattice": {"gram": gram, "D": (2, 3, 5)[i % 3]},
+                                        "boxRadius": radius}))
+            L = load_config(str(path)).lattice
+            box = list(L.box(radius))
+            for gamma in BOREL_GAMMAS:
+                desc = borel_in(L, parse_hvec(gamma, L.D))
+                union = all(member(L, desc, v) or member(L, desc, neg(v)) for v in box)
+                inter = [v for v in box if member(L, desc, v) and member(L, desc, neg(v))]
+                alpha = desc.boundary_alpha(L)
+                lines.add(alpha is not None)
+                ok = union and inter == [(0, 0)]
+                code, out, err = run(capsys, "--config", str(path), "borel", "--", gamma)
+                assert (code, err) == (0 if ok else 1, "")
+                assert json.loads(out) == {
+                    "descriptor": desc.to_json(),
+                    "alpha": list(alpha) if alpha else None,
+                    "boxRadius": radius,
+                    "unionCoversBox": union,
+                    "intersectionIsZero": inter == [(0, 0)],
+                }, (gram, radius, gamma)
+    assert lines == {True, False}

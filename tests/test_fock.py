@@ -9,6 +9,7 @@ from paravoa.fock import (
     BasisWord,
     FockSpace,
     FockState,
+    _labels_up_to,
     enumerate_basis,
     make_word,
 )
@@ -249,3 +250,25 @@ def test_pairings_and_degrees_are_exact(sp):
             if m.denominator == 1 and m >= 0:
                 want += colored_partitions(int(m), sp.rank)
         assert len(sp.basis(d, labels=labels)) == want
+
+
+def ring_search(L, maxnorm):
+    """The lattice points of norm at most maxnorm by growing sup-norm rings
+    until one clears maxnorm, each ring filtered out of a full box."""
+    R = 1
+    while True:
+        ring = [(m, n) for m in range(-R, R + 1) for n in range(-R, R + 1)
+                if max(abs(m), abs(n)) == R]
+        # the form's minimum on the ring grows like R^2, so once a ring
+        # clears maxnorm every larger one does
+        if min(L.norm(v) for v in ring) > maxnorm:
+            break
+        R += 1
+    return sorted(v for v in L.box(R) if L.norm(v) <= maxnorm)
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_labels_up_to_matches_ring_search(gram):
+    L = GramLattice(gram=gram)
+    for maxnorm in range(41):
+        assert _labels_up_to(L, maxnorm) == ring_search(L, maxnorm), maxnorm

@@ -29,7 +29,6 @@ from paravoa.vertexops import (
     check_phi_hom,
     exp_mode,
     from_adapted,
-    general_mode,
     heis_mode,
     phi_map,
     state_mode,
@@ -151,14 +150,14 @@ def test_general_reduces_to_heis():
     for n in range(-3, 3):
         for w in enumerate_basis(DIAG22, FULL_L, 2):
             v = FockState.of(w)
-            assert general_mode(SPD, u, n, v) == heis_mode(SPD, E1, n, v)
+            assert word_mode(SPD, u, n, v) == heis_mode(SPD, E1, n, v)
 
 
 def test_general_reduces_to_exp():
     u = SPD.word((), (0, 1))
     for n in range(-4, 2):
         v = SPD.exp_state((0, 1))
-        assert general_mode(SPD, u, n, v) == exp_mode(SPD, (0, 1), n, v)
+        assert word_mode(SPD, u, n, v) == exp_mode(SPD, (0, 1), n, v)
 
 
 def test_creation_axiom_all_words():
@@ -178,11 +177,28 @@ def test_vacuum_operator_is_identity():
 
 
 def test_truncation_overflow():
+    # u_{-5} 1 for u = a1(-3) has degree 3 + 0 + 5 - 1 = 7
     u = SPD.word(((3, 0),))
-    with pytest.raises(TruncationOverflow):
-        general_mode(SPD, u, -5, vac(SPD), TruncationCtx(4))
+    degree = SPD.degree(u) + SPD.degree(SPD.word(())) + 5 - 1
+    assert degree == 7 and not TruncationCtx(4).fits(degree)
+    with pytest.raises(TruncationOverflow, match="result degree 7 exceeds ceiling 4"):
+        TruncationCtx(4).check(degree)
     # same request with a higher ceiling is fine
-    general_mode(SPD, u, -5, vac(SPD), TruncationCtx(8))
+    assert TruncationCtx(8).fits(degree)
+    TruncationCtx(8).check(degree)
+    # the engine itself takes no ceiling: u_{-5} 1 = (L(-1)^4 / 4!) u
+    got = word_mode(SPD, u, -5, vac(SPD))
+    assert got == FockState.of(SPD.word(((7, 0),)), 15)
+    assert SPD.state_degree(got) == degree
+
+
+@pytest.mark.parametrize("cap", [0, 1, 4])
+def test_lowest_mode_is_the_least_that_fits(cap):
+    # deg(u_n v) = deg u + deg v - n - 1, integral or not
+    ctx = TruncationCtx(cap)
+    for total in [Fraction(k, 4) for k in range(-8, 41)]:
+        n = ctx.lowest_mode(total)
+        assert ctx.fits(total - n - 1) and not ctx.fits(total - (n - 1) - 1), total
 
 
 # -- conformal vector -------------------------------------------------------
