@@ -236,8 +236,9 @@ def _character_target(cfg: SessionConfig, args):
             if P.kind == "type1":
                 raise ParavoaError(f"--t/--i select type-II modules; "
                                    f"descriptor {name!r} is TYPE_I")
-            mods = irreducibles(L, P, {"ts": [parse_fraction(args.t or "0", "--t")]})
-            i = parse_int(args.i or "0", "--i")
+            t = "0" if args.t is None else args.t
+            mods = irreducibles(L, P, {"ts": [parse_fraction(t, "--t")]})
+            i = parse_int("0" if args.i is None else args.i, "--i")
             for m in mods:
                 if m.i == i:
                     return m
@@ -245,8 +246,7 @@ def _character_target(cfg: SessionConfig, args):
         return Selector(kind="V_P", L=L, P=P)
     if name in ("VH", "V_H"):
         _inapplicable(args, ("t", "i"), f"target {name!r}")
-        alpha = parse_alpha(args.alpha) if args.alpha else _default_alpha(cfg)
-        return Selector(kind="V_H", L=L, alpha=alpha)
+        return Selector(kind="V_H", L=L, alpha=_alpha(cfg, args))
     if name in ("VL", "V_L", "M1"):
         _inapplicable(args, ("alpha", "t", "i"), f"target {name!r}")
         return Selector(kind="M1" if name == "M1" else "V_L", L=L)
@@ -260,7 +260,10 @@ def _inapplicable(args, options, where: str) -> None:
             raise ParavoaError(f"--{opt} does not apply to {where}")
 
 
-def _default_alpha(cfg: SessionConfig):
+def _alpha(cfg: SessionConfig, args):
+    """--alpha if given, else the first boundary line of a descriptor."""
+    if args.alpha is not None:
+        return parse_alpha(args.alpha)
     for desc in cfg.descriptors.values():
         a = desc.boundary_alpha(cfg.lattice)
         if a is not None:
@@ -279,7 +282,7 @@ def cmd_character(cfg: SessionConfig, args) -> int:
 
 def cmd_verify_iso(cfg: SessionConfig, args) -> int:
     L = cfg.lattice
-    alpha = parse_alpha(args.alpha) if args.alpha else _default_alpha(cfg)
+    alpha = _alpha(cfg, args)
     char_cap = parse_size(args.char_cap, "--char-cap", rational=True)
     hom = check_phi_hom(L, alpha, parse_size(args.cap, "--cap"), cfg.ctx())
     chars = check_tensor_character(L, alpha, char_cap)
@@ -342,12 +345,12 @@ def cmd_fusion(cfg: SessionConfig, args) -> int:
     kind = parabolic(L, P).type
     if kind == "TYPE_I":
         _inapplicable(args, ("ts",), f"{kind} descriptor {args.descriptor!r}")
-        lams = [parse_vec(s) for s in (args.lams or "0,0").split(";")]
-        mods = irreducibles(L, P, {"lams": lams})
+        lams = ("0,0" if args.lams is None else args.lams).split(";")
+        mods = irreducibles(L, P, {"lams": [parse_vec(s) for s in lams]})
     else:
         _inapplicable(args, ("lams",), f"{kind} descriptor {args.descriptor!r}")
-        ts = [parse_fraction(t, "--ts") for t in (args.ts or "0").split(",")]
-        mods = irreducibles(L, P, {"ts": ts})
+        ts = ("0" if args.ts is None else args.ts).split(",")
+        mods = irreducibles(L, P, {"ts": [parse_fraction(t, "--ts") for t in ts]})
     table = []
     for m1 in mods:
         for m2 in mods:
@@ -371,8 +374,7 @@ def cmd_c1_dims(cfg: SessionConfig, args) -> int:
     L = cfg.lattice
     cap = parse_size(args.cap, "--cap")
     if args.target in ("VH", "V_H"):
-        alpha = parse_alpha(args.alpha) if args.alpha else _default_alpha(cfg)
-        dims = c1_quotient_dims(L, "V_H", cap, alpha=alpha)
+        dims = c1_quotient_dims(L, "V_H", cap, alpha=_alpha(cfg, args))
     else:
         P = cfg.descriptor(args.target)
         _inapplicable(args, ("alpha",), f"descriptor {args.target!r}")

@@ -36,7 +36,7 @@ from .fock import (
     enumerate_basis,
     make_word,
 )
-from .lattice import GramLattice, LatVec, ParavoaError, _cramer, perp_primitive
+from .lattice import GramLattice, LatVec, ParavoaError, perp_primitive
 from .monoid import MonoidDescriptor, _ideal, parabolic
 
 __all__ = [
@@ -53,8 +53,7 @@ __all__ = [
     "phi_map",
     "tensor_mode",
     "check_phi_hom",
-    "to_adapted",
-    "from_adapted",
+    "from_tensor",
 ]
 
 
@@ -417,54 +416,21 @@ def tensor_mode(sp1: FockSpace, sp2: FockSpace, A: TensorState, n: int,
     return _adopt(TensorState, out)
 
 
-def _rebase(out: dict, w: BasisWord, c, dirs, label) -> None:
-    """out += c * w with each mode direction d rewritten as the combination
-    dirs[d] of the two target directions, and the label replaced."""
-    expanded = [((), c)]
-    for nn, d in w.modes:
-        vec = dirs[d]
-        nxt = []
-        for modes, coeff in expanded:
-            for i in (0, 1):
-                if vec[i]:
-                    nxt.append((modes + ((nn, i),), coeff * vec[i]))
-        expanded = nxt
-    for modes, coeff in expanded:
-        _add_into(out, ((make_word(modes, label), coeff),))
-
-
-def from_adapted(L: GramLattice, alpha: LatVec, beta: LatVec,
-                 v: FockState) -> FockState:
-    """Rewrite adapted-basis states (modes beta, alpha; labels p) as full
-    lattice-basis states (modes a1, a2; labels p*alpha)."""
+def from_tensor(alpha: LatVec, beta: LatVec, T: TensorState) -> FockState:
+    """phi^-1 into the lattice basis: a left-factor mode b(-n) becomes
+    beta(-n), a right-factor mode alpha(-n) and the label p becomes
+    p*alpha, each mode written in a1, a2 with the integer coordinates of
+    beta or alpha."""
     out: dict = {}
-    for w, c in v:
-        p = w.label[0]
-        _rebase(out, w, c, (beta, alpha), (p * alpha[0], p * alpha[1]))
-    return _adopt(FockState, out)
-
-
-def to_adapted(L: GramLattice, alpha: LatVec, beta: LatVec,
-               v: FockState) -> FockState:
-    """Inverse of from_adapted; ParavoaError if some label is not in Z*alpha."""
-    return _to_adapted(alpha, _inverse_dirs(alpha, beta), v)
-
-
-def _inverse_dirs(alpha: LatVec, beta: LatVec) -> list:
-    """The lattice-basis directions as rational combinations of beta, alpha."""
-    return [_cramer(beta, alpha, e) for e in ((1, 0), (0, 1))]
-
-
-def _to_adapted(alpha: LatVec, dirs: list, v: FockState) -> FockState:
-    """to_adapted with the inverse change of basis dirs already solved."""
-    i = 0 if alpha[0] else 1
-    out: dict = {}
-    for w, c in v:
-        lab = w.label
-        p, r = divmod(lab[i], alpha[i])
-        if r or p * alpha[1 - i] != lab[1 - i]:
-            raise ParavoaError(f"label {lab} is not an integer multiple of {alpha}")
-        _rebase(out, w, c, dirs, (p,))
+    for (w1, w2), c in T:
+        expanded = [((), 1)]
+        for vec, w in ((beta, w1), (alpha, w2)):
+            for n, _ in w.modes:
+                expanded = [(modes + ((n, i),), k * vec[i])
+                            for modes, k in expanded for i in (0, 1) if vec[i]]
+        p = w2.label[0]
+        label = (p * alpha[0], p * alpha[1])
+        _add_into(out, ((make_word(modes, label), c * k) for modes, k in expanded))
     return _adopt(FockState, out)
 
 
@@ -472,10 +438,12 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
                   ctx: TruncationCtx) -> dict:
     """Verify the tensor-factorization map on the half-lattice subalgebra.
 
-    Left route: modes computed with the full rank-two engine in the lattice
-    basis, converted to the adapted basis, then split.  Right route: the
-    split inputs convolved with two independent rank-one engines.  Also
-    checks the conformal vector image and per-degree dimension match.
+    Both routes meet in the lattice basis.  Left route: the images of
+    adapted basis words, moved there by from_tensor, with modes computed by
+    the full rank-two engine.  Right route: the split words convolved with
+    two independent rank-one engines, the result moved by from_tensor.
+    Also checks that the conformal vector is the image of w1 (x) 1 + 1 (x)
+    w2, and that per-degree dimensions match.
     """
     beta = perp_primitive(L, alpha)
     if L.inner_int(alpha, beta) != 0:
@@ -493,28 +461,28 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
     for d in range(degree_cap + 1):
         basis.extend(adapted.basis(d, labels=labels))
 
-    # each basis word's two images and degree, computed once
-    images = [(u, from_adapted(L, alpha, beta, FockState.of(u)),
-               phi_map(FockState.of(u)), adapted.degree(u)) for u in basis]
-    dirs = _inverse_dirs(alpha, beta)
+    # each basis word's split image, its lattice-basis image and degree
+    images = []
+    for u in basis:
+        pu = phi_map(FockState.of(u))
+        images.append((u, from_tensor(alpha, beta, pu), pu, adapted.degree(u)))
     instances = 0
     failures = []
     for u, fu, pu, du in images:
         for v, fv, pv, dv in images:
             for n in range(ctx.lowest_mode(du + dv), int(du + dv)):
-                lhs = phi_map(_to_adapted(alpha, dirs, state_mode(full, fu, n, fv)))
-                rhs = tensor_mode(sp1, sp2, pu, n, pv)
+                lhs = state_mode(full, fu, n, fv)
+                rhs = from_tensor(alpha, beta, tensor_mode(sp1, sp2, pu, n, pv))
                 instances += 1
                 if lhs != rhs:
                     failures.append({"u": u.to_str(), "v": v.to_str(), "n": n})
 
-    omega_img = phi_map(adapted.virasoro())
     expect: dict = {}
     vac2 = sp2.word((), (0,))
     _add_into(expect, (((w, vac2), c) for w, c in sp1.virasoro()))
     vac1 = sp1.word(())
     _add_into(expect, (((vac1, w), c) for w, c in sp2.virasoro()))
-    omega_ok = omega_img == _adopt(TensorState, expect)
+    omega_ok = full.virasoro() == from_tensor(alpha, beta, _adopt(TensorState, expect))
 
     dims_ok = True
     for d in range(degree_cap + 1):

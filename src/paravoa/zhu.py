@@ -12,7 +12,6 @@ certificate can be replayed coefficient by coefficient.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from .fock import BasisWord, FockSpace, FockState, _add_into, _adopt
@@ -46,16 +45,22 @@ def _weight_of(sp: FockSpace, a: FockState) -> int:
     return int(wt)
 
 
+def _residue(sp: FockSpace, a: FockState, b: FockState, top: int,
+             first: int) -> FockState:
+    """sum_j C(top, j) a_{j+first} b over j = 0..max(top, 0); at top = -1
+    that is the single term a_{first} b."""
+    out: dict = {}
+    for j in range(max(top, 0) + 1):
+        _add_into(out, state_mode(sp, a, j + first, b).terms.items(), _binom(top, j))
+    return _adopt(FockState, out)
+
+
 def star(sp: FockSpace, a: FockState, b: FockState,
          ctx: Optional[TruncationCtx] = None) -> FockState:
     """a * b = sum_j C(wt a, j) a_{j-1} b."""
     if a.is_zero() or b.is_zero():
         return FockState()
-    wa = _weight_of(sp, a)
-    out: dict = {}
-    for j in range(wa + 1):
-        _add_into(out, state_mode(sp, a, j - 1, b).terms.items(), math.comb(wa, j))
-    return _adopt(FockState, out)
+    return _residue(sp, a, b, _weight_of(sp, a), -1)
 
 
 def reduce_35(sp: FockSpace, a: FockState, b: FockState, m: int, n: int,
@@ -69,11 +74,7 @@ def reduce_35(sp: FockSpace, a: FockState, b: FockState, m: int, n: int,
     wa = _weight_of(sp, a)
     if ctx is not None:
         ctx.check(wa + max(sp.degree(w) for w, _ in b) + m + 1)
-    out: dict = {}
-    for j in range(wa + n + 1):
-        _add_into(out, state_mode(sp, a, j - 2 - m, b).terms.items(),
-                  math.comb(wa + n, j))
-    return _adopt(FockState, out)
+    return _residue(sp, a, b, wa + n, -2 - m)
 
 
 def state_json(s: FockState) -> list:
@@ -230,12 +231,7 @@ def eq33_certificate(sp: FockSpace, a: FockState, b: FockState,
     if a.is_zero() or b.is_zero():
         return {"status": "resolved", "combination": []}
     wb = _weight_of(sp, b)
-    rhs: dict = {}
-    for j in range(max(wb, 1)):
-        c = _binom(wb - 1, j)
-        if c:
-            _add_into(rhs, state_mode(sp, b, j - 1, a).terms.items(), c)
-    diff = star(sp, a, b, ctx) - _adopt(FockState, rhs)
+    diff = star(sp, a, b, ctx) - _residue(sp, b, a, wb - 1, -1)
     if diff.is_zero():
         return {"status": "resolved", "combination": []}
     meta, span = _residue_span(sp, pool, ctx, mmax)

@@ -79,6 +79,66 @@ def test_the_ceiling_check_sees_what_it_forbids():
         (3, ".max_degree"), (4, "except TruncationOverflow"), (8, ".max_degree")]
 
 
+def _unused_imports(tree: ast.Module) -> list:
+    """Names a module-level import binds that the module never reads."""
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    bound = [(a.asname or a.name).split(".")[0]
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__" for a in node.names]
+    return [name for name in bound if name not in read]
+
+
+def _references(tree: ast.Module) -> set:
+    """Names read as a name, an attribute or an imported name, leaving out
+    a module-level function's reads of its own name."""
+    names: set = set()
+
+    def walk(node, own=None):
+        for child in ast.iter_child_nodes(node):
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute)
+                    else child.name if isinstance(child, ast.alias) else None)
+            if name is not None and name != own:
+                names.add(name)
+            walk(child, own)
+
+    for node in tree.body:
+        walk(node, node.name if isinstance(node, ast.FunctionDef) else None)
+    return names
+
+
+def _private_functions(tree: ast.Module) -> list:
+    return [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+SRC = sorted((ROOT / "src" / "paravoa").glob("*.py"))
+
+
+def test_no_dead_imports_or_private_functions():
+    # leftovers of a deleted route: an import no one reads, a private
+    # helper no one calls
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC}
+    refs = set().union(*map(_references, trees.values()))
+    assert {m: _unused_imports(t) for m, t in trees.items() if _unused_imports(t)} == {}
+    assert [(m, f) for m, t in trees.items() for f in _private_functions(t)
+            if f not in refs] == []
+
+
+def test_the_dead_code_check_sees_what_it_forbids():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import math, os.path\n"
+        "from .lattice import _cramer, side\n"
+        "def _used(x):\n"
+        "    return side(x) + math.pi\n"
+        "def _rebase(n):\n"
+        "    return _rebase(n - 1) + _used(n)\n")
+    assert _unused_imports(tree) == ["os", "_cramer"]
+    assert [f for f in _private_functions(tree)
+            if f not in _references(tree)] == ["_rebase"]
+
+
 def load_perfbench(name):
     path = str(ROOT / "perfbench")
     sys.path.insert(0, path)

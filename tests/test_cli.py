@@ -28,6 +28,8 @@ from paravoa.monoid import borel_in, member
 from paravoa.vertexops import TruncationCtx
 from paravoa.zhu import eq33_certificate
 
+from forms import reduced_forms
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -371,6 +373,10 @@ def test_alpha_must_be_primitive(capsys, argv):
     ("--config", "diag22", "character", "P2", "--i", "x"),
     ("--config", "diag22", "saturate", "1,1", "1,x"),
     ("--config", "diag22", "zhu-nil", "P2", "1,x"),
+    # an empty value is bad input, not the option's default
+    ("--config", "diag22", "character", "P2", "--t=", "--i", "1"),
+    ("--config", "diag22", "character", "P2", "--t", "0", "--i="),
+    ("--config", "diag22", "fusion", "P2", "--ts="),
 ], ids=lambda a: " ".join(a[2:]))
 def test_bad_fraction_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -409,6 +415,19 @@ def test_fusion_lams_need_two_components(capsys):
     assert code == 2 and out == "" and err.startswith("error: expected 'x,y'")
     code, out, _ = run(capsys, "--config", "a2", "fusion", "P1", "--lams", "1,0;0,0")
     assert code == 0 and len(json.loads(out)["modules"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--config", "diag22", "character", "VH", "--alpha="),
+    ("--config", "diag22", "c1-dims", "VH", "--alpha="),
+    ("--config", "diag22", "verify-iso", "--alpha=", "--cap", "1"),
+    ("--config", "a2", "fusion", "P1", "--lams="),
+], ids=lambda a: " ".join(a[2:]))
+def test_empty_vector_is_usage_error(capsys, argv):
+    # not the default alpha or lams
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: expected 'x,y' integer vector, got ''\n"
 
 
 def test_parse_helpers():
@@ -553,11 +572,6 @@ def test_readme_commands_are_byte_stable(capsys):
 
 
 # -- geometry commands over the reduced-form family ----------------------------
-
-try:
-    from test_vertexops import reduced_forms
-except ImportError:  # --import-mode=importlib leaves tests/ off sys.path
-    from tests.test_vertexops import reduced_forms
 
 # (type-I gamma, type-II gamma) on every reduced form: rational twice, then
 # an irrational type I, whose hyperplane meets no lattice point but 0

@@ -16,6 +16,8 @@ from paravoa.fock import (
 from paravoa.lattice import GramLattice
 from paravoa.monoid import MonoidDescriptor
 
+from forms import reduced_forms
+
 A2 = GramLattice(gram=((2, -1), (-1, 2)), D=2)
 DIAG22 = GramLattice(gram=((2, 0), (0, 2)), D=2)
 
@@ -192,12 +194,6 @@ def test_negative_mode_rejected():
 
 
 # -- exact bookkeeping: ints when integral, Fractions otherwise --------------
-
-try:
-    from test_vertexops import reduced_forms
-except ImportError:  # --import-mode=importlib leaves tests/ off sys.path
-    from tests.test_vertexops import reduced_forms
-
 
 # full-lattice spaces on the reduced forms, then spaces whose pairings are
 # not all integral

@@ -24,10 +24,7 @@ from paravoa.lattice import (
 )
 from paravoa.monoid import MonoidDescriptor, member
 
-try:
-    from test_vertexops import reduced_forms
-except ImportError:  # --import-mode=importlib leaves tests/ off sys.path
-    from tests.test_vertexops import reduced_forms
+from forms import reduced_forms
 
 A2 = GramLattice(gram=((2, -1), (-1, 2)), D=2)
 DIAG22 = GramLattice(gram=((2, 0), (0, 2)), D=2)

@@ -21,10 +21,7 @@ from paravoa.modrep import (
 from paravoa.monoid import MonoidDescriptor, classify, member
 from paravoa.vertexops import TruncationCtx, _translate, word_mode
 
-try:
-    from test_vertexops import reduced_forms
-except ImportError:  # --import-mode=importlib leaves tests/ off sys.path
-    from tests.test_vertexops import reduced_forms
+from forms import reduced_forms
 
 A2 = GramLattice(gram=((2, -1), (-1, 2)), D=2)
 DIAG22 = GramLattice(gram=((2, 0), (0, 2)), D=2)

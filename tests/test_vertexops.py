@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paravoa import vertexops
 from paravoa.exactnum import QuadScalar
 from paravoa.fock import (
     FULL_L,
@@ -15,6 +16,7 @@ from paravoa.fock import (
     make_word,
 )
 from paravoa.lattice import GramLattice, ParavoaError
+from paravoa.linalg import rank_of
 from paravoa.modrep import Selector, character, check_tensor_character
 from paravoa.monoid import MonoidDescriptor
 from paravoa.vertexops import (
@@ -28,14 +30,15 @@ from paravoa.vertexops import (
     check_lemma35,
     check_phi_hom,
     exp_mode,
-    from_adapted,
+    from_tensor,
     heis_mode,
     phi_map,
     state_mode,
     tensor_mode,
-    to_adapted,
     word_mode,
 )
+
+from forms import reduced_forms
 
 A2 = GramLattice(gram=((2, -1), (-1, 2)), D=2)
 DIAG22 = GramLattice(gram=((2, 0), (0, 2)), D=2)
@@ -336,19 +339,22 @@ def test_phi_map_examples():
     )
 
 
-def test_adapted_round_trip():
+def test_from_tensor_a2_image():
+    # alpha = (1,0), beta = (1,2): b(-1) (x) e^p is a1(-1) e^(p,0) + 2 a2(-1) e^(p,0)
+    for p in (-1, 0, 2):
+        got = from_tensor((1, 0), (1, 2), TensorState.of(make_word(((1, 0),), ()),
+                                                        make_word((), (p,))))
+        want = FockState({make_word(((1, 0),), (p, 0)): 1,
+                          make_word(((1, 1),), (p, 0)): 2})
+        assert got == want
+
+
+def test_from_tensor_is_injective():
+    # the images of the adapted basis up to degree 3 are independent
     sp = FockSpace.hyperplane_adapted(A2, (1, 0), (1, 2))
-    for modes in ((), ((1, 0),), ((2, 1), (1, 0))):
-        for p in (-1, 0, 2):
-            s = FockState.of(sp.word(modes, (p,)))
-            back = to_adapted(A2, (1, 0), (1, 2), from_adapted(A2, (1, 0), (1, 2), s))
-            assert back == s
-
-
-def test_to_adapted_bad_label():
-    s = FockState.of(make_word((), (0, 1)))
-    with pytest.raises(ParavoaError, match=r"label \(0, 1\) is not an integer multiple"):
-        to_adapted(DIAG22, (1, 0), (0, 1), s)
+    basis = [w for d in range(4) for w in sp.basis(d, labels=[(-1,), (0,), (1,)])]
+    images = [from_tensor((1, 0), (1, 2), phi_map(FockState.of(w))) for w in basis]
+    assert len(basis) > 20 and rank_of(images) == len(basis)
 
 
 def test_phi_hom_diag22():
@@ -366,23 +372,25 @@ def test_phi_hom_a2():
     assert rep["dims_ok"]
 
 
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_phi_hom_on_form_family(gram):
+    L = GramLattice(gram=gram, D=2)
+    for alpha in ((1, 0), (0, 1), (1, 1)):
+        rep = check_phi_hom(L, alpha, 1, TruncationCtx(1))
+        assert rep["instances"] > 0 and rep["failures"] == [], alpha
+        assert rep["omega_ok"] and rep["dims_ok"], alpha
+
+
+def test_phi_hom_sees_a_corrupted_basis_change(monkeypatch):
+    def unit_coefficients(alpha, beta, T):
+        return FockState({w: 1 for w, _ in from_tensor(alpha, beta, T)})
+
+    monkeypatch.setattr(vertexops, "from_tensor", unit_coefficients)
+    rep = check_phi_hom(A2, (1, 0), 2, TruncationCtx(2))
+    assert rep["failures"] and not rep["omega_ok"]
+
+
 # -- the reduced-form family, closed-form L(-1) and the mode cache -------------
-
-
-def reduced_forms(maxdet: int = 15) -> list:
-    """Reduced even positive-definite forms [[2a,b],[b,2c]] with
-    |b| <= a <= c and det <= maxdet (Cohen, A Course in Computational
-    Algebraic Number Theory, 5.3)."""
-    out = []
-    a = 1
-    while 3 * a * a <= maxdet:
-        c = a
-        while 4 * a * c - a * a <= maxdet:
-            out.extend(((2 * a, b), (b, 2 * c)) for b in range(-a, a + 1)
-                       if 4 * a * c - b * b <= maxdet)
-            c += 1
-        a += 1
-    return out
 
 
 def test_reduced_form_family():
