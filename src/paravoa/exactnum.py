@@ -8,15 +8,16 @@ on the signs of a and b, so no floating point ever enters a side test.
 parts of the lattice side tests alike.
 
 Only the public constructor validates, and it tests a given D for being
-squarefree once per process.  Arithmetic results are built directly from
-parts that are already Fractions and a D that was already checked.  When
-both operands are rational, or one of them is a plain int or Fraction, an
-operation costs at most one Fraction operation per part: a rational
-product is one Fraction product, not four.
+squarefree once per process, in about D^(1/3) trial divisions.  Arithmetic
+results are built directly from parts that are already Fractions and a D
+that was already checked.  When both operands are rational, or one of them
+is a plain int or Fraction, an operation costs at most one Fraction
+operation per part: a rational product is one Fraction product, not four.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -28,14 +29,19 @@ __all__ = ["QuadScalar", "ZERO", "ONE"]
 
 @lru_cache(maxsize=256)
 def _squarefree(d: int) -> bool:
+    """Trial division while k^3 <= d, dividing each factor out: what is left
+    has at most two prime factors, so it is squarefree unless a square."""
     if d < 1:
         return False
     k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
+    while k * k * k <= d:
+        if d % k == 0:
+            d //= k
+            if d % k == 0:
+                return False
         k += 1
-    return True
+    r = math.isqrt(d)
+    return d == 1 or r * r != d
 
 
 _F0 = Fraction(0)

@@ -32,7 +32,6 @@ __all__ = [
     "side",
     "line_intersection",
     "is_primitive",
-    "is_basis_pair",
     "cone_member",
     "halfplane_basis",
     "perp_primitive",
@@ -103,8 +102,9 @@ class GramLattice:
             raise ParavoaError("diagonal Gram entries must be even (even lattice)")
         if not self.positive_definite:
             raise ParavoaError("Gram matrix must be positive-definite")
-        if self.D != 1 and not _squarefree(self.D):
-            raise ParavoaError(f"D must be 1 or a squarefree integer > 1, got {self.D}")
+        if self.D != 1 and not (self.D < 2**63 and _squarefree(self.D)):
+            raise ParavoaError("D must be 1 or a squarefree integer from 2 to "
+                               f"2**63 - 1, got {self.D}")
 
     @property
     def positive_definite(self) -> bool:
@@ -227,10 +227,6 @@ def line_intersection(L: GramLattice, gamma: HVec) -> Optional[LatVec]:
     """Primitive generator of the lattice points on the hyperplane P(gamma),
     or None when the hyperplane meets the lattice only at the origin."""
     return _line(_normal(L, gamma))
-
-
-def is_basis_pair(u: LatVec, v: LatVec) -> bool:
-    return abs(u[0] * v[1] - u[1] * v[0]) == 1
 
 
 def _cramer(c1, c2, rhs) -> tuple[Fraction, Fraction]:

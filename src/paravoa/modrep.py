@@ -22,11 +22,10 @@ from .lattice import (
     LatVec,
     ParavoaError,
     inner,
-    is_basis_pair,
     perp_primitive,
 )
 from .linalg import quotient_dimension
-from .monoid import MonoidDescriptor, member, parabolic
+from .monoid import MonoidDescriptor, _ext_gcd, member, parabolic
 from .vertexops import TruncationCtx, _translate, _unit, exp_mode, heis_mode
 
 __all__ = [
@@ -284,34 +283,37 @@ def fusion(m1: ModuleLabel, m2: ModuleLabel, m3: ModuleLabel) -> int:
 
 
 def c1_decide(L: GramLattice, P: MonoidDescriptor, box_radius: int = 8) -> C1Report:
-    """Sufficient-condition search for C1-cofiniteness of V_P, with
-    witnesses sought within box_radius + 4."""
+    """The paper's sufficient test n^2 + l^2 - 4lk <= 0 for C1-cofiniteness
+    of V_P, on the bases (alpha, beta) of L with beta in P and sup norm at
+    most box_radius + 4.  The line through alpha bounds P, so those beta lie
+    on the line b0 + Z*alpha with det[alpha, b0] = +-1 and b0 in P.  On a
+    basis the value is min(N_alpha, N_beta)^2 - det L for n != 0 (N = norm/2),
+    since 4*N_alpha*N_beta - n^2 = det L."""
     rep = parabolic(L, P)
     if rep.type == "TYPE_I":
         return C1Report(verdict="NOT_COFINITE")
     alpha = rep.alpha
     R = box_radius + 4
-    saw_candidate = False
+    (a1, a2), (_, x, y) = alpha, _ext_gcd(*alpha)  # det[alpha, (-y, x)] = 1
+    b1, b2 = (-y, x) if member(L, P, (-y, x)) else (y, -x)
+    c, N2 = L.inner_int(alpha, (b1, b2)), L.norm(alpha)
+    # |b0 + k*alpha| >= |k|*|alpha| - |b0| in the sup norm, b0 = (b1, b2)
+    K = (R + max(abs(b1), abs(b2))) // max(abs(a1), abs(a2))
     best = None
-    # smallest boxes first, orthogonal pairings preferred: witnesses come
-    # out small and deterministic; each sup-norm ring is sorted only when
-    # the rings inside it held no witness
-    for beta in (v for r in range(1, R + 1) for v in sorted(
-            _ring(r), key=lambda v: (abs(L.inner_int(alpha, v)), v))):
-        if not is_basis_pair(alpha, beta):
-            continue
-        if not member(L, P, beta):
-            continue
-        saw_candidate = True
-        n = abs(L.inner_int(alpha, beta))
+    # smallest first, orthogonal pairings preferred: witnesses come out
+    # small and deterministic
+    for r, n, beta in sorted(
+            (max(abs(b1 + k * a1), abs(b2 + k * a2)), abs(c + k * N2),
+             (b1 + k * a1, b2 + k * a2)) for k in range(-K, K + 1)):
+        if r > R:
+            break
         if n == 0:
             return C1Report(
                 verdict="COFINITE",
                 witness_basis=(alpha, beta),
                 condition_values=(0, L.norm(beta) // 2, L.norm(alpha) // 2, 0),
             )
-        half = sorted((L.norm(alpha) // 2, L.norm(beta) // 2))
-        l, k = half[0], half[1]
+        l, k = sorted((L.norm(alpha) // 2, L.norm(beta) // 2))
         val = n * n + l * l - 4 * l * k
         if val <= 0:
             return C1Report(
@@ -321,15 +323,9 @@ def c1_decide(L: GramLattice, P: MonoidDescriptor, box_radius: int = 8) -> C1Rep
             )
         if best is None or val < best[3]:
             best = (n, k, l, val)
-    if saw_candidate:
+    if best:
         return C1Report(verdict="CONDITION_FAILED", condition_values=best)
     return C1Report(verdict="UNKNOWN")
-
-
-def _ring(r: int):
-    """The lattice points of sup norm r."""
-    for b1 in range(-r, r + 1):
-        yield from ((b1, b2) for b2 in (range(-r, r + 1) if abs(b1) == r else (-r, r)))
 
 
 def _strongly_indecomposable(L: GramLattice, labels) -> list[LatVec]:

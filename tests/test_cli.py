@@ -216,6 +216,27 @@ def test_large_field_costs_what_it_should(capsys, tmp_path):
     assert obj["unionCoversBox"] and obj["intersectionIsZero"]
 
 
+def test_large_squarefree_field_loads_fast(capsys, tmp_path):
+    # the squarefree test takes about D^(1/3) steps, not D^(1/2)
+    path = a2_with(tmp_path, ("lattice", "D"), 1000000000000037)
+    t0 = time.process_time()
+    code, out, err = run(capsys, "--config", path, "classify", "P2")
+    assert time.process_time() - t0 < 1
+    assert (code, err) == (0, "")
+    assert json.loads(out)["type"] == "TYPE_II"
+
+
+# 2**64 + 1 = 274177 * 67280421310721 is squarefree, but no exact test of
+# that stays fast, so the range check rejects it first
+@pytest.mark.parametrize("D", [2**63, 2**64 + 1])
+def test_field_past_the_exact_test_is_usage_error(capsys, tmp_path, D):
+    code, out, err = run(capsys, "--config", a2_with(tmp_path, ("lattice", "D"), D),
+                         "classify", "P2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "D must be" in err and f"got {D}" in err
+    assert err.count("\n") == 1
+
+
 def test_scalar_and_vector_parsing():
     s = parse_scalar("1/2~3", 2)
     assert str(s.a) == "1/2" and str(s.b) == "3"
@@ -646,6 +667,41 @@ def test_fusion_and_c1_are_byte_stable(capsys, tmp_path):
                     out = capsys.readouterr()
                     h.update(f"{code}\n{out.out}{out.err}".encode())
     assert h.hexdigest() == FUSION_C1_DIGEST
+
+
+# alpha's basis partners b (det[alpha, b] = +-1) on the Fibonacci lines lie
+# far out: those of (21,13) have sup norm 8 or more, those of (89,55) 34 or
+# more, so boxRadius 1 finds none (UNKNOWN), 4 finds only those of (21,13)
+# and 30 finds both; G and H are the generators descriptors [a, -a, s*b]
+C1_FAR_LINES = {"F": ((21, 13), (13, 8)), "E": ((89, 55), (55, 34))}
+# sha256 over exit code, stdout and stderr of every run, in order
+C1_FAR_DIGEST = "6e60992d2b399980b02c7a4e5a7aeeb5de456a7ec023cc44ec1d9a890d2edc1f"
+
+
+def test_c1_far_witnesses_are_byte_stable(capsys, tmp_path):
+    h = hashlib.sha256()
+    path = tmp_path / "form.json"
+    for radius in (1, 4, 30):
+        for i, gram in enumerate(reduced_forms()):
+            for s in (1, -1):
+                descriptors = {}
+                for (name, (a0, b)), gen in zip(C1_FAR_LINES.items(), "GH"):
+                    w = [gram[0][0] * a0[0] + gram[0][1] * a0[1],
+                         gram[1][0] * a0[0] + gram[1][1] * a0[1]]
+                    descriptors[name] = {"kind": "type2",
+                                         "gamma": [str(-s * w[1]), str(s * w[0])]}
+                    descriptors[gen] = {"kind": "generators", "generators": [
+                        list(a0), [-a0[0], -a0[1]], [s * b[0], s * b[1]]]}
+                path.write_text(json.dumps({
+                    "lattice": {"gram": gram, "D": (2, 3, 5)[i % 3]},
+                    "descriptors": descriptors,
+                    "boxRadius": radius,
+                }))
+                for name in descriptors:
+                    code = main(["--config", str(path), "c1", name])
+                    out = capsys.readouterr()
+                    h.update(f"{code}\n{out.out}{out.err}".encode())
+    assert h.hexdigest() == C1_FAR_DIGEST
 
 
 # -- generators are classified exactly, whatever boxRadius says ------------------

@@ -184,3 +184,19 @@ def test_bad_field_rejected_by_public_constructor():
     for D in (0, -2, 4, 12):
         with pytest.raises(ValueError):
             QuadScalar(1, 1, D)
+
+
+def test_squarefree_matches_division_by_every_square():
+    def naive(d):
+        return d >= 1 and all(d % (k * k) for k in range(2, math.isqrt(d) + 1))
+
+    assert [d for d in range(10**4) if _squarefree(d)] == [
+        d for d in range(10**4) if naive(d)]
+
+
+def test_squarefree_past_the_cube_root():
+    # what is left after division by every k with k^3 <= d: a square of a
+    # large prime, a product of two, and a large prime with a small square
+    assert not _squarefree((10**6 + 3) ** 2)
+    assert _squarefree((10**6 + 3) * (10**6 + 33))
+    assert not _squarefree(4 * (10**9 + 7))

@@ -16,7 +16,6 @@ from paravoa.lattice import (
     cone_member,
     halfplane_basis,
     inner,
-    is_basis_pair,
     is_primitive,
     line_intersection,
     perp_primitive,
@@ -114,12 +113,6 @@ def test_is_primitive():
         is_primitive((0, 0))
 
 
-def test_is_basis_pair():
-    assert is_basis_pair((1, 0), (0, 1))
-    assert not is_basis_pair((1, 0), (1, 2))
-    assert is_basis_pair((2, 1), (1, 1))
-
-
 def test_cone_member():
     assert cone_member((1, 0), (0, 1), (3, 4)) == (3, 4)
     assert cone_member((1, 0), (0, 1), (-1, 0)) is None
@@ -174,7 +167,7 @@ def test_halfplane_basis_rational(L, gamma):
     b1, b2 = halfplane_basis(L, g)
     assert side(L, g, b1) == PLUS
     assert side(L, g, b2) == PLUS
-    assert is_basis_pair(b1, b2)
+    assert abs(b1[0] * b2[1] - b1[1] * b2[0]) == 1
 
 
 def test_halfplane_basis_irrational():
@@ -182,7 +175,7 @@ def test_halfplane_basis_irrational():
     b1, b2 = halfplane_basis(A2, g)
     assert side(A2, g, b1) == PLUS
     assert side(A2, g, b2) == PLUS
-    assert is_basis_pair(b1, b2)
+    assert abs(b1[0] * b2[1] - b1[1] * b2[0]) == 1
 
 
 def test_halfplane_basis_rejects_zero():

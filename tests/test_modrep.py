@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -254,6 +255,18 @@ def c1_oracle(L, P, box_radius=8):
     return C1Report("CONDITION_FAILED" if best else "UNKNOWN", None, best)
 
 
+def assert_paper_value(L, rep):
+    """A witness is a basis, and on a basis (alpha, beta) with n != 0 the
+    Gram determinant 4*N_alpha*N_beta - n^2 (N = norm/2) is det L, so the
+    value n^2 + l^2 - 4lk is l^2 - det L with l = min(N_alpha, N_beta)."""
+    if rep.witness_basis:
+        (a0, a1), (b0, b1) = rep.witness_basis
+        assert abs(a0 * b1 - a1 * b0) == 1
+    if rep.condition_values and rep.condition_values[0]:
+        n, k, l, val = rep.condition_values
+        assert val == l * l - L.det
+
+
 C1_ALPHAS = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, 3)]
 
 
@@ -270,6 +283,7 @@ def test_c1_decide_matches_full_box_sort(gram):
             for radius in (1, 3, 8):
                 rep = c1_decide(L, P, radius)
                 assert rep == c1_oracle(L, P, radius), (alpha, s, radius)
+                assert_paper_value(L, rep)
                 verdicts[alpha, s, radius] = rep
     if gram == ((2, -1), (-1, 8)):
         # no basis partner of alpha = (1, 2) meets the condition: the best
@@ -277,6 +291,61 @@ def test_c1_decide_matches_full_box_sort(gram):
         for s in (1, -1):
             assert verdicts[(1, 2), s, 8] == C1Report(
                 "CONDITION_FAILED", None, (15, 15, 4, 1))
+
+
+# the basis partners of the Fibonacci alphas lie far out: those of (21,13)
+# have sup norm 8 or more and those of (89,55) 34 or more
+C1_FAR_ALPHAS = [(21, 13), (89, 55)]
+
+
+def basis_partner(alpha):
+    """Some b with det[alpha, b] = 1."""
+    r = max(map(abs, alpha))
+    return next((x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)
+                if alpha[0] * y - alpha[1] * x == 1)
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_c1_decide_matches_full_box_sort_far_and_generated(gram):
+    # type II on the Fibonacci lines, and type-II generators [a, -a, +-b]
+    # with det[a, b] = 1 on every line, at radii where the far lines have
+    # no partner in reach
+    L = GramLattice(gram=gram, D=3)
+    descriptors = []
+    for alpha in C1_FAR_ALPHAS:
+        w = (gram[0][0] * alpha[0] + gram[0][1] * alpha[1],
+             gram[1][0] * alpha[0] + gram[1][1] * alpha[1])
+        descriptors += [MonoidDescriptor(kind="type2", gamma=L.hvec(-s * w[1], s * w[0]))
+                        for s in (1, -1)]
+    for alpha in C1_ALPHAS + C1_FAR_ALPHAS:
+        b = basis_partner(alpha)
+        descriptors += [MonoidDescriptor(kind="generators", generators=(
+            alpha, (-alpha[0], -alpha[1]), (s * b[0], s * b[1]))) for s in (1, -1)]
+    verdicts = []
+    for P in descriptors:
+        assert classify(L, P).type == "TYPE_II"
+        for radius in (1, 4, 8):
+            rep = c1_decide(L, P, radius)
+            assert rep == c1_oracle(L, P, radius), (P, radius)
+            assert_paper_value(L, rep)
+            verdicts.append(rep.verdict)
+    # (21,13) at radius 1 and (89,55) at all three, for both kinds and sides
+    assert verdicts.count("UNKNOWN") == (1 + 3) * 2 * 2
+
+
+def test_c1_cost_does_not_grow_with_the_box():
+    # alpha = (1,2) fails the condition at every radius: its best partner
+    # has N = 4, so the value is 4^2 - det L = 1; the witnesses lie on one
+    # line, so radius 10^4 costs about 10^4 candidates, not the 4 * 10^8
+    # points of the box
+    L = GramLattice(gram=((2, -1), (-1, 8)), D=3)
+    want = C1Report("CONDITION_FAILED", None, (15, 15, 4, 1))
+    for s in (1, -1):
+        P = MonoidDescriptor(kind="type2", gamma=L.hvec(-s * 15, 0))
+        t0 = time.process_time()
+        rep = c1_decide(L, P, box_radius=10_000)
+        assert time.process_time() - t0 < 2
+        assert rep == c1_decide(L, P) == want
 
 
 def test_c1_quotient_dims_vh():
