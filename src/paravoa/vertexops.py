@@ -11,11 +11,13 @@ E^-(-a,z) E^+(-a,z) e_a z^a.  Both exponentials have the shape
 X(z) = exp(sum_{k>0} x_k z^(+-k) / k) with commuting x_k, so one
 recurrence, N X_N = sum_{k=1..N} x_k X_{N-k}, expands either exactly:
 E^+ (x_k = -a(k)) up to the word's mode degree, where it ends, and E^-
-(x_k = a(-k)) up to the one power that lands on the extracted z-power.
+(x_k = a(-k)) once per power of E^+, up to the z-power of the lowest mode
+asked, so a mode cache miss at e^a_n w fills in every e^a_n' w, n' >= n.
 Modes of dressed words h(-n_1)...h(-n_k) e^a are reduced to those by the
 associativity (iterate) recursion for h(-n)-prefixed vectors, which is a
 finite sum here because every state in a positive-definite lattice
-module has degree >= 0.
+module has degree >= 0; its annihilations h(j) w are cached as modes of
+h(-1)1, since Y(h(-1)1, z) = h(z).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import ONE, ZERO, QuadScalar
+from .exactnum import ONE, QuadScalar
 from .fock import (
     MONOID,
     BasisWord,
@@ -157,36 +159,48 @@ def _exp_series(sp: FockSpace, h, s: int, v: FockState, top: int) -> list:
     xs = [v]
     for N in range(1, top + 1):
         acc: dict = {}
+        c = Fraction(s, N)
         for k in range(1, N + 1):
             if xs[N - k]:
-                _add_into(acc, heis_mode(sp, h, -s * k, xs[N - k]).terms.items(),
-                          Fraction(s, N))
+                _add_into(acc, heis_mode(sp, h, -s * k, xs[N - k]).terms.items(), c)
         xs.append(_adopt(FockState, acc))
     return xs
+
+
+def _exp_modes(sp: FockSpace, a, w: BasisWord, lo: int, hi: int) -> list:
+    """[e^a_lo w, ..., e^a_hi w]: E^+ is expanded once, and E^- once per
+    power of E^+, up to the z-power that mode lo takes from it."""
+    t0 = sp.label_inner(a, w.label)
+    if t0.denominator != 1:
+        raise ParavoaError(f"(a|label) = {t0} is not an integer")
+    if lo > hi:
+        return []
+    acoords = sp.label_coords(a)
+    outs = [{} for _ in range(lo, hi + 1)]
+    # E^+(-a, z) ends at the word's mode degree
+    series = _exp_series(sp, acoords, -1, FockState.of(w), w.mode_degree())
+    # e_a z^a: sign and label shift, z-power shift by (a|label)
+    sgn = sp.eps(a, w.label)
+    newlab = tuple(x + y for x, y in zip(a, w.label))
+    for p, st in enumerate(series):
+        # X_p w sits at z^(t0 - p); E^-(-a, z) supplies z^(p - t0 - n - 1)
+        need = p - t0 - lo - 1
+        if need < 0 or not st:
+            continue
+        moved = _adopt(FockState, {BasisWord(wd.modes, newlab): cc * sgn
+                                   for wd, cc in st})
+        minus = _exp_series(sp, acoords, 1, moved, need)
+        for i in range(min(need, hi - lo) + 1):
+            _add_into(outs[i], minus[need - i].terms.items())
+    return [_adopt(FockState, t) for t in outs]
 
 
 def exp_mode(sp: FockSpace, a, n: int, v: FockState) -> FockState:
     """Coefficient of z^(-n-1) in Y(e^a, z) v."""
     a = tuple(int(x) for x in a)
-    acoords = sp.label_coords(a)
     out: dict = {}
     for w, c in v:
-        # E^+(-a, z) ends at the word's mode degree
-        series = _exp_series(sp, acoords, -1, FockState.of(w, c), w.mode_degree())
-        # e_a z^a: sign and label shift, z-power shift by (a|label)
-        t0 = sp.label_inner(a, w.label)
-        if t0.denominator != 1:
-            raise ParavoaError(f"(a|label) = {t0} is not an integer")
-        sgn = sp.eps(a, w.label)
-        newlab = tuple(x + y for x, y in zip(a, w.label))
-        for p, st in enumerate(series):
-            # X_p w sits at z^(t0 - p); E^-(-a, z) must supply z^need
-            need = p - int(t0) - n - 1
-            if need < 0 or not st:
-                continue
-            moved = _adopt(FockState, {BasisWord(wd.modes, newlab): cc * sgn
-                                       for wd, cc in st})
-            _add_into(out, _exp_series(sp, acoords, 1, moved, need)[need].terms.items())
+        _add_into(out, _exp_modes(sp, a, w, n, n)[0].terms.items(), c)
     return _adopt(FockState, out)
 
 
@@ -202,14 +216,19 @@ def _word_mode_w(sp: FockSpace, u: BasisWord, k: int, w: BasisWord) -> FockState
         return hit
     if not u.modes:
         if not any(u.label):
-            res = FockState.of(w) if k == -1 else FockState()
-        else:
-            res = exp_mode(sp, u.label, k, FockState.of(w))
-        cache[key] = res
-        return res
+            return cache.setdefault(key, FockState.of(w) if k == -1 else FockState())
+        # one expansion fills in every mode from k to the last nonzero one
+        top = w.mode_degree() - sp.label_inner(u.label, w.label) - 1
+        for n, st in enumerate(_exp_modes(sp, u.label, w, k, top), k):
+            cache.setdefault((u, n, w), st)
+        return cache.setdefault(key, FockState())
     n, d = u.modes[0]
-    rest = BasisWord(u.modes[1:], u.label)
     hd = _unit(sp, d)
+    if n == 1 and len(u.modes) == 1 and not any(u.label):
+        # Y(h(-1)1, z) = h(z)
+        return cache.setdefault(key, heis_mode(sp, hd, k, FockState.of(w)))
+    rest = BasisWord(u.modes[1:], u.label)
+    hu = BasisWord(((1, d),), sp.zero_label)
     du = sp.degree(rest)
     dw = sp.degree(w)
     res: dict = {}
@@ -221,9 +240,8 @@ def _word_mode_w(sp: FockSpace, u: BasisWord, k: int, w: BasisWord) -> FockState
             _add_into(res, heis_mode(sp, hd, -(n + j), inner).terms.items(),
                       _binom(n + j - 1, j))
     sgn = -1 if n % 2 else 1
-    ws = FockState.of(w)
     for j in range(0, max((m for m, _ in w.modes), default=0) + 1):
-        hv = heis_mode(sp, hd, j, ws)
+        hv = _word_mode_w(sp, hu, j, w)
         if hv:
             t = word_mode(sp, rest, -n + k - j, hv)
             _add_into(res, t.terms.items(), -sgn * _binom(n + j - 1, j))
@@ -271,12 +289,9 @@ def check_lemma35(sp: FockSpace, beta, m: int, u: BasisWord, v: FockState,
     of degree in [0, ctx.max_degree]; requires beta orthogonal to u's modes
     and label."""
     for _, d in u.modes:
-        p = sum((beta[e] * sp.mode_gram[e][d] for e in range(sp.rank)), ZERO)
-        if p:
+        if sum(beta[e] * sp.mode_gram[e][d] for e in range(sp.rank)):
             raise ParavoaError("beta must be orthogonal to u's mode directions")
-    lp = sum((beta[d] * sp.pair_label_mode(u.label, d) for d in range(sp.rank)),
-             ZERO)
-    if lp:
+    if sum(beta[d] * sp.pair_label_mode(u.label, d) for d in range(sp.rank)):
         raise ParavoaError("beta must be orthogonal to u's label")
     du = sp.degree(u)
     dv = max((sp.degree(w) for w, _ in v), default=0)
@@ -400,19 +415,19 @@ def tensor_mode(sp1: FockSpace, sp2: FockSpace, A: TensorState, n: int,
                 B: TensorState) -> TensorState:
     """(x (x) y)_n (v (x) w) = sum_i x_i v (x) y_{n-i-1} w."""
     out: dict = {}
+    bs = [(v, w, cb, sp1.degree(v), sp2.degree(w)) for (v, w), cb in B]
     for (x, y), ca in A:
-        for (v, w), cb in B:
+        dx, dy = sp1.degree(x), sp2.degree(y)
+        for v, w, cb, dv, dw in bs:
             c = ca * cb
-            dxv = sp1.degree(x) + sp1.degree(v)
-            dyw = sp2.degree(y) + sp2.degree(w)
-            for i in range(math.ceil(n - dyw), math.floor(dxv - 1) + 1):
+            for i in range(math.ceil(n - dy - dw), math.floor(dx + dv - 1) + 1):
                 left = _word_mode_w(sp1, x, i, v)
                 if left:
                     rightv = _word_mode_w(sp2, y, n - i - 1, w)
                     if rightv:
                         for wl, cl in left:
-                            _add_into(out, (((wl, wr), c * cl * cr)
-                                            for wr, cr in rightv))
+                            _add_into(out, (((wl, wr), cr) for wr, cr in rightv),
+                                      c * cl)
     return _adopt(TensorState, out)
 
 

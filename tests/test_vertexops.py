@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -537,3 +538,105 @@ def test_heis_creation_inserts_in_canonical_order(modes, label, n, h):
         want = FockState({make_word(w.modes + ((n, d),), w.label): x
                           for d, x in enumerate(h)})
         assert heis_mode(sp, h, -n, FockState.of(w)) == want
+
+
+# -- mode work done once per word pair --------------------------------------
+
+
+def _exp_mode_per_n(sp, a, n, w):
+    """e^a_n w with E^- expanded for this n alone: the reference for the
+    kernel that expands it once for a whole range of modes."""
+    h = sp.label_coords(a)
+    t0 = sp.label_inner(a, w.label)
+    sgn = sp.eps(a, w.label)
+    lab = tuple(x + y for x, y in zip(a, w.label))
+    out = FockState()
+    plus = vertexops._exp_series(sp, h, -1, FockState.of(w), w.mode_degree())
+    for p, st in enumerate(plus):
+        need = p - t0 - n - 1
+        if need >= 0 and st:
+            moved = FockState({make_word(x.modes, lab): c * sgn for x, c in st})
+            out = out + vertexops._exp_series(sp, h, 1, moved, need)[need]
+    return out
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_cached_modes_match_direct_modes(gram):
+    # e^a with (a|a) <= 4 on basis words w of degree <= 2, asked for every n
+    # from the lowest that fits degree 4 to two past the last nonzero mode,
+    # ascending and then descending on a fresh space, so that a lower n
+    # fills in over entries already cached
+    L = GramLattice(gram=gram)
+    ref = FockSpace.full_lattice(L)
+    words = [w for d in range(3) for w in enumerate_basis(L, FULL_L, d)]
+    nonzero = 0
+    for a in _labels_up_to(L, 4):
+        if a == (0, 0):
+            continue
+        ea = make_word((), a)
+        for w in words:
+            v = FockState.of(w)
+            top = w.mode_degree() - L.inner_int(a, w.label) - 1
+            lowest = TruncationCtx(4).lowest_mode(ref.degree(ea) + ref.degree(w))
+            want = {n: exp_mode(ref, a, n, v) for n in range(lowest, top + 3)}
+            for n, st in want.items():
+                assert st == _exp_mode_per_n(ref, a, n, w), (a, w, n)
+                nonzero += bool(st)
+            for order in (sorted(want), sorted(want, reverse=True)):
+                sp = FockSpace.full_lattice(L)
+                for n in order:
+                    assert word_mode(sp, ea, n, v) == want[n], (a, w, n)
+                cache = sp.__dict__.get("_mode_cache", {})
+                cached = {n: st for (u, n, x), st in cache.items()
+                          if u == ea and x == w}
+                assert cached == {n: want[n] for n in cached}, (a, w)
+                assert set(want) <= set(cached), (a, w)
+    assert nonzero
+    for d, h in enumerate((E1, E2)):
+        hu = make_word(((1, d),), (0, 0))
+        for w in words:
+            v = FockState.of(w)
+            for j in range(-3, 4):
+                assert word_mode(ref, hu, j, v) == heis_mode(ref, h, j, v), (d, w, j)
+
+
+def test_mode_work_is_done_once_per_word_pair(monkeypatch):
+    # E^+ of (e^a, w) is expanded once for each k below every k asked
+    # before, and h_d(j) w with j >= 0 once per space
+    real_series = vertexops._exp_series
+    real_heis = vertexops.heis_mode
+    real_word = vertexops._word_mode_w
+    expansions, allowed, annihilations = Counter(), Counter(), Counter()
+    lowest = {}
+    depth = [0]
+
+    def series(sp, h, s, v, top):
+        if s == -1:
+            expansions[id(sp), tuple(h), tuple(v.terms)] += 1
+        depth[0] += 1
+        try:
+            return real_series(sp, h, s, v, top)
+        finally:
+            depth[0] -= 1
+
+    def heis(sp, h, m, v):
+        if m >= 0 and not depth[0]:
+            annihilations[id(sp), tuple(h), m, tuple(v.terms)] += 1
+        return real_heis(sp, h, m, v)
+
+    def word(sp, u, k, w):
+        if not u.modes and any(u.label):
+            key = (id(sp), u.label, w)
+            if key not in lowest or k < lowest[key]:
+                lowest[key] = k
+                allowed[id(sp), sp.label_coords(u.label), (w,)] += 1
+        return real_word(sp, u, k, w)
+
+    monkeypatch.setattr(vertexops, "_exp_series", series)
+    monkeypatch.setattr(vertexops, "heis_mode", heis)
+    monkeypatch.setattr(vertexops, "_word_mode_w", word)
+    rep = check_phi_hom(DIAG22, (1, 0), 2, TruncationCtx(2))
+    assert rep["instances"] > 0 and rep["failures"] == []
+    assert expansions and annihilations
+    assert all(c <= allowed[key] for key, c in expansions.items())
+    assert max(annihilations.values()) == 1
