@@ -411,24 +411,35 @@ def phi_map(v: FockState) -> TensorState:
     return _adopt(TensorState, out)
 
 
-def tensor_mode(sp1: FockSpace, sp2: FockSpace, A: TensorState, n: int,
-                B: TensorState) -> TensorState:
-    """(x (x) y)_n (v (x) w) = sum_i x_i v (x) y_{n-i-1} w."""
-    out: dict = {}
+def _tensor_modes(sp1: FockSpace, sp2: FockSpace, A: TensorState, lo: int,
+                  hi: int, B: TensorState) -> list:
+    """[A_lo B, ..., A_hi B]: each term's degree is taken once, and each
+    left mode x_i v is looked up once for all the n it enters."""
+    outs = [{} for _ in range(lo, hi + 1)]
     bs = [(v, w, cb, sp1.degree(v), sp2.degree(w)) for (v, w), cb in B]
     for (x, y), ca in A:
         dx, dy = sp1.degree(x), sp2.degree(y)
         for v, w, cb, dv, dw in bs:
             c = ca * cb
-            for i in range(math.ceil(n - dy - dw), math.floor(dx + dv - 1) + 1):
+            # y_{n-i-1} w vanishes for n > i + dy + dw, x_i v for i > dx + dv - 1
+            for i in range(math.ceil(lo - dy - dw), math.floor(dx + dv - 1) + 1):
                 left = _word_mode_w(sp1, x, i, v)
-                if left:
+                if not left:
+                    continue
+                for n in range(lo, min(hi, math.floor(i + dy + dw)) + 1):
                     rightv = _word_mode_w(sp2, y, n - i - 1, w)
                     if rightv:
+                        out = outs[n - lo]
                         for wl, cl in left:
                             _add_into(out, (((wl, wr), cr) for wr, cr in rightv),
                                       c * cl)
-    return _adopt(TensorState, out)
+    return [_adopt(TensorState, t) for t in outs]
+
+
+def tensor_mode(sp1: FockSpace, sp2: FockSpace, A: TensorState, n: int,
+                B: TensorState) -> TensorState:
+    """(x (x) y)_n (v (x) w) = sum_i x_i v (x) y_{n-i-1} w."""
+    return _tensor_modes(sp1, sp2, A, n, n, B)[0]
 
 
 def from_tensor(alpha: LatVec, beta: LatVec, T: TensorState) -> FockState:
@@ -485,9 +496,11 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
     failures = []
     for u, fu, pu, du in images:
         for v, fv, pv, dv in images:
-            for n in range(ctx.lowest_mode(du + dv), int(du + dv)):
+            lo = ctx.lowest_mode(du + dv)
+            right = _tensor_modes(sp1, sp2, pu, lo, int(du + dv) - 1, pv)
+            for n, tn in enumerate(right, lo):
                 lhs = state_mode(full, fu, n, fv)
-                rhs = from_tensor(alpha, beta, tensor_mode(sp1, sp2, pu, n, pv))
+                rhs = from_tensor(alpha, beta, tn)
                 instances += 1
                 if lhs != rhs:
                     failures.append({"u": u.to_str(), "v": v.to_str(), "n": n})

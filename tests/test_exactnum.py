@@ -200,3 +200,121 @@ def test_squarefree_past_the_cube_root():
     assert not _squarefree((10**6 + 3) ** 2)
     assert _squarefree((10**6 + 3) * (10**6 + 33))
     assert not _squarefree(4 * (10**9 + 7))
+
+
+# -- int-or-Fraction parts against a plain Fraction-pair reference ------------
+# integral parts are stored as ints; every result must still read as the
+# Fraction pair the two-part formulas give, print and hash as it, and keep
+# no integral part as a Fraction
+
+PARTS = [Fraction(x) for x in (0, 1, -1, 3, 10**20 + 1)] + [
+    Fraction(1, 2), Fraction(-3, 2)]
+B_PARTS = [Fraction(x) for x in (0, 1, -2)] + [Fraction(1, 2), Fraction(-3, 2)]
+FIELDS = (1, 2, 1000003)
+
+
+def values(D):
+    bs = B_PARTS if D > 1 else [Fraction(0)]
+    return [(a, b, D) for a in PARTS for b in bs]
+
+
+def ref_sign(a, b, D):
+    # independent of _sign: scale to integers A + B*sqrt(D); for B != 0,
+    # |B|*sqrt(D) lies strictly between r = isqrt(B^2 D) and r + 1
+    m = math.lcm(a.denominator, b.denominator)
+    A, B = int(a * m), int(b * m)
+    if B == 0:
+        return (A > 0) - (A < 0)
+    r = math.isqrt(B * B * D)
+    return (1 if -A <= r else -1) if B > 0 else (1 if A > r else -1)
+
+
+def ref_str(a, b, D):
+    return str(a) if b == 0 else f"{a}{'+' if b >= 0 else ''}{b}*sqrt({D})"
+
+
+def ref_repr(a, b, D):
+    return f"QuadScalar({a})" if b == 0 else f"QuadScalar({a}, {b}, D={D})"
+
+
+def assert_value(r, a, b, D):
+    assert type(r) is QuadScalar
+    assert type(r.a) is Fraction and type(r.b) is Fraction
+    assert (r.a, r.b) == (a, b)
+    if b:
+        assert r.D == D
+    for x in (r._a, r._b):
+        assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
+    assert str(r) == ref_str(a, b, D) and repr(r) == ref_repr(a, b, D)
+    assert r.to_json() == {"a": str(a), "b": str(b)}
+    assert bool(r) is bool(a or b)
+    assert r.sign() == ref_sign(a, b, D)
+    assert r.is_rational() is (b == 0)
+    assert hash(r) == (hash(a) if b == 0 else hash((a, b, D)))
+
+
+@pytest.mark.parametrize("D", FIELDS)
+def test_parts_match_fraction_pair_reference(D):
+    vals = values(D)
+    for a, b, _ in vals:
+        assert_value(QuadScalar(a, b, D), a, b, D)
+    plain = [0, 1, -3, Fraction(1, 2), Fraction(-5, 3)]
+    for a1, b1, _ in vals:
+        x = QuadScalar(a1, b1, D)
+        assert_value(-x, -a1, -b1, D)
+        n1 = a1 * a1 - b1 * b1 * D
+        if n1:
+            assert_value(x.inverse(), a1 / n1, -b1 / n1, D)
+        else:
+            with pytest.raises(ZeroDivisionError, match="division by zero in Q"):
+                x.inverse()
+        rhs = [(QuadScalar(a2, b2, D), a2, b2) for a2, b2, _ in vals]
+        rhs += [(y, Fraction(y), Fraction(0)) for y in plain]
+        for y, a2, b2 in rhs:
+            assert_value(x + y, a1 + a2, b1 + b2, D)
+            assert_value(y + x, a1 + a2, b1 + b2, D)
+            assert_value(x - y, a1 - a2, b1 - b2, D)
+            assert_value(y - x, a2 - a1, b2 - b1, D)
+            assert_value(x * y, a1 * a2 + b1 * b2 * D, a1 * b2 + b1 * a2, D)
+            assert_value(y * x, a1 * a2 + b1 * b2 * D, a1 * b2 + b1 * a2, D)
+            n2 = a2 * a2 - b2 * b2 * D
+            if n2:
+                assert_value(x / y, (a1 * a2 - b1 * b2 * D) / n2,
+                             (b1 * a2 - a1 * b2) / n2, D)
+            else:
+                with pytest.raises(ZeroDivisionError, match="division by zero in Q"):
+                    x / y
+            if n1:
+                assert_value(y / x, (a2 * a1 - b2 * b1 * D) / n1,
+                             (b2 * a1 - a2 * b1) / n1, D)
+            eq = a1 == a2 and b1 == b2
+            assert (x == y) is eq and (y == x) is eq and (x != y) is not eq
+            if eq:
+                assert hash(x) == hash(y)
+            s = ref_sign(a1 - a2, b1 - b2, D)
+            assert ((x < y), (x <= y), (x > y), (x >= y)) == (
+                s < 0, s <= 0, s > 0, s >= 0)
+
+
+def test_integral_fraction_is_stored_as_its_int():
+    for x, y in ((QuadScalar(Fraction(4, 2)), QuadScalar(2)),
+                 (QuadScalar(Fraction(6, 3), Fraction(-2, 2), 2), QuadScalar(2, -1, 2)),
+                 (QuadScalar(Fraction(1, 2), Fraction(1, 2), 1), QuadScalar(1)),
+                 (QuadScalar(Fraction(1, 2)) * 4, QuadScalar(2))):
+        assert x == y and hash(x) == hash(y)
+        assert (type(x._a), type(x._b)) == (int, int)
+        assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert hash(QuadScalar(2)) == hash(Fraction(2)) == hash(2)
+    assert QuadScalar(2) == 2 and QuadScalar(2) == Fraction(4, 2)
+    assert type((QuadScalar(3) / 3)._a) is int
+    assert QuadScalar(3) / True == 3 and type((QuadScalar(3) / True)._a) is int
+    assert QuadScalar(1) / 3 == Fraction(1, 3)
+
+
+def test_mixed_field_error_message():
+    x, y = QuadScalar(1, 1, 2), QuadScalar(Fraction(1, 2), 3, 1000003)
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y,
+               lambda: x == y, lambda: x < y):
+        with pytest.raises(ValueError,
+                           match=r"^mixed quadratic fields: sqrt\(2\) vs sqrt\(1000003\)$"):
+            op()

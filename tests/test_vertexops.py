@@ -640,3 +640,70 @@ def test_mode_work_is_done_once_per_word_pair(monkeypatch):
     assert expansions and annihilations
     assert all(c <= allowed[key] for key, c in expansions.items())
     assert max(annihilations.values()) == 1
+
+
+def test_tensor_degrees_are_taken_once_per_word_pair(monkeypatch):
+    # every n of a (u, v) pair shares one pass over pu's and pv's terms, so
+    # outside the mode recursion degree runs once per basis word (its
+    # adapted degree) and at most four times per word pair
+    real_degree = FockSpace.degree
+    real_phi = vertexops.phi_map
+    real_word = vertexops._word_mode_w
+    calls, words, depth = [0], [0], [0]
+
+    def degree(self, w):
+        if not depth[0]:
+            calls[0] += 1
+        return real_degree(self, w)
+
+    def phi(v):
+        words[0] += 1
+        return real_phi(v)
+
+    def word(sp, u, k, w):
+        depth[0] += 1
+        try:
+            return real_word(sp, u, k, w)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(FockSpace, "degree", degree)
+    monkeypatch.setattr(vertexops, "phi_map", phi)
+    monkeypatch.setattr(vertexops, "_word_mode_w", word)
+    L = GramLattice(gram=((2, 0), (0, 2)), D=2)
+    rep = check_phi_hom(L, (1, 0), 2, TruncationCtx(2))
+    assert rep["instances"] == 588 and rep["failures"] == []
+    assert words[0] == 14
+    assert calls[0] <= words[0] + 4 * words[0] ** 2
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_mode_caches_hold_integral_parts_as_ints(gram, monkeypatch):
+    # QuadScalar keeps an integral part as an int and only a non-integral
+    # one as a Fraction; a path that skips that normalization shows here
+    spaces = {}
+    real_word = vertexops._word_mode_w
+
+    def word(sp, u, k, w):
+        spaces[id(sp)] = sp
+        return real_word(sp, u, k, w)
+
+    monkeypatch.setattr(vertexops, "_word_mode_w", word)
+    L = GramLattice(gram=gram, D=2)
+    rep = check_phi_hom(L, (1, 0), 2, TruncationCtx(2))
+    assert rep["instances"] > 0 and rep["failures"] == []
+    sp = FockSpace.full_lattice(L)
+    a, b = sp.exp_state((1, 0)), sp.exp_state((-1, 1))
+    h = FockState.of(sp.word(((1, 0), (1, 1))))
+    for x, y, m, n in ((a, b, 0, 0), (a, b, 2, -2), (h, a, 1, -1),
+                       (sp.virasoro(), b, 2, -1)):
+        assert check_commutator(sp, x, y, m, n, sp.vacuum()).is_zero()
+    kinds = Counter()
+    for s in spaces.values():
+        for st in s.__dict__.get("_mode_cache", {}).values():
+            for c in st.terms.values():
+                assert type(c) is QuadScalar and not c._b
+                x = c._a
+                assert type(x) is int or x.denominator != 1, x
+                kinds[type(x)] += 1
+    assert kinds[int] and kinds[Fraction]
