@@ -5,11 +5,17 @@ summary on stderr.  Exit codes: 0 all checks pass, 1 verification failure,
 2 a ParavoaError: a usage or config error, input that breaks a precondition,
 or a result degree above the truncation ceiling (TruncationOverflow).  Any
 other exception is a bug and ends in a traceback.
+
+main() parses with a parser of only the first argument that names a
+subcommand, silenced, and falls back to the parser of all subcommands, which
+prints every help and usage text, only when that parse exits.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import random
 import sys
@@ -384,7 +390,54 @@ def cmd_c1_dims(cfg: SessionConfig, args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kw):
+    return flags, kw
+
+
+# name: (help, handler, arguments as add_argument's flags and keywords)
+COMMANDS = {
+    "classify": ("classify a submonoid descriptor", cmd_classify,
+                 [_arg("descriptor")]),
+    "borel": ("Borel-type submonoid for a direction", cmd_borel, [
+        _arg("gamma", help="'x,y'; components 'a' or 'a~b' = a+b*sqrt(D); "
+                           "after '--' if it starts with '-' (borel -- -1,1)")]),
+    "saturate": ("saturation witness pair", cmd_saturate, [
+        _arg("gamma"),
+        _arg("alpha", help="'x,y' primitive lattice vector")]),
+    "character": ("graded-dimension series", cmd_character, [
+        _arg("target", help="descriptor name, VL, VH, or M1"),
+        _arg("--cap", default="6"),
+        _arg("--alpha"),
+        _arg("--t", help="module parameter t (with a descriptor target); "
+                         "a negative t as --t=-1/2"),
+        _arg("--i", help="module coset index")]),
+    "verify-iso": ("tensor-factorization checks", cmd_verify_iso, [
+        _arg("--alpha"),
+        _arg("--cap", default="2"),
+        _arg("--char-cap", default="12")]),
+    "verify-ideal": ("ideal stability spot checks", cmd_verify_ideal, [
+        _arg("descriptor"),
+        _arg("--sample-degree", default="2")]),
+    "verify-commutators": ("seeded commutator residuals", cmd_verify_commutators,
+                           [_arg("--samples", default="20")]),
+    "zhu-nil": ("nilpotency certificate", cmd_zhu_nil, [
+        _arg("descriptor"),
+        _arg("beta", help="'x,y' lattice vector")]),
+    "fusion": ("fusion table over a module sample", cmd_fusion, [
+        _arg("descriptor"),
+        _arg("--ts", help="comma-separated t values (type II); "
+                          "a list that starts with '-' as --ts=-1/2,0"),
+        _arg("--lams", help="semicolon-separated 'x,y' (type I)")]),
+    "c1": ("C1-cofiniteness decision", cmd_c1, [_arg("descriptor")]),
+    "c1-dims": ("quotient dimensions per degree", cmd_c1_dims, [
+        _arg("target", help="VH or a descriptor name"),
+        _arg("--cap", default="4"),
+        _arg("--alpha")]),
+}
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The paravoa parser with every subcommand, or with the one named."""
     p = argparse.ArgumentParser(
         prog="paravoa",
         description="Exact computations for parabolic-type subalgebras of "
@@ -394,79 +447,36 @@ def build_parser() -> argparse.ArgumentParser:
                    help="config file path or bundled name (a2, diag22)")
     p.add_argument("--pretty", action="store_true",
                    help="print a human-readable summary to stderr")
-    # accepted both before and after the subcommand
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
-    sub = p.add_subparsers(dest="command", required=True, parser_class=(
-        lambda **kw: argparse.ArgumentParser(parents=[shared], **kw)))
-
-    s = sub.add_parser("classify", help="classify a submonoid descriptor")
-    s.add_argument("descriptor")
-    s.set_defaults(fn=cmd_classify)
-
-    s = sub.add_parser("borel", help="Borel-type submonoid for a direction")
-    s.add_argument("gamma", help="'x,y'; components 'a' or 'a~b' = a+b*sqrt(D); "
-                                 "after '--' if it starts with '-' (borel -- -1,1)")
-    s.set_defaults(fn=cmd_borel)
-
-    s = sub.add_parser("saturate", help="saturation witness pair")
-    s.add_argument("gamma")
-    s.add_argument("alpha", help="'x,y' primitive lattice vector")
-    s.set_defaults(fn=cmd_saturate)
-
-    s = sub.add_parser("character", help="graded-dimension series")
-    s.add_argument("target", help="descriptor name, VL, VH, or M1")
-    s.add_argument("--cap", default="6")
-    s.add_argument("--alpha")
-    s.add_argument("--t", help="module parameter t (with a descriptor target); "
-                               "a negative t as --t=-1/2")
-    s.add_argument("--i", help="module coset index")
-    s.set_defaults(fn=cmd_character)
-
-    s = sub.add_parser("verify-iso", help="tensor-factorization checks")
-    s.add_argument("--alpha")
-    s.add_argument("--cap", default="2")
-    s.add_argument("--char-cap", default="12")
-    s.set_defaults(fn=cmd_verify_iso)
-
-    s = sub.add_parser("verify-ideal", help="ideal stability spot checks")
-    s.add_argument("descriptor")
-    s.add_argument("--sample-degree", default="2")
-    s.set_defaults(fn=cmd_verify_ideal)
-
-    s = sub.add_parser("verify-commutators", help="seeded commutator residuals")
-    s.add_argument("--samples", default="20")
-    s.set_defaults(fn=cmd_verify_commutators)
-
-    s = sub.add_parser("zhu-nil", help="nilpotency certificate")
-    s.add_argument("descriptor")
-    s.add_argument("beta", help="'x,y' lattice vector")
-    s.set_defaults(fn=cmd_zhu_nil)
-
-    s = sub.add_parser("fusion", help="fusion table over a module sample")
-    s.add_argument("descriptor")
-    s.add_argument("--ts", help="comma-separated t values (type II); "
-                                "a list that starts with '-' as --ts=-1/2,0")
-    s.add_argument("--lams", help="semicolon-separated 'x,y' (type I)")
-    s.set_defaults(fn=cmd_fusion)
-
-    s = sub.add_parser("c1", help="C1-cofiniteness decision")
-    s.add_argument("descriptor")
-    s.set_defaults(fn=cmd_c1)
-
-    s = sub.add_parser("c1-dims", help="quotient dimensions per degree")
-    s.add_argument("target", help="VH or a descriptor name")
-    s.add_argument("--cap", default="4")
-    s.add_argument("--alpha")
-    s.set_defaults(fn=cmd_c1_dims)
-
+    sub = p.add_subparsers(dest="command", required=True)
+    for name in COMMANDS if only is None else [only]:
+        help_, fn, arguments = COMMANDS[name]
+        s = sub.add_parser(name, help=help_)
+        # accepted both before and after the subcommand
+        s.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
+        for flags, kw in arguments:
+            s.add_argument(*flags, **kw)
+        s.set_defaults(fn=fn)
     return p
 
 
+def _parse_args(argv: list) -> argparse.Namespace:
+    """Parse with a parser of only the first token that names a command,
+    silenced; if that parse exits (help, a usage error, or the token was a
+    --config value), parse again with the full parser, which prints."""
+    only = next((a for a in argv if a in COMMANDS), None)
+    if only is not None:
+        sink = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                return build_parser(only).parse_args(argv)
+        except SystemExit:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse uses 2 for usage errors already; normalize --help to 0
         return int(exc.code or 0)

@@ -1,8 +1,12 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from importlib import resources
@@ -12,7 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paravoa.cli import (
+    COMMANDS,
     SessionConfig,
+    build_parser,
     load_config,
     main,
     parse_alpha,
@@ -584,12 +590,119 @@ def readme_commands():
             for line in block.splitlines() if line.startswith("paravoa ")]
 
 
-def test_readme_commands_are_byte_stable(capsys):
+def test_readme_commands_are_byte_stable(capsys, monkeypatch):
     assert readme_commands() == list(README_DIGESTS)
+    parsers = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kw):
+        parsers.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
     for argv, want in README_DIGESTS.items():
+        parsers.clear()
         code = main(list(argv))
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert (code, digest) == want, argv
+        # the top parser and the named subcommand's, not one per subcommand
+        assert len(parsers) <= 2, argv
+
+
+# -- parsing: the named subcommand's parser first, the full parser on exit ------
+
+PARSE_CORPUS = (
+    *README_DIGESTS,
+    *((*argv[:2], "--pretty", *argv[2:]) for argv in README_DIGESTS),
+    *((*argv, "--pretty") for argv in README_DIGESTS),
+    ("--config=diag22", "classify", "P2"),
+    ("--conf", "diag22", "classify", "P2"),
+    ("--config", "c1", "classify", "P2"),
+    ("--config", "diag22", "borel", "--", "-1,1"),
+    ("--config", "diag22", "character", "P2", "--t=-1/2"),
+)
+
+
+def quiet_parse(parser, argv):
+    """parser's Namespace for argv, or None where the parse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def test_one_subcommand_parse_matches_the_full_parser():
+    assert {argv[2] for argv in README_DIGESTS} == set(COMMANDS)
+    exits = []
+    for argv in PARSE_CORPUS:
+        only = next(a for a in argv if a in COMMANDS)
+        fast = quiet_parse(build_parser(only), argv)
+        full = build_parser().parse_args(argv)
+        if fast is None:
+            exits.append(argv)
+        else:
+            assert fast == full, argv
+    # the config value "c1" names a command, so "classify" is no choice
+    assert exits == [("--config", "c1", "classify", "P2")]
+
+
+# each parse here exits, or reaches a config named like a command; the full
+# parser must print its own help and usage text for every one
+PARSE_EXIT_ARGVS = (
+    (), ("--help",), ("-h",), ("--config",), ("classify", "P2"),
+    ("--config", "diag22"), ("--config", "diag22", "nope"),
+    ("--config", "diag22", "--help", "classify"),
+    ("--config", "diag22", "-h", "zhu-nil"),
+    ("--config", "diag22", "classify"),
+    ("--config", "diag22", "classify", "--help"),
+    ("--config", "diag22", "--pretty", "c1", "--help"),
+    ("--config", "diag22", "fusion", "--help"),
+    ("--config", "diag22", "character", "--help"),
+    ("--config", "diag22", "classify", "P2", "--bogus"),
+    ("--config", "diag22", "classify", "P2", "extra"),
+    ("--config", "diag22", "zhu-nil", "P2"),
+    ("--config", "diag22", "c1-dims"),
+    ("--config", "diag22", "borel", "-1,1"),
+    ("--config", "diag22", "character", "P2", "--t", "-1/2"),
+    ("--config", "diag22", "verify-commutators", "--samples", "2", "extra"),
+    ("--config", "c1", "classify", "P2"),
+    ("--conf", "c1", "c1", "P2"),
+    ("--config", "classify", "c1", "P2"),
+)
+# sha256 over exit code, stdout and stderr of every run, in order, with a
+# copy of diag22 named c1 in the working directory and 80 columns
+PARSE_EXIT_DIGEST = "7eb42bb6c223b3596ee9a6b2c45aaf99b130de2d2b6e3608554d86d118e96ba5"
+
+
+def test_parse_exits_are_byte_stable(capsys, monkeypatch, tmp_path):
+    (tmp_path / "c1").write_text(
+        resources.files("paravoa").joinpath("configs/diag22.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    h = hashlib.sha256()
+    exits = []
+    for argv in PARSE_EXIT_ARGVS:
+        code = main(list(argv))
+        out = capsys.readouterr()
+        exits.append(code)
+        h.update(f"{code}\n{out.out}{out.err}".encode())
+    assert exits == [2, 0, 0, 2, 2, 2, 2, 0, 0, 2, 0, 0, 0, 0,
+                     2, 2, 2, 2, 2, 2, 2, 0, 0, 2]
+    assert h.hexdigest() == PARSE_EXIT_DIGEST
+
+
+def test_module_entry_point_matches_main(capsys, monkeypatch):
+    # python -m runs main() with no argv, so it parses sys.argv[1:]
+    monkeypatch.setenv("COLUMNS", "80")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv in (["--config", "diag22", "classify", "P2"], ["--help"]):
+        p = subprocess.run([sys.executable, "-m", "paravoa.cli", *argv],
+                           capture_output=True, text=True, env=env, timeout=120)
+        code = main(argv)
+        assert (p.returncode, p.stdout) == (code, capsys.readouterr().out), argv
 
 
 # -- geometry commands over the reduced-form family ----------------------------
