@@ -370,7 +370,7 @@ def cmd_fusion(cfg: SessionConfig, args) -> int:
 
 
 def cmd_c1(cfg: SessionConfig, args) -> int:
-    rep = c1_decide(cfg.lattice, cfg.descriptor(args.descriptor), cfg.box_radius)
+    rep = c1_decide(cfg.lattice, cfg.descriptor(args.descriptor))
     out = rep.to_json()
     emit(out, args.pretty, [f"verdict: {rep.verdict}"])
     return 0

@@ -262,6 +262,12 @@ _set_D = QuadScalar.D.__set__
 _new = object.__new__
 
 
+def _parts(x: QuadScalar) -> tuple[RationalLike, RationalLike]:
+    """x's stored parts a and b, each an int or a Fraction as stored: both
+    have a numerator and a denominator, and neither is converted."""
+    return x._a, x._b
+
+
 def _make(a: RationalLike, b: RationalLike, D: int) -> QuadScalar:
     """a + b*sqrt(D) from int or Fraction parts and a D already validated;
     the caller guarantees b == 0 when D == 1.  An integral Fraction part is

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import QuadScalar, _sign, _squarefree
+from .exactnum import QuadScalar, _parts, _sign, _squarefree
 
 __all__ = [
     "GramLattice",
@@ -172,11 +172,10 @@ def _normal(L: GramLattice, gamma: HVec) -> tuple[LatVec, LatVec, int]:
     / den for some den > 0: gamma's four parts scaled to integers by the lcm
     of their denominators, then multiplied by G."""
     x, y = gamma
-    # the stored parts, each an int or a Fraction: both have a numerator
-    # and a denominator, and neither is converted
-    parts = (x._a, y._a, x._b, y._b)
-    if x._b and y._b and x.D != y.D:
+    (xa, xb), (ya, yb) = _parts(x), _parts(y)
+    if xb and yb and x.D != y.D:
         raise ValueError(f"mixed quadratic fields: sqrt({x.D}) vs sqrt({y.D})")
+    parts = (xa, ya, xb, yb)
     if not any(parts):
         raise ParavoaError("gamma must be nonzero")
     den = math.lcm(*(f.denominator for f in parts))
@@ -184,7 +183,7 @@ def _normal(L: GramLattice, gamma: HVec) -> tuple[LatVec, LatVec, int]:
     g = L.gram
     return ((a0 * g[0][0] + a1 * g[1][0], a0 * g[0][1] + a1 * g[1][1]),
             (b0 * g[0][0] + b1 * g[1][0], b0 * g[0][1] + b1 * g[1][1]),
-            x.D if x._b else y.D)
+            x.D if xb else y.D)
 
 
 def _side_of(n: tuple[LatVec, LatVec, int], v: LatVec) -> Side:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .exactnum import QuadScalar
+from .exactnum import QuadScalar, _parts
 from .fock import FockState
 
 __all__ = ["rank_of", "Span", "quotient_dimension"]
@@ -32,7 +32,11 @@ __all__ = ["rank_of", "Span", "quotient_dimension"]
 def _integer_row(terms: dict) -> tuple:
     """(row, m): the integer terms dict m*terms and the least such m > 0.
     Raises ValueError on an irrational coefficient."""
-    fr = {w: c.as_fraction() for w, c in terms.items()}
+    fr = {}
+    for w, c in terms.items():
+        fr[w], b = _parts(c)
+        if b:
+            raise ValueError(f"{c} is irrational")
     m = lcm(*(f.denominator for f in fr.values()))
     return {w: f.numerator * (m // f.denominator) for w, f in fr.items()}, m
 

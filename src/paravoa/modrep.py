@@ -49,7 +49,6 @@ TYPE_II_MOD = "TYPE_II_MOD"
 class ModuleLabel:
     kind: str
     alpha: Optional[LatVec] = None
-    beta: Optional[LatVec] = None
     N: Optional[int] = None
     lam: Optional[HVec] = None  # type I
     t: Optional[Fraction] = None  # type II: mu = t * beta
@@ -75,11 +74,10 @@ class ModuleLabel:
 class Selector:
     """Algebra selector for character computations."""
 
-    kind: str  # "V_L" | "V_P" | "V_H" | "M1" | "RANK1_LATTICE" | "RANK1_HEIS"
+    kind: str  # "V_L" | "V_P" | "V_H" | "M1"
     L: GramLattice
     P: Optional[MonoidDescriptor] = None
     alpha: Optional[LatVec] = None
-    lam: Optional[HVec] = None
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,9 @@ class QSeries:
 
 @dataclass(frozen=True)
 class C1Report:
-    verdict: str  # COFINITE | NOT_COFINITE | CONDITION_FAILED | UNKNOWN
+    # COFINITE | NOT_COFINITE | CONDITION_FAILED, from alpha's basis partners
+    # in P out to the sup norm of the two next to the line's point nearest 0
+    verdict: str
     witness_basis: Optional[tuple[LatVec, LatVec]] = None
     condition_values: Optional[tuple[int, int, int, int]] = None  # (n, k, l, value)
 
@@ -158,8 +158,7 @@ def irreducibles(L: GramLattice, P: MonoidDescriptor, sample_params: dict) -> li
         h0 = t * t * Fraction(L.norm(beta), 2)
         for i in range(2 * N):
             h = h0 + Fraction(i * i, 4 * N)
-            out.append(ModuleLabel(kind=TYPE_II_MOD, alpha=alpha, beta=beta,
-                                   N=N, t=t, i=i, h=h))
+            out.append(ModuleLabel(kind=TYPE_II_MOD, alpha=alpha, N=N, t=t, i=i, h=h))
     return out
 
 
@@ -215,15 +214,7 @@ def character(obj, cap) -> QSeries:
         raise TypeError("character expects a ModuleLabel or Selector")
     L = obj.L
     if obj.kind == "M1":
-        lam = obj.lam or (L.scalar(0), L.scalar(0))
-        h = inner(L, lam, lam) * Fraction(1, 2)
-        if not h.is_rational():
-            raise ValueError("character needs a rational bottom weight")
-        return _dress({h.as_fraction(): 1}, 2, cap)
-    if obj.kind == "RANK1_HEIS":
-        return _dress({Fraction(0): 1}, 1, cap)
-    if obj.kind == "RANK1_LATTICE":
-        return _dress(_theta_line(L.norm(obj.alpha), Fraction(0), cap), 1, cap)
+        return _dress({Fraction(0): 1}, 2, cap)
     # lattice-label algebras: direct label enumeration
     if obj.kind == "V_L":
         labels = _labels_norm(L, cap, lambda v: True)
@@ -254,14 +245,15 @@ def _labels_norm(L: GramLattice, cap, keep) -> list[LatVec]:
 def check_tensor_character(L: GramLattice, alpha: LatVec, cap) -> dict:
     """Character of the half-lattice subalgebra vs the product of its two
     tensor factors; exact equality of every coefficient up to cap."""
+    cap = Fraction(cap)
     lhs = character(Selector(kind="V_H", L=L, alpha=alpha), cap)
-    rhs = character(Selector(kind="RANK1_HEIS", L=L), cap).mul(
-        character(Selector(kind="RANK1_LATTICE", L=L, alpha=alpha), cap)
-    )
+    # the rank-one Heisenberg algebra times the rank-one lattice Z*alpha
+    rhs = _dress({Fraction(0): 1}, 1, cap).mul(
+        _dress(_theta_line(L.norm(alpha), Fraction(0), cap), 1, cap))
     equal = lhs.terms == rhs.terms
     return {
         "check": "tensor_character",
-        "cap": str(Fraction(cap)),
+        "cap": str(cap),
         "equal": equal,
         "lhs": lhs.to_json(),
         "rhs": rhs.to_json(),
@@ -282,50 +274,46 @@ def fusion(m1: ModuleLabel, m2: ModuleLabel, m3: ModuleLabel) -> int:
     return 1 if m1.t + m2.t == m3.t else 0
 
 
-def c1_decide(L: GramLattice, P: MonoidDescriptor, box_radius: int = 8) -> C1Report:
+def c1_decide(L: GramLattice, P: MonoidDescriptor) -> C1Report:
     """The paper's sufficient test n^2 + l^2 - 4lk <= 0 for C1-cofiniteness
-    of V_P, on the bases (alpha, beta) of L with beta in P and sup norm at
-    most box_radius + 4.  The line through alpha bounds P, so those beta lie
-    on the line b0 + Z*alpha with det[alpha, b0] = +-1 and b0 in P.  On a
-    basis the value is min(N_alpha, N_beta)^2 - det L for n != 0 (N = norm/2),
-    since 4*N_alpha*N_beta - n^2 = det L."""
+    of V_P on the bases (alpha, beta) of L with beta in P, n = (alpha|beta),
+    scanned by (sup norm, |n|, beta).  The line through alpha bounds P, so
+    those beta are b0 + k*alpha with det[alpha, b0] = +-1 and b0 in P, and
+    n = c + k*(alpha|alpha).  As n^2 = (alpha|alpha)(beta|beta) - det L, the
+    value for n != 0 is min(N_alpha, N_beta)^2 - det L (N = norm/2), one
+    value for all beta with N_beta >= N_alpha.  The beta with N_beta <
+    N_alpha or n = 0 have |n| < (alpha|alpha), so they are at the two k next
+    to -c/(alpha|alpha); past the sup norm of those two no beta changes the
+    verdict, the witness or the best condition, and the scan stops there."""
     rep = parabolic(L, P)
     if rep.type == "TYPE_I":
         return C1Report(verdict="NOT_COFINITE")
     alpha = rep.alpha
-    R = box_radius + 4
     (a1, a2), (_, x, y) = alpha, _ext_gcd(*alpha)  # det[alpha, (-y, x)] = 1
     b1, b2 = (-y, x) if member(L, P, (-y, x)) else (y, -x)
     c, N2 = L.inner_int(alpha, (b1, b2)), L.norm(alpha)
-    # |b0 + k*alpha| >= |k|*|alpha| - |b0| in the sup norm, b0 = (b1, b2)
+    sup = lambda k: max(abs(b1 + k * a1), abs(b2 + k * a2))
+    R = max(sup(-(c // N2)), sup(-c // N2))
+    # |b0 + k*alpha| >= |k|*|alpha| - |b0| in the sup norm
     K = (R + max(abs(b1), abs(b2))) // max(abs(a1), abs(a2))
     best = None
     # smallest first, orthogonal pairings preferred: witnesses come out
     # small and deterministic
-    for r, n, beta in sorted(
-            (max(abs(b1 + k * a1), abs(b2 + k * a2)), abs(c + k * N2),
-             (b1 + k * a1, b2 + k * a2)) for k in range(-K, K + 1)):
+    for r, n, beta in sorted((sup(k), abs(c + k * N2), (b1 + k * a1, b2 + k * a2))
+                             for k in range(-K, K + 1)):
         if r > R:
             break
-        if n == 0:
-            return C1Report(
-                verdict="COFINITE",
-                witness_basis=(alpha, beta),
-                condition_values=(0, L.norm(beta) // 2, L.norm(alpha) // 2, 0),
-            )
-        l, k = sorted((L.norm(alpha) // 2, L.norm(beta) // 2))
-        val = n * n + l * l - 4 * l * k
-        if val <= 0:
-            return C1Report(
-                verdict="COFINITE",
-                witness_basis=(alpha, beta),
-                condition_values=(n, k, l, val),
-            )
-        if best is None or val < best[3]:
-            best = (n, k, l, val)
-    if best:
-        return C1Report(verdict="CONDITION_FAILED", condition_values=best)
-    return C1Report(verdict="UNKNOWN")
+        if n == 0:  # an orthogonal pairing: (n, N_beta, N_alpha, 0)
+            values = (0, L.norm(beta) // 2, N2 // 2, 0)
+        else:
+            l, k = sorted((N2 // 2, L.norm(beta) // 2))
+            values = (n, k, l, n * n + l * l - 4 * l * k)
+        if values[3] <= 0:
+            return C1Report(verdict="COFINITE", witness_basis=(alpha, beta),
+                            condition_values=values)
+        if best is None or values[3] < best[3]:
+            best = values
+    return C1Report(verdict="CONDITION_FAILED", condition_values=best)
 
 
 def _strongly_indecomposable(L: GramLattice, labels) -> list[LatVec]:

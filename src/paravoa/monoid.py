@@ -6,11 +6,13 @@ explicit generator list.  A half-plane descriptor is decided by one integer
 normal pair (p, q): v is on the positive side of gamma when
 p.v + (q.v)*sqrt(D) > 0.  `validate` returns that pair, so `member`
 validates and decides with integers only.  A generator list is decided
-exactly, also in integers, by `_compile`: a functional that is positive off
-the lineality of the generators' cone, and the group the generators on that
-lineality span.  A descriptor is checked once per lattice: the lattice and
-the answer on it are kept in the instance, and a generator list is compiled
-once, on first use.  A failed check is not kept, so it raises every time.
+exactly, also in integers, by `_compile`: the functionals that span the
+dual of the generators' cone, whose signs reject a point outside the cone;
+their sum, which is positive off the cone's lineality; and the group the
+generators on that lineality span.  A descriptor is checked once per
+lattice: the lattice and the answer on it are kept in the instance, and a
+generator list is compiled once, on first use.  A failed check is not
+kept, so it raises every time.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class MonoidDescriptor:
         return n
 
     @cached_property
-    def _compiled(self) -> tuple[LatVec, tuple[int, int, int], list[LatVec]]:
+    def _compiled(self) -> tuple:
         """_compile(generators), on first use: it depends on nothing else."""
         return _compile(self.generators)
 
@@ -168,10 +170,13 @@ def member(L: GramLattice, P: MonoidDescriptor, v: LatVec) -> bool:
         return _side_of(n, v) != MINUS
     if P.kind == "cone":
         return cone_member(P.cone[0], P.cone[1], v) is not None
-    # generators: v = lam + (positive generators), lam in the lineality group;
-    # each positive generator raises f by at least 1, so classes mod the
-    # group with f at most f(v) are all the search needs
-    f, lam, pos = P._compiled
+    # generators: outside the real cone, some functional of its dual is
+    # negative on v.  Inside, v = lam + (positive generators), lam in the
+    # lineality group; each positive generator raises f by at least 1, so
+    # classes mod the group with f at most f(v) are all the search needs
+    duals, f, lam, pos = P._compiled
+    if any(c[0] * v[0] + c[1] * v[1] < 0 for c in duals):
+        return False
     top = f[0] * v[0] + f[1] * v[1]
     target = _reduce(v, lam)
     seen = {(0, 0)}
@@ -188,24 +193,24 @@ def member(L: GramLattice, P: MonoidDescriptor, v: LatVec) -> bool:
     return target in seen
 
 
-def _compile(gens) -> tuple[LatVec, tuple[int, int, int], list[LatVec]]:
-    """The generated monoid in integers: a functional f that is >= 0 on every
-    generator, zero on the lineality of their cone and positive elsewhere on
+def _compile(gens) -> tuple[list[LatVec], LatVec, tuple[int, int, int],
+                           list[LatVec]]:
+    """The generated monoid in integers: the candidates +-perp(s) and s, for
+    s a generator, that are >= 0 on every generator; their sum f, which is
+    zero on the lineality of the generators' cone and positive elsewhere on
     it; the Hermite form of the group the generators with f = 0 span (they
     span the monoid's part on the lineality, which is a group); and the
     generators with f > 0.
 
-    f sums the candidates +-perp(s) and s that are >= 0 on every generator,
-    so it lies in the relative interior of the dual cone: a boundary ray
-    s of the cone gives its inward normal, and on a ray, where +-perp(s)
-    cancel, s itself counts."""
-    f = (0, 0)
-    for s in gens:
-        for c in ((-s[1], s[0]), (s[1], -s[0]), s):
-            if all(c[0] * g[0] + c[1] * g[1] >= 0 for g in gens):
-                f = (f[0] + c[0], f[1] + c[1])
+    The candidates span the dual cone: a boundary ray s of the cone gives
+    its inward normal, and on a ray, where +-perp(s) cancel, s itself
+    counts.  So v lies in the real cone exactly when each is >= 0 on v, and
+    f lies in the relative interior of the dual cone."""
+    duals = [c for s in gens for c in ((-s[1], s[0]), (s[1], -s[0]), s)
+             if all(c[0] * g[0] + c[1] * g[1] >= 0 for g in gens)]
+    f = (sum(c[0] for c in duals), sum(c[1] for c in duals))
     at = [(f[0] * g[0] + f[1] * g[1], g) for g in gens]
-    return f, _hermite(g for h, g in at if h == 0), [g for h, g in at if h > 0]
+    return duals, f, _hermite(g for h, g in at if h == 0), [g for h, g in at if h > 0]
 
 
 def _hermite(vecs) -> tuple[int, int, int]:
@@ -285,7 +290,7 @@ def _classify_generators(L: GramLattice, P: MonoidDescriptor) -> ClassificationR
     alpha and s are then a basis, so every lattice point on the positive
     side is reached.  Never type I: a type-I monoid needs infinitely many
     generators at height one over its boundary ray."""
-    _, (a, b, d), pos = P._compiled
+    _, _, (a, b, d), pos = P._compiled
     if a * d == 1:
         # the note stays: classify's stdout is promised byte-stable
         return ClassificationReport(is_parabolic=False, type=OTHER,

@@ -53,7 +53,6 @@ __all__ = [
     "check_lemma35",
     "check_ideal",
     "phi_map",
-    "tensor_mode",
     "check_phi_hom",
     "from_tensor",
 ]
@@ -413,8 +412,9 @@ def phi_map(v: FockState) -> TensorState:
 
 def _tensor_modes(sp1: FockSpace, sp2: FockSpace, A: TensorState, lo: int,
                   hi: int, B: TensorState) -> list:
-    """[A_lo B, ..., A_hi B]: each term's degree is taken once, and each
-    left mode x_i v is looked up once for all the n it enters."""
+    """[A_lo B, ..., A_hi B], with (x (x) y)_n (v (x) w) = sum_i x_i v (x)
+    y_{n-i-1} w: each term's degree is taken once, and each left mode x_i v
+    is looked up once for all the n it enters."""
     outs = [{} for _ in range(lo, hi + 1)]
     bs = [(v, w, cb, sp1.degree(v), sp2.degree(w)) for (v, w), cb in B]
     for (x, y), ca in A:
@@ -434,12 +434,6 @@ def _tensor_modes(sp1: FockSpace, sp2: FockSpace, A: TensorState, lo: int,
                             _add_into(out, (((wl, wr), cr) for wr, cr in rightv),
                                       c * cl)
     return [_adopt(TensorState, t) for t in outs]
-
-
-def tensor_mode(sp1: FockSpace, sp2: FockSpace, A: TensorState, n: int,
-                B: TensorState) -> TensorState:
-    """(x (x) y)_n (v (x) w) = sum_i x_i v (x) y_{n-i-1} w."""
-    return _tensor_modes(sp1, sp2, A, n, n, B)[0]
 
 
 def from_tensor(alpha: LatVec, beta: LatVec, T: TensorState) -> FockState:

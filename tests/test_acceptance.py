@@ -3,7 +3,6 @@ single pass/fail line.  All arithmetic is exact, so every comparison is
 equality with zero tolerance; each test also enforces its runtime budget.
 """
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -11,12 +10,9 @@ from fractions import Fraction
 from paravoa.exactnum import QuadScalar
 from paravoa.fock import FULL_L, FockSpace, FockState, enumerate_basis
 from paravoa.lattice import GramLattice, MINUS, PLUS, ZERO, is_primitive, side
-from paravoa.linalg import rank_of
 from paravoa.modrep import (
-    Selector,
     c1_decide,
     c1_quotient_dims,
-    character,
     check_tensor_character,
     fusion,
     irreducibles,
@@ -33,11 +29,10 @@ from paravoa.vertexops import (
     check_ideal,
     check_lemma35,
     check_phi_hom,
-    heis_mode,
     state_mode,
     word_mode,
 )
-from paravoa.zhu import nilpotency_certificate, reduce_35
+from paravoa.zhu import nilpotency_certificate
 
 A2 = GramLattice(gram=((2, -1), (-1, 2)), D=2)
 DIAG22 = GramLattice(gram=((2, 0), (0, 2)), D=2)

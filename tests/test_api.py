@@ -113,14 +113,17 @@ def _private_functions(tree: ast.Module) -> list:
 
 
 SRC = sorted((ROOT / "src" / "paravoa").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def test_no_dead_imports_or_private_functions():
-    # leftovers of a deleted route: an import no one reads, a private
-    # helper no one calls
+    # leftovers of a deleted route: an import no one reads, in src or in
+    # the tests, and a private helper no one calls
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC}
     refs = set().union(*map(_references, trees.values()))
-    assert {m: _unused_imports(t) for m, t in trees.items() if _unused_imports(t)} == {}
+    tests = {f"tests/{path.stem}": ast.parse(path.read_text()) for path in TESTS}
+    assert {m: _unused_imports(t) for m, t in {**trees, **tests}.items()
+            if _unused_imports(t)} == {}
     assert [(m, f) for m, t in trees.items() for f in _private_functions(t)
             if f not in refs] == []
 

@@ -784,16 +784,17 @@ def test_fusion_and_c1_are_byte_stable(capsys, tmp_path):
 
 # alpha's basis partners b (det[alpha, b] = +-1) on the Fibonacci lines lie
 # far out: those of (21,13) have sup norm 8 or more, those of (89,55) 34 or
-# more, so boxRadius 1 finds none (UNKNOWN), 4 finds only those of (21,13)
-# and 30 finds both; G and H are the generators descriptors [a, -a, s*b]
+# more, and c1 finds them whatever boxRadius says; G and H are the
+# generators descriptors [a, -a, s*b]
 C1_FAR_LINES = {"F": ((21, 13), (13, 8)), "E": ((89, 55), (55, 34))}
 # sha256 over exit code, stdout and stderr of every run, in order
-C1_FAR_DIGEST = "6e60992d2b399980b02c7a4e5a7aeeb5de456a7ec023cc44ec1d9a890d2edc1f"
+C1_FAR_DIGEST = "060efa4f0991658b8e2bd8006a5df921391c86c52c772052af9bdaa315bf7ee8"
 
 
 def test_c1_far_witnesses_are_byte_stable(capsys, tmp_path):
     h = hashlib.sha256()
     path = tmp_path / "form.json"
+    runs = {}
     for radius in (1, 4, 30):
         for i, gram in enumerate(reduced_forms()):
             for s in (1, -1):
@@ -813,7 +814,9 @@ def test_c1_far_witnesses_are_byte_stable(capsys, tmp_path):
                 for name in descriptors:
                     code = main(["--config", str(path), "c1", name])
                     out = capsys.readouterr()
-                    h.update(f"{code}\n{out.out}{out.err}".encode())
+                    run = f"{code}\n{out.out}{out.err}"
+                    assert runs.setdefault((i, s, name), run) == run, (radius, gram, name)
+                    h.update(run.encode())
     assert h.hexdigest() == C1_FAR_DIGEST
 
 

@@ -6,7 +6,6 @@ from paravoa.exactnum import QuadScalar
 from paravoa.fock import (
     FULL_L,
     MONOID,
-    BasisWord,
     FockSpace,
     FockState,
     _labels_up_to,

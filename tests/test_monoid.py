@@ -14,7 +14,6 @@ from paravoa.lattice import (
     MINUS,
     PLUS,
     ParavoaError,
-    inner,
     side,
 )
 from paravoa.monoid import (
@@ -128,6 +127,42 @@ def test_member_numerical_semigroup_ray():
     d = gens_desc([(2, 0), (3, 0)])
     assert [member(DIAG22, d, (k, 0)) for k in range(-1, 6)] == [
         False, True, False, True, True, True, True]
+
+
+# a ray, a numerical semigroup on a ray, a line, a half-plane, the full
+# plane and three pointed cones
+CONE_KINDS = [[(1, 0)], [(2, 0), (3, 0)], [(1, 1), (-1, -1)], [(1, 0), (-1, 0), (1, 1)],
+              [(1, 0), (0, 1), (-1, -1)], [(2, 1), (1, 2)], [(1, 0), (-4, 1)],
+              [(1, 0), (0, 1), (1, 1)]]
+
+
+@pytest.mark.parametrize("gens", CONE_KINDS, ids=str)
+def test_member_matches_the_search_on_every_cone_kind(gens):
+    # the cone test before the search never rejects a member
+    d = gens_desc(gens)
+    assert {v for v in DIAG22.box(12) if member(DIAG22, d, v)} == closure_box(gens, 12)
+
+
+def test_member_outside_the_cone_costs_no_search(monkeypatch):
+    # (x, 1) lies outside the cone of (2,1) and (1,2) for x > 2, and the
+    # search reduces as many classes at x = 10^6 as at x = 10^3; a search
+    # that runs long stops at its 10^4th class
+    calls, reduce = [], monoid._reduce
+
+    def counted(v, lam):
+        calls.append(v)
+        assert len(calls) < 10**4, "the search ran"
+        return reduce(v, lam)
+
+    monkeypatch.setattr(monoid, "_reduce", counted)
+    d = gens_desc([(2, 1), (1, 2)])
+    assert member(DIAG22, d, (3, 3)) and calls
+    work = []
+    for x in (10**3, 10**6):
+        calls.clear()
+        assert not member(DIAG22, d, (x, 1))
+        work.append(len(calls))
+    assert work[0] == work[1]
 
 
 @settings(max_examples=200, deadline=None)

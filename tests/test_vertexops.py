@@ -35,7 +35,6 @@ from paravoa.vertexops import (
     heis_mode,
     phi_map,
     state_mode,
-    tensor_mode,
     word_mode,
 )
 
