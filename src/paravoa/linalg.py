@@ -26,7 +26,7 @@ from typing import Optional
 from .exactnum import QuadScalar, _parts
 from .fock import FockState
 
-__all__ = ["rank_of", "Span", "quotient_dimension"]
+__all__ = ["Span", "quotient_dimension"]
 
 
 def _integer_row(terms: dict) -> tuple:
@@ -112,15 +112,6 @@ def _add_pivot(pivots: dict, t: dict, hist: Optional[dict] = None) -> bool:
             _make_primitive(prow, phist)
     pivots[w] = (len(pivots), t, hist)
     return True
-
-
-def rank_of(states) -> int:
-    pivots: dict = {}
-    r = 0
-    for s in states:
-        if _add_pivot(pivots, _integer_row(s.terms)[0]):
-            r += 1
-    return r
 
 
 def quotient_dimension(basis_words, span_states) -> int:

@@ -466,8 +466,6 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
     w2, and that per-degree dimensions match.
     """
     beta = perp_primitive(L, alpha)
-    if L.inner_int(alpha, beta) != 0:
-        raise ParavoaError("no rational orthogonal direction")
     adapted = FockSpace.hyperplane_adapted(L, alpha, beta)
     full = FockSpace.full_lattice(L)
     sp1 = FockSpace.rank_one_heisenberg(L.norm(beta))

@@ -8,8 +8,8 @@ import time
 from fractions import Fraction
 
 from paravoa.exactnum import QuadScalar
-from paravoa.fock import FULL_L, FockSpace, FockState, enumerate_basis
-from paravoa.lattice import GramLattice, MINUS, PLUS, ZERO, is_primitive, side
+from paravoa.fock import FULL_L, FockSpace, FockState, _labels_up_to, enumerate_basis
+from paravoa.lattice import MINUS, PLUS, ZERO, is_primitive, side
 from paravoa.modrep import (
     c1_decide,
     c1_quotient_dims,
@@ -34,8 +34,8 @@ from paravoa.vertexops import (
 )
 from paravoa.zhu import nilpotency_certificate
 
-A2 = GramLattice(gram=((2, -1), (-1, 2)), D=2)
-DIAG22 = GramLattice(gram=((2, 0), (0, 2)), D=2)
+from forms import A2, DIAG22
+
 LATTICES = (DIAG22, A2)
 
 
@@ -188,9 +188,7 @@ def test_accept_05_orthogonal_commutation():
 def test_accept_06_tensor_factorization():
     t0 = time.time()
     rep = check_phi_hom(DIAG22, (1, 0), 3, TruncationCtx(6))
-    assert rep["failures"] == []
-    assert rep["omega_ok"]
-    assert rep["dims_ok"]
+    assert rep["failures"] == [] and rep["omega_ok"] and rep["dims_ok"]
     chars = check_tensor_character(DIAG22, (1, 0), 12)
     assert chars["equal"]
     report(6, "tensor factorization", time.time() - t0, 120)
@@ -208,7 +206,7 @@ def test_accept_07_structure_theorem():
     P = MonoidDescriptor(kind="type2", gamma=L.hvec(0, 1))
     sp = FockSpace.full_lattice(L)
     alpha = (1, 0)
-    labels_P = [v for v in _labels(L, 16) if member(L, P, v)]
+    labels_P = [v for v in _labels_up_to(L, 16) if member(L, P, v)]
     labels_H = [v for v in labels_P if v[0] * alpha[1] - v[1] * alpha[0] == 0]
     labels_plus = [v for v in labels_P if v not in labels_H]
     assert set(labels_H) | set(labels_plus) == set(labels_P)
@@ -220,12 +218,6 @@ def test_accept_07_structure_theorem():
         assert set(bh) | set(bpl) == set(bp)
         assert not (set(bh) & set(bpl))
     report(7, "structure decomposition", time.time() - t0, 120)
-
-
-def _labels(L, maxnorm):
-    from paravoa.fock import _labels_up_to
-
-    return _labels_up_to(L, maxnorm)
 
 
 def test_accept_08_nilpotency_certificates():

@@ -112,20 +112,28 @@ def _private_functions(tree: ast.Module) -> list:
             and node.name.startswith("_") and not node.name.startswith("__")]
 
 
+def _test_helpers(tree: ast.Module) -> list:
+    return [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("test_")]
+
+
 SRC = sorted((ROOT / "src" / "paravoa").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def test_no_dead_imports_or_private_functions():
     # leftovers of a deleted route: an import no one reads, in src or in
-    # the tests, and a private helper no one calls
+    # the tests, a private helper in src and a test helper no one calls
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC}
     refs = set().union(*map(_references, trees.values()))
     tests = {f"tests/{path.stem}": ast.parse(path.read_text()) for path in TESTS}
+    test_refs = set().union(*map(_references, tests.values()))
     assert {m: _unused_imports(t) for m, t in {**trees, **tests}.items()
             if _unused_imports(t)} == {}
     assert [(m, f) for m, t in trees.items() for f in _private_functions(t)
             if f not in refs] == []
+    assert [(m, f) for m, t in tests.items() for f in _test_helpers(t)
+            if f not in test_refs] == []
 
 
 def test_the_dead_code_check_sees_what_it_forbids():
@@ -140,6 +148,14 @@ def test_the_dead_code_check_sees_what_it_forbids():
     assert _unused_imports(tree) == ["os", "_cramer"]
     assert [f for f in _private_functions(tree)
             if f not in _references(tree)] == ["_rebase"]
+    tests = ast.parse(
+        "def oracle(n):\n"
+        "    return oracle(n - 1)\n"
+        "def make(x):\n"
+        "    return x\n"
+        "def test_make():\n"
+        "    assert make(1)\n")
+    assert [f for f in _test_helpers(tests) if f not in _references(tests)] == ["oracle"]
 
 
 def load_perfbench(name):

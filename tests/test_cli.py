@@ -29,18 +29,43 @@ from paravoa.cli import (
 )
 from paravoa import lattice, monoid
 from paravoa.fock import FULL_L, FockSpace, FockState, enumerate_basis
-from paravoa.lattice import ParavoaError
+from paravoa.lattice import GramLattice, ParavoaError
 from paravoa.monoid import borel_in, member
 from paravoa.vertexops import TruncationCtx
 from paravoa.zhu import eq33_certificate
 
-from forms import reduced_forms
+from forms import reduced_forms, type2
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def digest_runs(capsys, tmp_path, runs):
+    """The sha256 over exit code, stdout and stderr of main on each argv in
+    runs, in order, with tmp_path cut from the text; and the exit codes."""
+    h = hashlib.sha256()
+    codes = []
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        h.update(f"{code}\n{out}{err}".replace(str(tmp_path), "").encode())
+        codes.append(code)
+    return h.hexdigest(), codes
+
+
+def usage_error(capsys, *argv):
+    """main's stderr on argv, which must exit 2 with no stdout and one line
+    of stderr that starts with "error: "."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.count("\n"), err[:7]) == (2, "", 1, "error: "), (argv, err)
+    return err
+
+
+def write_config(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
 
 
 # -- config loading ----------------------------------------------------------
@@ -54,12 +79,10 @@ def test_bundled_configs_load():
 
 
 def test_config_from_path(tmp_path):
-    p = tmp_path / "c.json"
-    p.write_text(json.dumps({
+    cfg = load_config(write_config(tmp_path / "c.json", {
         "lattice": {"gram": [[2, 0], [0, 4]]},
         "descriptors": {"Q": {"kind": "type2", "gamma": ["0", "1"]}},
     }))
-    cfg = load_config(str(p))
     assert cfg.lattice.gram == ((2, 0), (0, 4))
     assert "Q" in cfg.descriptors
 
@@ -75,10 +98,8 @@ def test_deeply_nested_config_is_usage_error(capsys, tmp_path):
     # json.loads ends in RecursionError past the interpreter's depth limit
     p = tmp_path / "deep.json"
     p.write_text("[" * 100_000)
-    code, out, err = run(capsys, "--config", str(p), "classify", "P2")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "nested too deeply" in err
-    assert err.count("\n") == 1 and "Traceback" not in err
+    err = usage_error(capsys, "--config", str(p), "classify", "P2")
+    assert "nested too deeply" in err and "Traceback" not in err
 
 
 def test_config_rejects_odd_gram():
@@ -89,27 +110,20 @@ def test_config_rejects_odd_gram():
 def a2_with(tmp_path, keys, value):
     """Path of a copy of the bundled a2 config with obj[k1][k2]... = value,
     or with value for the whole document when keys is empty."""
-    obj = json.loads(resources.files("paravoa").joinpath("configs/a2.json").read_text())
-    if keys:
-        *outer, last = keys
-        d = obj
-        for k in outer:
-            d = d[k]
-        d[last] = value
-    else:
-        obj = value
-    p = tmp_path / "a2-edited.json"
-    p.write_text(json.dumps(obj))
-    return str(p)
+    root = {"": json.loads(resources.files("paravoa").joinpath("configs/a2.json").read_text())}
+    *outer, last = ("", *keys)
+    d = root
+    for k in outer:
+        d = d[k]
+    d[last] = value
+    return write_config(tmp_path / "a2-edited.json", root[""])
 
 
 @pytest.mark.parametrize("D", [4, 0])
 def test_config_rejects_bad_field(capsys, tmp_path, D):
-    code, out, err = run(capsys, "--config", a2_with(tmp_path, ("lattice", "D"), D),
-                         "classify", "P2")
-    assert code == 2 and not out
+    err = usage_error(capsys, "--config", a2_with(tmp_path, ("lattice", "D"), D),
+                      "classify", "P2")
     assert "bad lattice spec" in err and f"got {D}" in err
-    assert err.count("\n") == 1
 
 
 # each of these used to be cut to an integer by int(), or run as given
@@ -127,12 +141,9 @@ def test_config_rejects_bad_field(capsys, tmp_path, D):
     (("seed",), "7"),
 ], ids=json.dumps)
 def test_config_numbers_are_json_integers(capsys, tmp_path, keys, value):
-    code, out, err = run(capsys, "--config", a2_with(tmp_path, keys, value),
-                         "borel", "1,1~1")
-    assert code == 2 and out == ""
+    err = usage_error(capsys, "--config", a2_with(tmp_path, keys, value), "borel", "1,1~1")
     field = keys[-1] if keys[0] == "lattice" else ".".join(keys)
-    assert err.startswith("error: ") and f"{field}: expected" in err
-    assert err.count("\n") == 1
+    assert f"{field}: expected" in err
 
 
 @pytest.mark.parametrize("desc", [
@@ -142,10 +153,8 @@ def test_config_numbers_are_json_integers(capsys, tmp_path, keys, value):
 ], ids=json.dumps)
 def test_descriptor_vectors_are_integer_pairs(capsys, tmp_path, desc):
     path = a2_with(tmp_path, ("descriptors", "G"), desc)
-    code, out, err = run(capsys, "--config", path, "classify", "G")
-    assert code == 2 and out == ""
+    err = usage_error(capsys, "--config", path, "classify", "G")
     assert f"descriptor 'G': {desc['kind']}: expected" in err
-    assert err.count("\n") == 1
 
 
 # each of these gave a message that did not name the field, such as
@@ -157,20 +166,15 @@ def test_descriptor_vectors_are_integer_pairs(capsys, tmp_path, desc):
 ], ids=json.dumps)
 def test_descriptor_errors_name_the_field(capsys, tmp_path, desc, want):
     path = a2_with(tmp_path, ("descriptors", "X"), desc)
-    code, out, err = run(capsys, "--config", path, "classify", "X")
-    assert code == 2 and out == ""
-    assert f"descriptor 'X': {want}" in err
-    assert err.count("\n") == 1
+    assert f"descriptor 'X': {want}" in usage_error(capsys, "--config", path, "classify", "X")
 
 
 # each of these loaded with exit 0; the names are accepted and unused
 @pytest.mark.parametrize("names", ["ab", ["x"], [1, 2]], ids=json.dumps)
 def test_lattice_names_are_a_pair_of_strings(capsys, tmp_path, names):
     path = a2_with(tmp_path, ("lattice", "names"), names)
-    code, out, err = run(capsys, "--config", path, "classify", "P2")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "bad lattice spec: names: expected" in err
-    assert err.count("\n") == 1
+    err = usage_error(capsys, "--config", path, "classify", "P2")
+    assert "bad lattice spec: names: expected" in err
 
 
 # each of these ended in an AttributeError traceback, or a top-level list in
@@ -183,12 +187,8 @@ def test_lattice_names_are_a_pair_of_strings(capsys, tmp_path, names):
     ((), []),
 ], ids=json.dumps)
 def test_config_sections_are_json_objects(capsys, tmp_path, keys, value):
-    code, out, err = run(capsys, "--config", a2_with(tmp_path, keys, value),
-                         "borel", "1,1~1")
-    assert code == 2 and out == ""
-    field = keys[0] if keys else "config"
-    assert err.startswith("error: ") and f"{field}: expected a JSON object" in err
-    assert err.count("\n") == 1
+    err = usage_error(capsys, "--config", a2_with(tmp_path, keys, value), "borel", "1,1~1")
+    assert f"{keys[0] if keys else 'config'}: expected a JSON object" in err
 
 
 # each of these loaded with exit 0: a string split into characters, a third
@@ -204,10 +204,8 @@ def test_config_sections_are_json_objects(capsys, tmp_path, keys, value):
 ], ids=json.dumps)
 def test_descriptor_gamma_is_a_pair_of_scalars(capsys, tmp_path, name, gamma, want):
     path = a2_with(tmp_path, ("descriptors", name, "gamma"), gamma)
-    code, out, err = run(capsys, "--config", path, "classify", name)
-    assert code == 2 and out == ""
+    err = usage_error(capsys, "--config", path, "classify", name)
     assert f"descriptor {name!r}: {want}" in err
-    assert err.count("\n") == 1
 
 
 def test_large_field_costs_what_it_should(capsys, tmp_path):
@@ -236,11 +234,9 @@ def test_large_squarefree_field_loads_fast(capsys, tmp_path):
 # that stays fast, so the range check rejects it first
 @pytest.mark.parametrize("D", [2**63, 2**64 + 1])
 def test_field_past_the_exact_test_is_usage_error(capsys, tmp_path, D):
-    code, out, err = run(capsys, "--config", a2_with(tmp_path, ("lattice", "D"), D),
-                         "classify", "P2")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "D must be" in err and f"got {D}" in err
-    assert err.count("\n") == 1
+    err = usage_error(capsys, "--config", a2_with(tmp_path, ("lattice", "D"), D),
+                      "classify", "P2")
+    assert "D must be" in err and f"got {D}" in err
 
 
 def test_scalar_and_vector_parsing():
@@ -263,9 +259,7 @@ def test_classify_json(capsys):
 
 
 def test_classify_unknown_descriptor(capsys):
-    code, _, err = run(capsys, "--config", "diag22", "classify", "NOPE")
-    assert code == 2
-    assert "unknown descriptor" in err
+    assert "unknown descriptor" in usage_error(capsys, "--config", "diag22", "classify", "NOPE")
 
 
 def test_borel_irrational(capsys):
@@ -278,22 +272,16 @@ def test_borel_irrational(capsys):
 
 def test_saturate(capsys):
     code, out, _ = run(capsys, "--config", "a2", "saturate", "1,1", "0,-1")
-    assert code == 0
-    obj = json.loads(out)
-    assert all(obj["checks"].values())
+    assert code == 0 and all(json.loads(out)["checks"].values())
 
 
 def test_saturate_beta_det_holds_for_every_direction(capsys):
     code, out, _ = run(capsys, "--config", "diag22", "saturate", "--", "0,-1", "1,1")
-    assert code == 0
-    obj = json.loads(out)
-    assert all(obj["checks"].values())
+    assert code == 0 and all(json.loads(out)["checks"].values())
 
 
 def test_saturate_bad_alpha_is_usage_error(capsys):
-    code, _, err = run(capsys, "--config", "a2", "saturate", "2,1", "0,-1")
-    assert code == 2
-    assert "negative side" in err
+    assert "negative side" in usage_error(capsys, "--config", "a2", "saturate", "2,1", "0,-1")
 
 
 def test_character_vh(capsys):
@@ -381,9 +369,7 @@ def test_pretty_goes_to_stderr(capsys):
     ("--config", "diag22", "c1-dims", "VH", "--alpha", "3,3"),
 ], ids=lambda a: " ".join(a[2:]))
 def test_alpha_must_be_primitive(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error: alpha must be a primitive") and err.count("\n") == 1
+    assert usage_error(capsys, *argv).startswith("error: alpha must be a primitive")
 
 
 @pytest.mark.parametrize("argv", [
@@ -406,9 +392,7 @@ def test_alpha_must_be_primitive(capsys, argv):
     ("--config", "diag22", "fusion", "P2", "--ts="),
 ], ids=lambda a: " ".join(a[2:]))
 def test_bad_fraction_is_usage_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error: bad ") and err.count("\n") == 1
+    assert usage_error(capsys, *argv).startswith("error: bad ")
 
 
 # argparse takes a value after "--t" that starts with "-" for an option;
@@ -438,8 +422,8 @@ def test_a_bug_is_a_traceback_not_a_usage_error(monkeypatch):
 
 
 def test_fusion_lams_need_two_components(capsys):
-    code, out, err = run(capsys, "--config", "a2", "fusion", "P1", "--lams", "1")
-    assert code == 2 and out == "" and err.startswith("error: expected 'x,y'")
+    err = usage_error(capsys, "--config", "a2", "fusion", "P1", "--lams", "1")
+    assert err.startswith("error: expected 'x,y'")
     code, out, _ = run(capsys, "--config", "a2", "fusion", "P1", "--lams", "1,0;0,0")
     assert code == 0 and len(json.loads(out)["modules"]) == 2
 
@@ -452,9 +436,7 @@ def test_fusion_lams_need_two_components(capsys):
 ], ids=lambda a: " ".join(a[2:]))
 def test_empty_vector_is_usage_error(capsys, argv):
     # not the default alpha or lams
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err == "error: expected 'x,y' integer vector, got ''\n"
+    assert usage_error(capsys, *argv) == "error: expected 'x,y' integer vector, got ''\n"
 
 
 def test_parse_helpers():
@@ -477,29 +459,29 @@ def test_parse_helpers():
     ("--config", "diag22", "verify-ideal", "P2", "--sample-degree", "-1"),
 ], ids=lambda a: " ".join(a[2:]))
 def test_negative_size_is_usage_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
+    err = usage_error(capsys, *argv)
     assert err.startswith("error: --") and "must be non-negative" in err
-    assert err.count("\n") == 1
+
+
+def classify_other(capsys, tmp_path, generators, **extra):
+    """The path of a config over gram [[2,0],[0,2]] whose descriptor G has
+    these generators, after checking that classify G prints OTHER."""
+    path = write_config(tmp_path / "gens.json", {
+        "lattice": {"gram": [[2, 0], [0, 2]]},
+        "descriptors": {"G": {"kind": "generators", "generators": generators}}, **extra})
+    code, out, err = run(capsys, "--config", path, "classify", "G")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"parabolic": False, "type": "OTHER"}
+    return path
 
 
 def test_quadrant_classification_is_other(capsys, tmp_path):
-    p = tmp_path / "gens.json"
-    p.write_text(json.dumps({
-        "lattice": {"gram": [[2, 0], [0, 2]]},
-        "descriptors": {"G": {"kind": "generators", "generators": [[1, 0], [0, 1]]}},
-    }))
-    code, out, err = run(capsys, "--config", str(p), "classify", "G")
-    assert (code, err) == (0, "")
-    assert json.loads(out) == {"parabolic": False, "type": "OTHER"}
+    classify_other(capsys, tmp_path, [[1, 0], [0, 1]])
 
 
 def test_character_module_of_a_type1_descriptor_is_usage_error(capsys):
-    code, out, err = run(capsys, "--config", "diag22", "character", "P1",
-                         "--cap", "2", "--t", "0")
-    assert code == 2 and out == ""
-    assert err == ("error: --t/--i select type-II modules; "
-                   "descriptor 'P1' is TYPE_I\n")
+    err = usage_error(capsys, "--config", "diag22", "character", "P1", "--cap", "2", "--t", "0")
+    assert err == "error: --t/--i select type-II modules; descriptor 'P1' is TYPE_I\n"
 
 
 # options a target or descriptor kind does not use exit 2, not silently
@@ -545,9 +527,8 @@ def test_verify_ideal_builds_the_normal_pair_once_per_descriptor(monkeypatch, ca
 
 def test_ceiling_overflow_is_exit_2_before_any_work(capsys):
     t0 = time.perf_counter()
-    code, out, err = run(capsys, "--config", "diag22", "zhu-nil", "P2", "0,2")
+    err = usage_error(capsys, "--config", "diag22", "zhu-nil", "P2", "0,2")
     assert time.perf_counter() - t0 < 2
-    assert code == 2 and out == ""
     assert err == "error: result degree 16 exceeds ceiling 6\n"
 
 
@@ -681,16 +662,8 @@ def test_parse_exits_are_byte_stable(capsys, monkeypatch, tmp_path):
         resources.files("paravoa").joinpath("configs/diag22.json").read_text())
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
-    h = hashlib.sha256()
-    exits = []
-    for argv in PARSE_EXIT_ARGVS:
-        code = main(list(argv))
-        out = capsys.readouterr()
-        exits.append(code)
-        h.update(f"{code}\n{out.out}{out.err}".encode())
-    assert exits == [2, 0, 0, 2, 2, 2, 2, 0, 0, 2, 0, 0, 0, 0,
-                     2, 2, 2, 2, 2, 2, 2, 0, 0, 2]
-    assert h.hexdigest() == PARSE_EXIT_DIGEST
+    assert digest_runs(capsys, tmp_path, PARSE_EXIT_ARGVS) == (PARSE_EXIT_DIGEST, [
+        2, 0, 0, 2, 2, 2, 2, 0, 0, 2, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 0, 0, 2])
 
 
 def test_module_entry_point_matches_main(capsys, monkeypatch):
@@ -718,16 +691,14 @@ GEOMETRY_COMMANDS = (
     ("saturate", "1,2", "0,-1"), ("saturate", "--", "1~1,-1/2", "-1,0"),
     ("saturate", "--", "-2~1,1", "1,0"),
 )
-# sha256 over exit code, stdout and stderr of every run, in order
 GEOMETRY_DIGEST = "f1a92d008e725753c2009ff068c90917848df7f3f274edb1a7eff328184cb617"
 
 
 def test_geometry_commands_are_byte_stable(capsys, tmp_path):
-    h = hashlib.sha256()
+    runs = []
     for i, gram in enumerate(reduced_forms()):
         for j, (gamma1, gamma2) in enumerate(GEOMETRY_GAMMAS):
-            path = tmp_path / f"form{i}-gamma{j}.json"
-            path.write_text(json.dumps({
+            path = write_config(tmp_path / f"form{i}-gamma{j}.json", {
                 "lattice": {"gram": gram, "D": (2, 3, 5)[i % 3]},
                 "descriptors": {
                     "P1": {"kind": "type1", "gamma": gamma1},
@@ -736,88 +707,80 @@ def test_geometry_commands_are_byte_stable(capsys, tmp_path):
                           "generators": [[1, 0], [-1, 0], [1, 1]]},
                 },
                 "boxRadius": 3,
-            }))
-            for argv in GEOMETRY_COMMANDS:
-                code = main(["--config", str(path), *argv])
-                out = capsys.readouterr()
-                h.update(f"{code}\n{out.out}{out.err}".replace(str(tmp_path), "")
-                         .encode())
-    assert h.hexdigest() == GEOMETRY_DIGEST
+            })
+            runs += [("--config", path, *argv) for argv in GEOMETRY_COMMANDS]
+    assert digest_runs(capsys, tmp_path, runs)[0] == GEOMETRY_DIGEST
+
+
+def family_configs(tmp_path, descriptors):
+    """One config per reduced form i, with D = 2, 3 or 5 by i mod 3, and side
+    s = 1, -1, holding descriptors(L, s); their paths, in that order."""
+    forms = [GramLattice(gram=g, D=(2, 3, 5)[i % 3]) for i, g in enumerate(reduced_forms())]
+    return [write_config(tmp_path / f"form{i}{s:+d}.json", {
+        "lattice": {"gram": L.gram, "D": L.D}, "descriptors": descriptors(L, s)})
+        for i, L in enumerate(forms) for s in (1, -1)]
 
 
 # type-II descriptors on the lattice lines through (1,0), (0,1) and (1,2);
 # fusion runs on the first two, whose boundary vectors are short, and c1 on
 # all three: the (1,2) line fails the C1 condition on some forms
-FUSION_C1_LINES = {"X": (1, 0), "Y": (0, 1), "Q": (1, 2)}
+def fusion_c1_descriptors(L, s):
+    return {name: type2(L, a0, s).to_json()
+            for name, a0 in (("X", (1, 0)), ("Y", (0, 1)), ("Q", (1, 2)))}
+
+
 FUSION_C1_COMMANDS = (
     ("fusion", "X", "--ts=-1/3,0,1/2"), ("fusion", "Y", "--ts=-1/3,0,1/2"),
     ("c1", "X"), ("c1", "Y"), ("c1", "Q"),
 )
-# sha256 over exit code, stdout and stderr of every run, in order
-FUSION_C1_DIGEST = "c93d911ddd60abb0fee8260a2399c609f1510c65c640143ff7765793414a82c6"
+FUSION_C1_DIGEST = "f7f5bbab68296d8925ec118057f4d92961bb88f2cda76e59f80582341cbaddd5"
 
 
 def test_fusion_and_c1_are_byte_stable(capsys, tmp_path):
-    h = hashlib.sha256()
-    path = tmp_path / "form.json"
-    for radius in (1, 3, 8):
-        for i, gram in enumerate(reduced_forms()):
-            for s in (1, -1):
-                # gamma = s * (-w1, w0) with w = G a0 is orthogonal to a0
-                descriptors = {}
-                for name, a0 in FUSION_C1_LINES.items():
-                    w = [gram[0][0] * a0[0] + gram[0][1] * a0[1],
-                         gram[1][0] * a0[0] + gram[1][1] * a0[1]]
-                    descriptors[name] = {"kind": "type2",
-                                         "gamma": [str(-s * w[1]), str(s * w[0])]}
-                path.write_text(json.dumps({
-                    "lattice": {"gram": gram, "D": (2, 3, 5)[i % 3]},
-                    "descriptors": descriptors,
-                    "boxRadius": radius,
-                }))
-                for argv in FUSION_C1_COMMANDS:
-                    code = main(["--config", str(path), *argv])
-                    out = capsys.readouterr()
-                    h.update(f"{code}\n{out.out}{out.err}".encode())
-    assert h.hexdigest() == FUSION_C1_DIGEST
+    runs = [("--config", path, *argv)
+            for path in family_configs(tmp_path, fusion_c1_descriptors)
+            for argv in FUSION_C1_COMMANDS]
+    assert digest_runs(capsys, tmp_path, runs)[0] == FUSION_C1_DIGEST
 
 
-# alpha's basis partners b (det[alpha, b] = +-1) on the Fibonacci lines lie
-# far out: those of (21,13) have sup norm 8 or more, those of (89,55) 34 or
-# more, and c1 finds them whatever boxRadius says; G and H are the
-# generators descriptors [a, -a, s*b]
+# type II on the Fibonacci lines F and E, and the generators [a, -a, s*b]
+# G and H on them with det[a, b] = +-1: c1 finds alpha's basis partners,
+# which lie far out, whatever boxRadius says
 C1_FAR_LINES = {"F": ((21, 13), (13, 8)), "E": ((89, 55), (55, 34))}
-# sha256 over exit code, stdout and stderr of every run, in order
-C1_FAR_DIGEST = "060efa4f0991658b8e2bd8006a5df921391c86c52c772052af9bdaa315bf7ee8"
+
+
+def c1_far_descriptors(L, s):
+    out = {}
+    for (name, (a0, b)), gen in zip(C1_FAR_LINES.items(), "GH"):
+        out[name] = type2(L, a0, s).to_json()
+        out[gen] = {"kind": "generators", "generators": [
+            list(a0), [-a0[0], -a0[1]], [s * b[0], s * b[1]]]}
+    return out
+
+
+C1_FAR_DIGEST = "0e9267b741b512ef6c99ac31924584f20972919f507ae77d0a5bfbc0c85a09d1"
 
 
 def test_c1_far_witnesses_are_byte_stable(capsys, tmp_path):
-    h = hashlib.sha256()
-    path = tmp_path / "form.json"
-    runs = {}
-    for radius in (1, 4, 30):
-        for i, gram in enumerate(reduced_forms()):
-            for s in (1, -1):
-                descriptors = {}
-                for (name, (a0, b)), gen in zip(C1_FAR_LINES.items(), "GH"):
-                    w = [gram[0][0] * a0[0] + gram[0][1] * a0[1],
-                         gram[1][0] * a0[0] + gram[1][1] * a0[1]]
-                    descriptors[name] = {"kind": "type2",
-                                         "gamma": [str(-s * w[1]), str(s * w[0])]}
-                    descriptors[gen] = {"kind": "generators", "generators": [
-                        list(a0), [-a0[0], -a0[1]], [s * b[0], s * b[1]]]}
-                path.write_text(json.dumps({
-                    "lattice": {"gram": gram, "D": (2, 3, 5)[i % 3]},
-                    "descriptors": descriptors,
-                    "boxRadius": radius,
-                }))
-                for name in descriptors:
-                    code = main(["--config", str(path), "c1", name])
-                    out = capsys.readouterr()
-                    run = f"{code}\n{out.out}{out.err}"
-                    assert runs.setdefault((i, s, name), run) == run, (radius, gram, name)
-                    h.update(run.encode())
-    assert h.hexdigest() == C1_FAR_DIGEST
+    runs = [("--config", path, "c1", name)
+            for path in family_configs(tmp_path, c1_far_descriptors)
+            for name in "FGEH"]
+    assert digest_runs(capsys, tmp_path, runs)[0] == C1_FAR_DIGEST
+
+
+def test_only_borel_reads_the_box_radius(capsys, tmp_path):
+    # classify, c1 and fusion print the same at boxRadius 1 and 30
+    L = GramLattice(gram=((2, -1), (-1, 8)), D=3)
+    descriptors = {**fusion_c1_descriptors(L, 1), **c1_far_descriptors(L, -1)}
+    argvs = [*FUSION_C1_COMMANDS, *((cmd, name) for cmd in ("classify", "c1")
+                                    for name in descriptors)]
+    got = []
+    for radius in (1, 30):
+        path = write_config(tmp_path / "form.json", {
+            "lattice": {"gram": L.gram, "D": L.D}, "descriptors": descriptors,
+            "boxRadius": radius})
+        got.append(digest_runs(capsys, tmp_path, [("--config", path, *a) for a in argvs]))
+    assert got[0] == got[1] and set(got[0][1]) == {0}
 
 
 # -- generators are classified exactly, whatever boxRadius says ------------------
@@ -826,18 +789,10 @@ def test_c1_far_witnesses_are_byte_stable(capsys, tmp_path):
 # (5,-1) are both outside it, so it is not parabolic at any radius
 @pytest.mark.parametrize("radius", [3, 8])
 def test_commands_classify_at_the_config_box_radius(capsys, tmp_path, radius):
-    path = tmp_path / "gens.json"
-    path.write_text(json.dumps({
-        "lattice": {"gram": [[2, 0], [0, 2]]},
-        "descriptors": {"G": {"kind": "generators", "generators": [[1, 0], [-4, 1]]}},
-        "boxRadius": radius,
-    }))
-    code, out, err = run(capsys, "--config", str(path), "classify", "G")
-    assert (code, err) == (0, "")
-    assert json.loads(out) == {"parabolic": False, "type": "OTHER"}
+    path = classify_other(capsys, tmp_path, [[1, 0], [-4, 1]], boxRadius=radius)
     for argv in (("zhu-nil", "G", "0,1"), ("verify-ideal", "G", "--sample-degree", "1"),
                  ("fusion", "G"), ("c1", "G")):
-        assert run(capsys, "--config", str(path), *argv) == (
+        assert run(capsys, "--config", path, *argv) == (
             2, "", "error: P must be parabolic\n"), argv
 
 
@@ -917,22 +872,17 @@ CEILING_EQ33_DIGEST = "ae1a38e16b6c5489f1e4b6219f9c4146170639dd7af219bfe58670c1b
 
 
 def test_ceiling_edges_are_byte_stable(capsys, tmp_path):
-    h = hashlib.sha256()
-    exits = []
+    runs = []
     for name in ("diag22", "a2"):
         obj = json.loads(resources.files("paravoa").joinpath(
             f"configs/{name}.json").read_text())
         for ceiling in range(9):
             obj["truncation"] = {"maxDegree": ceiling}
-            path = tmp_path / f"{name}-{ceiling}.json"
-            path.write_text(json.dumps(obj))
-            for argv in CEILING_COMMANDS:
-                code = main(["--config", str(path), *argv])
-                out = capsys.readouterr()
-                exits.append(code)
-                h.update(f"{code}\n{out.out}{out.err}".encode())
+            path = write_config(tmp_path / f"{name}-{ceiling}.json", obj)
+            runs += [("--config", path, *argv) for argv in CEILING_COMMANDS]
+    digest, exits = digest_runs(capsys, tmp_path, runs)
     assert exits.count(2) == 16 and exits.count(0) == 92
-    assert h.hexdigest() == CEILING_CLI_DIGEST
+    assert digest == CEILING_CLI_DIGEST
 
     L = load_config("diag22").lattice
     sp = FockSpace.full_lattice(L)
@@ -954,13 +904,12 @@ def test_borel_matches_the_box_sweep(capsys, tmp_path):
     # rational gammas have a boundary line through L and irrational ones do
     # not; the sweep tests both v and -v at every point of the box
     neg = lambda v: (-v[0], -v[1])
-    path = tmp_path / "form.json"
     lines = set()
     for i, gram in enumerate(reduced_forms()):
         for radius in (1, 3, 8):
-            path.write_text(json.dumps({"lattice": {"gram": gram, "D": (2, 3, 5)[i % 3]},
-                                        "boxRadius": radius}))
-            L = load_config(str(path)).lattice
+            path = write_config(tmp_path / "form.json", {
+                "lattice": {"gram": gram, "D": (2, 3, 5)[i % 3]}, "boxRadius": radius})
+            L = load_config(path).lattice
             box = list(L.box(radius))
             for gamma in BOREL_GAMMAS:
                 desc = borel_in(L, parse_hvec(gamma, L.D))
@@ -969,7 +918,7 @@ def test_borel_matches_the_box_sweep(capsys, tmp_path):
                 alpha = desc.boundary_alpha(L)
                 lines.add(alpha is not None)
                 ok = union and inter == [(0, 0)]
-                code, out, err = run(capsys, "--config", str(path), "borel", "--", gamma)
+                code, out, err = run(capsys, "--config", path, "borel", "--", gamma)
                 assert (code, err) == (0 if ok else 1, "")
                 assert json.loads(out) == {
                     "descriptor": desc.to_json(),

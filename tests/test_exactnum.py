@@ -238,9 +238,7 @@ def ref_repr(a, b, D):
 
 
 def assert_value(r, a, b, D):
-    assert type(r) is QuadScalar
-    assert type(r.a) is Fraction and type(r.b) is Fraction
-    assert (r.a, r.b) == (a, b)
+    assert_parts(r, a, b)
     if b:
         assert r.D == D
     for x in (r._a, r._b):

@@ -15,10 +15,7 @@ from paravoa.fock import (
 from paravoa.lattice import GramLattice
 from paravoa.monoid import MonoidDescriptor
 
-from forms import reduced_forms
-
-A2 = GramLattice(gram=((2, -1), (-1, 2)), D=2)
-DIAG22 = GramLattice(gram=((2, 0), (0, 2)), D=2)
+from forms import A2, DIAG22, reduced_forms
 
 
 def colored_partitions(n, colors=2):

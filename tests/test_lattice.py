@@ -23,10 +23,7 @@ from paravoa.lattice import (
 )
 from paravoa.monoid import MonoidDescriptor, member
 
-from forms import reduced_forms
-
-A2 = GramLattice(gram=((2, -1), (-1, 2)), D=2)
-DIAG22 = GramLattice(gram=((2, 0), (0, 2)), D=2)
+from forms import A2, DIAG22, reduced_forms, type2
 
 
 def test_gram_validation():
@@ -200,13 +197,10 @@ def family_gammas(L: GramLattice, rng: random.Random) -> list:
     def frac():
         return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
 
-    g = L.gram
     out = []
     for _ in range(3):
         a0 = (rng.randint(-2, 2), rng.randint(1, 2))
-        w = (g[0][0] * a0[0] + g[0][1] * a0[1], g[1][0] * a0[0] + g[1][1] * a0[1])
-        s = frac() or Fraction(1)
-        out.append(L.hvec(-s * w[1], s * w[0]))
+        out.append(type2(L, a0, frac() or Fraction(1)).gamma)
     u = QuadScalar(frac(), 1, L.D)
     out.append((out[0][0] * u, out[0][1] * u))
     out += [L.hvec(frac(), frac()) for _ in range(3)]

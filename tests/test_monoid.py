@@ -25,8 +25,7 @@ from paravoa.monoid import (
     saturate_witnesses,
 )
 
-A2 = GramLattice(gram=((2, -1), (-1, 2)), D=2)
-DIAG22 = GramLattice(gram=((2, 0), (0, 2)), D=2)
+from forms import A2, C1_ALPHAS, C1_FAR_ALPHAS, DIAG22, basis_partner, reduced_forms, type2
 
 
 def closure_box(gens, R):
@@ -193,6 +192,35 @@ def test_classify_generators_matches_box_at_radius_10(gens):
         else:
             assert want == ("OTHER",)
             assert rep == ClassificationReport(is_parabolic=False, type="OTHER")
+
+
+# -- member on one monoid given as two descriptor kinds, in a box --------------
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_member_of_a_generated_half_plane_matches_type2(gram):
+    # [a, -a, b0] with det[a, b0] = e = +-1 generates Z*a + N*b0, the closed
+    # half-plane on b0's side of the line through a: type2(L, a, e)
+    L = GramLattice(gram=gram, D=2)
+    box = list(L.box(4))
+    for a in C1_ALPHAS + C1_FAR_ALPHAS:
+        b = basis_partner(a)
+        for e in (1, -1):
+            gens, half = gens_desc([a, (-a[0], -a[1]), (e * b[0], e * b[1])]), type2(L, a, e)
+            assert [v for v in box if member(L, gens, v) != member(L, half, v)] == [], (a, e)
+
+
+def test_member_of_a_generated_pair_matches_cone():
+    # both name the nonnegative integer combinations of a1 and a2, which do
+    # not depend on the lattice
+    signed = C1_ALPHAS + [(-x, -y) for x, y in C1_ALPHAS]
+    box = list(DIAG22.box(4))
+    pairs = [(a1, a2) for a1 in C1_ALPHAS for a2 in signed
+             if a1[0] * a2[1] - a1[1] * a2[0]]
+    for a1, a2 in pairs:
+        gens, cone = gens_desc([a1, a2]), MonoidDescriptor(kind="cone", cone=(a1, a2))
+        assert [v for v in box if member(DIAG22, gens, v)
+                != member(DIAG22, cone, v)] == [], (a1, a2)
 
 
 @pytest.mark.parametrize("gens", [[(1, 0), (-4, 1)], [(1, 0), (0, 1)]])

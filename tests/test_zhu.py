@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from paravoa import zhu
 from paravoa.exactnum import QuadScalar
 from paravoa.fock import FULL_L, FockSpace, FockState, enumerate_basis
-from paravoa.lattice import GramLattice, ParavoaError
-from paravoa.linalg import Span, quotient_dimension, rank_of
+from paravoa.lattice import ParavoaError
+from paravoa.linalg import Span, quotient_dimension
 from paravoa.monoid import MonoidDescriptor
 from paravoa.vertexops import (
     TruncationCtx,
@@ -29,8 +29,8 @@ from paravoa.zhu import (
     state_json,
 )
 
-A2 = GramLattice(gram=((2, -1), (-1, 2)), D=2)
-DIAG22 = GramLattice(gram=((2, 0), (0, 2)), D=2)
+from forms import A2, DIAG22
+
 SPD = FockSpace.full_lattice(DIAG22)
 SPA = FockSpace.full_lattice(A2)
 
@@ -45,9 +45,11 @@ def h1(sp):
 
 
 def test_rank_and_span():
-    a = h1(SPD)
-    b = FockState.of(SPD.word(((1, 1),)))
-    assert rank_of([a, b, a + b]) == 2
+    words = [SPD.word(((1, 0),)), SPD.word(((1, 1),))]
+    a, b = map(FockState.of, words)
+    # the span's rank is 2 minus the quotient dimension: 2, then 1
+    assert quotient_dimension(words, [a, b, a + b]) == 0
+    assert quotient_dimension(words, [a, a.scale(2)]) == 1
     combo = Span([a, b]).solve(a.scale(3) + b.scale(-2))
     assert combo == [(0, QuadScalar(3)), (1, QuadScalar(-2))]
     assert Span([a]).solve(b) is None
@@ -65,7 +67,7 @@ def test_irrational_coefficient_raises():
     a, b = h1(SPD), FockState.of(SPD.word(((1, 1),)))
     irr = FockState({SPD.word(((1, 0),)): QuadScalar(0, 1, 2)})
     with pytest.raises(ValueError, match="irrational"):
-        rank_of([a, irr])
+        quotient_dimension([], [a, irr])
     with pytest.raises(ValueError, match="irrational"):
         Span([a, irr])
     with pytest.raises(ValueError, match="irrational"):
@@ -160,7 +162,7 @@ def test_linalg_matches_fraction_gauss_jordan(rows_targets, word_picks):
     rows, targets = rows_targets
     states = [_state(r) for r in rows]
     basis = _gauss_jordan(rows)
-    assert rank_of(states) == len(basis)
+    assert len(LABEL_WORDS) - quotient_dimension(LABEL_WORDS, states) == len(basis)
     units = [[Fraction(j == k) for j in range(len(LABEL_WORDS))]
              for k in word_picks]
     want = len(_gauss_jordan(rows + units)) - len(basis)
