@@ -3,8 +3,10 @@
 Machine output is a single JSON document on stdout; --pretty adds a human
 summary on stderr.  Exit codes: 0 all checks pass, 1 verification failure,
 2 a ParavoaError: a usage or config error, input that breaks a precondition,
-or a result degree above the truncation ceiling (TruncationOverflow).  Any
-other exception is a bug and ends in a traceback.
+or a result degree above the truncation ceiling (TruncationOverflow); and 2
+for a result with an integer past the interpreter's digit limit, too long to
+print (the report and its summary are built before anything is written).
+Any other exception is a bug and ends in a traceback.
 
 main() parses with a parser of only the first argument that names a
 subcommand, silenced, and falls back to the parser of all subcommands, which
@@ -485,6 +487,12 @@ def main(argv: Optional[list] = None) -> int:
         return args.fn(cfg, args)
     except ParavoaError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):  # else a bug
+            raise
+        sys.stderr.write("error: the result has an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits, too long to print\n")
         return 2
 
 

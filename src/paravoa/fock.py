@@ -23,6 +23,7 @@ __all__ = [
     "FockSpace",
     "FULL_L",
     "MONOID",
+    "Selector",
     "enumerate_basis",
     "make_word",
 ]
@@ -200,22 +201,46 @@ def _labels_up_to(L: GramLattice, maxnorm: int) -> list[LatVec]:
             if L.norm((x, y)) <= maxnorm]
 
 
+@dataclass(frozen=True)
+class Selector:
+    """One of the four algebras of a lattice, named by its label set: all of
+    L (V_L), the monoid P (V_P), the line Z*alpha (V_H) or 0 alone (M1)."""
+
+    kind: str  # "V_L" | "V_P" | "V_H" | "M1"
+    L: GramLattice
+    P: Optional[MonoidDescriptor] = None
+    alpha: Optional[LatVec] = None
+
+    def labels(self, cap) -> list[LatVec]:
+        """The algebra's labels lam with (lam|lam) <= floor(2*cap), sorted."""
+        L, P, a = self.L, self.P, self.alpha
+        if self.kind == "V_L":
+            keep = lambda v: True
+        elif self.kind == "M1":
+            keep = lambda v: v == (0, 0)
+        elif self.kind == "V_P":
+            if P is None:
+                raise ValueError("V_P selector needs a monoid descriptor")
+            keep = lambda v: member(L, P, v)
+        elif self.kind == "V_H":
+            if a is None:
+                raise ValueError("V_H selector needs alpha")
+            keep = lambda v: v[0] * a[1] - v[1] * a[0] == 0
+        else:
+            raise ValueError(f"unknown selector kind {self.kind!r}")
+        return [v for v in _labels_up_to(L, math.floor(2 * cap)) if keep(v)]
+
+
 def enumerate_basis(L: GramLattice, ambient, degree: int) -> list[BasisWord]:
     """All basis words of exact (integer) degree, in a deterministic order,
     with labels in L (FULL_L) or in the monoid P (MONOID(P))."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    out: list[BasisWord] = []
-    for v in _labels_up_to(L, 2 * degree):
-        if isinstance(ambient, MONOID):
-            if not member(L, ambient.P, v):
-                continue
-        elif ambient != FULL_L:
-            raise ValueError(f"unknown ambient {ambient!r}")
-        half = L.norm(v) // 2
-        for w in _mode_words(2, degree - half):
-            out.append(BasisWord(modes=w, label=v))
-    return out
+    if ambient != FULL_L and not isinstance(ambient, MONOID):
+        raise ValueError(f"unknown ambient {ambient!r}")
+    sel = Selector("V_L", L) if ambient == FULL_L else Selector("V_P", L, P=ambient.P)
+    return [BasisWord(modes=w, label=v) for v in sel.labels(degree)
+            for w in _mode_words(2, degree - L.norm(v) // 2)]
 
 
 class FockSpace:

@@ -46,8 +46,8 @@ Side = int
 
 class ParavoaError(ValueError):
     """Bad input: a malformed config or argument, or data that breaks a
-    precondition such as P being parabolic.  The CLI exits 2 on it and on
-    nothing else."""
+    precondition such as P being parabolic.  The CLI exits 2 on it, and on
+    a result too long to print."""
 
 
 def _json_int(x, what: str, lo: Optional[int] = None) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactnum import QuadScalar
-from .fock import FockSpace, FockState, _labels_up_to
+from .fock import FockSpace, FockState, Selector
 from .lattice import (
     GramLattice,
     HVec,
@@ -68,16 +68,6 @@ class ModuleLabel:
         if self.h is not None:
             obj["h"] = self.h.to_json() if isinstance(self.h, QuadScalar) else str(self.h)
         return obj
-
-
-@dataclass(frozen=True)
-class Selector:
-    """Algebra selector for character computations."""
-
-    kind: str  # "V_L" | "V_P" | "V_H" | "M1"
-    L: GramLattice
-    P: Optional[MonoidDescriptor] = None
-    alpha: Optional[LatVec] = None
 
 
 @dataclass(frozen=True)
@@ -212,34 +202,11 @@ def character(obj, cap) -> QSeries:
         return _dress({h0 + e: c for e, c in theta.items()}, 2, cap)
     if not isinstance(obj, Selector):
         raise TypeError("character expects a ModuleLabel or Selector")
-    L = obj.L
-    if obj.kind == "M1":
-        return _dress({Fraction(0): 1}, 2, cap)
-    # lattice-label algebras: direct label enumeration
-    if obj.kind == "V_L":
-        labels = _labels_norm(L, cap, lambda v: True)
-    elif obj.kind == "V_P":
-        labels = _labels_norm(L, cap, lambda v: member(L, obj.P, v))
-    elif obj.kind == "V_H":
-        alpha = obj.alpha
-        if alpha is None:
-            raise ValueError("V_H selector needs alpha")
-        labels = _labels_norm(L, cap, lambda v: _on_line(v, alpha))
-    else:
-        raise ValueError(f"unknown selector kind {obj.kind!r}")
     bottoms: dict = {}
-    for v in labels:
-        h0 = Fraction(L.norm(v), 2)
+    for v in obj.labels(cap):
+        h0 = Fraction(obj.L.norm(v), 2)
         bottoms[h0] = bottoms.get(h0, 0) + 1
     return _dress(bottoms, 2, cap)
-
-
-def _on_line(v: LatVec, alpha: LatVec) -> bool:
-    return v[0] * alpha[1] - v[1] * alpha[0] == 0
-
-
-def _labels_norm(L: GramLattice, cap, keep) -> list[LatVec]:
-    return [v for v in _labels_up_to(L, math.floor(2 * cap)) if keep(v)]
 
 
 def check_tensor_character(L: GramLattice, alpha: LatVec, cap) -> dict:
@@ -350,18 +317,10 @@ def c1_quotient_dims(L: GramLattice, algebra: str, cap: int,
     eliminated one at a time."""
     if ctx is not None:
         ctx.check(cap)
-    if algebra == "V_H":
-        if alpha is None:
-            raise ValueError("V_H needs alpha")
-        keep = lambda v: _on_line(v, alpha)
-    elif algebra == "V_P":
-        if P is None:
-            raise ValueError("V_P needs a monoid descriptor")
-        keep = lambda v: member(L, P, v)
-    else:
+    if algebra not in ("V_H", "V_P"):
         raise ValueError(f"unknown algebra {algebra!r}")
     sp = FockSpace.full_lattice(L)
-    labels = _labels_norm(L, Fraction(cap), keep)
+    labels = Selector(algebra, L, P, alpha).labels(cap)
     by_deg = {d: sp.basis(d, labels=labels) for d in range(cap + 1)}
     units = [_unit(sp, i) for i in range(sp.rank)]
     gens = [(lam, L.norm(lam) // 2) for lam in _strongly_indecomposable(L, labels)]

@@ -40,7 +40,6 @@ from .lattice import (
     halfplane_basis,
     is_primitive,
     line_intersection,
-    side,
 )
 
 __all__ = [
@@ -320,7 +319,8 @@ def saturate_witnesses(
     det[alpha, beta'] = -1."""
     if alpha == (0, 0) or not is_primitive(alpha):
         raise ParavoaError("alpha must be primitive")
-    if side(L, gamma, alpha) != MINUS:
+    normal = _normal(L, gamma)
+    if _side_of(normal, alpha) != MINUS:
         raise ParavoaError("alpha must lie strictly on the negative side")
     a1, a2 = halfplane_basis(L, gamma)
     # alpha = m*a1 + n*a2 in the half-plane basis; m*y0 - n*x0 = g0 = +-1
@@ -332,12 +332,18 @@ def saturate_witnesses(
     def pick(rhs: int) -> LatVec:
         # solve m*y - n*x = rhs, so det[alpha, beta] = rhs * det[a1, a2]
         x, y = x0 * g0 * rhs, y0 * g0 * rhs
-        beta = (x * a1[0] + y * a2[0], x * a1[1] + y * a2[1])
-        # shifting beta by -alpha keeps the determinant and raises
-        # (gamma|beta) by -(gamma|alpha) > 0
-        while side(L, gamma, beta) != PLUS:
-            beta = (beta[0] - alpha[0], beta[1] - alpha[1])
-        return beta
+        b = (x * a1[0] + y * a2[0], x * a1[1] + y * a2[1])
+        # shifting b by -alpha keeps the determinant and raises (gamma|b) by
+        # -(gamma|alpha) > 0, so the first j >= 0 with b - j*alpha on the
+        # positive side is found by doubling and bisection: j is in (lo, hi]
+        at = lambda j: (b[0] - j * alpha[0], b[1] - j * alpha[1])
+        lo, hi = -1, 0
+        while _side_of(normal, at(hi)) != PLUS:
+            lo, hi = hi, 2 * hi + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _side_of(normal, at(mid)) == PLUS else (mid, hi)
+        return at(hi)
 
     # det[a1, a2] = +/-1 for the basis a1, a2
     return pick(det), pick(-det)

@@ -158,6 +158,40 @@ def test_the_dead_code_check_sees_what_it_forbids():
     assert [f for f in _test_helpers(tests) if f not in _references(tests)] == ["oracle"]
 
 
+def _label_enumerations(tree: ast.AST, where: str = "") -> list:
+    """(line, where) of each call of _labels_up_to outside Selector.labels,
+    where names the enclosing classes and functions."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = where
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{where}.{node.name}" if where else node.name
+        elif (isinstance(node, ast.Call) and where != "Selector.labels"
+              and "_labels_up_to" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))):
+            found.append((node.lineno, where))
+        found += _label_enumerations(node, inner)
+    return found
+
+
+def test_only_the_selector_enumerates_labels():
+    # which labels an algebra has is decided in one place, Selector.labels
+    assert [(path.stem, hit) for path in SRC
+            for hit in _label_enumerations(ast.parse(path.read_text()))] == []
+
+
+def test_the_label_check_sees_what_it_forbids():
+    bad = ast.parse(
+        "class Selector:\n"
+        "    def labels(self, cap):\n"
+        "        return _labels_up_to(self.L, 2 * cap)\n"
+        "    def keep(self, v):\n"
+        "        return v in _labels_up_to(self.L, 4)\n"
+        "def character(L, cap):\n"
+        "    return [v for v in fock._labels_up_to(L, cap)]\n")
+    assert _label_enumerations(bad) == [(5, "Selector.keep"), (7, "character")]
+
+
 def load_perfbench(name):
     path = str(ROOT / "perfbench")
     sys.path.insert(0, path)

@@ -421,6 +421,32 @@ def test_a_bug_is_a_traceback_not_a_usage_error(monkeypatch):
         main(["--config", "diag22", "classify", "P2"])
 
 
+@pytest.mark.parametrize("argv", [
+    ("diag22", "fusion", "P2", "--ts", "1e2200"),
+    ("diag22", "borel", "1e4300,1"),
+    ("diag22", "saturate", "--", "-1e5000,-1", "0,1"),
+    (None, "classify", "P1"),
+    (None, "classify", "P2"),
+    (None, "--pretty", "classify", "P2"),
+], ids=lambda a: " ".join(a[1:]))
+def test_a_result_too_long_to_print_is_usage_error(capsys, tmp_path, argv):
+    # str() of an int has a 4300-digit limit; with --pretty it is first hit
+    # in the summary line, before the report is written
+    gamma = ["1e5000", "1"]
+    config = argv[0] or a2_with(tmp_path, ("descriptors",), {
+        "P1": {"kind": "type1", "gamma": gamma}, "P2": {"kind": "type2", "gamma": gamma}})
+    err = usage_error(capsys, "--config", config, *argv[1:])
+    assert err == "error: the result has an integer of more than 4300 digits, too long to print\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("fusion", "P2", "--ts", "1e2100"), ("borel", "1e4299,1"),
+], ids=lambda a: " ".join(a))
+def test_a_long_result_below_the_limit_prints(capsys, argv):
+    code, out, err = run(capsys, "--config", "diag22", *argv)
+    assert (code, err) == (0, "") and len(out) > 4300
+
+
 def test_fusion_lams_need_two_components(capsys):
     err = usage_error(capsys, "--config", "a2", "fusion", "P1", "--lams", "1")
     assert err.startswith("error: expected 'x,y'")

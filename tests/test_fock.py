@@ -8,14 +8,16 @@ from paravoa.fock import (
     MONOID,
     FockSpace,
     FockState,
+    Selector,
     _labels_up_to,
     enumerate_basis,
     make_word,
 )
 from paravoa.lattice import GramLattice
-from paravoa.monoid import MonoidDescriptor
+from paravoa.modrep import character
+from paravoa.monoid import MonoidDescriptor, member
 
-from forms import A2, DIAG22, reduced_forms
+from forms import A2, ALPHAS, DIAG22, reduced_forms, type2
 
 
 def colored_partitions(n, colors=2):
@@ -264,3 +266,38 @@ def test_labels_up_to_matches_ring_search(gram):
     L = GramLattice(gram=gram)
     for maxnorm in range(41):
         assert _labels_up_to(L, maxnorm) == ring_search(L, maxnorm), maxnorm
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_selector_labels_match_a_box_oracle(gram):
+    # each algebra's labels, as the box of norm at most 2*cap filtered by
+    # the algebra's own test; --alpha takes either orientation of a line
+    L = GramLattice(gram=gram, D=2)
+    descriptors = [
+        MonoidDescriptor(kind="type1", gamma=L.hvec(1, 2)),
+        MonoidDescriptor(kind="type1", gamma=L.hvec(1, QuadScalar(0, 1, 2))),
+        type2(L, (1, 1)), type2(L, (1, 2), -1),
+        MonoidDescriptor(kind="cone", cone=((1, 0), (1, 2))),
+        MonoidDescriptor(kind="generators", generators=((2, 1), (1, 2), (1, 1))),
+        MonoidDescriptor(kind="generators", generators=((1, 0), (-1, 0), (0, 1)))]
+    cases = [(Selector("V_L", L), lambda v: True),
+             (Selector("M1", L), lambda v: v == (0, 0))]
+    cases += [(Selector("V_P", L, P=P), lambda v, P=P: member(L, P, v))
+              for P in descriptors]
+    cases += [(Selector("V_H", L, alpha=a), lambda v, a=a: v[0] * a[1] == v[1] * a[0])
+              for b in ALPHAS for a in (b, (-b[0], -b[1]))]
+    for cap in (0, Fraction(1, 2), 3):
+        box = ring_search(L, 2 * cap)
+        for sel, keep in cases:
+            assert sel.labels(cap) == [v for v in box if keep(v)], (sel, cap)
+
+
+@pytest.mark.parametrize("sel,match", [
+    (Selector("V_P", DIAG22), "needs a monoid descriptor"),
+    (Selector("V_H", DIAG22), "needs alpha"),
+    (Selector("V_Q", DIAG22), "unknown selector kind 'V_Q'"),
+], ids=["V_P", "V_H", "unknown"])
+def test_selector_without_its_data_is_an_error(sel, match):
+    for ask in (sel.labels, lambda cap: character(sel, cap)):
+        with pytest.raises(ValueError, match=match):
+            ask(2)

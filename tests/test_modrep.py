@@ -367,11 +367,11 @@ def test_c1_quotient_dims_vp_type1_tail():
 # -- C1 spans: strong generators against the all-pairs oracle ---------------
 
 
-def all_pairs_dims(L, cap, keep):
+def all_pairs_dims(sel, cap):
     """dim V / C1(V) per degree from every a_{-1}b over pairs of basis words
     of positive degree, plus L(-1)V: the span by definition."""
-    sp = FockSpace.full_lattice(L)
-    labels = modrep._labels_norm(L, Fraction(cap), keep)
+    sp = FockSpace.full_lattice(sel.L)
+    labels = sel.labels(cap)
     by_deg = [sp.basis(d, labels=labels) for d in range(cap + 1)]
     dims = []
     for d in range(cap + 1):
@@ -399,13 +399,13 @@ def record_blocks(monkeypatch, sp):
 
 
 def assert_vp_dims_match_all_pairs_span(L, P, cap):
-    want = all_pairs_dims(L, cap, lambda v: member(L, P, v))
+    sel = Selector("V_P", L, P=P)
+    want = all_pairs_dims(sel, cap)
     dims = c1_quotient_dims(L, "V_P", cap, P=P)
     assert dims == want, P
     # both sides above come from linalg; this one does not: the vacuum,
     # h_1(-1) and h_2(-1), and one e^lam per strongly indecomposable lam
-    labels = modrep._labels_norm(L, Fraction(cap), lambda v: member(L, P, v))
-    si = modrep._strongly_indecomposable(L, labels)
+    si = modrep._strongly_indecomposable(L, sel.labels(cap))
     for d, got in enumerate(dims):
         n_si = sum(1 for lam in si if L.norm(lam) == 2 * d)
         assert got == (d == 0) + 2 * (d == 1) + n_si, (P, d)
@@ -416,7 +416,7 @@ def test_c1_dims_match_all_pairs_span_vh(monkeypatch, gram):
     L = GramLattice(gram=gram)
     record_blocks(monkeypatch, FockSpace.full_lattice(L))
     for alpha in ALPHAS:
-        want = all_pairs_dims(L, 4, lambda v: modrep._on_line(v, alpha))
+        want = all_pairs_dims(Selector("V_H", L, alpha=alpha), 4)
         assert c1_quotient_dims(L, "V_H", 4, alpha=alpha) == want, alpha
 
 
@@ -443,14 +443,14 @@ def test_strong_generators_of_vh_are_plus_minus_alpha(gram):
     L = GramLattice(gram=gram)
     for alpha in ALPHAS:
         # cap 6 keeps +-alpha, of norm at most 12 on these forms, in the set
-        labels = modrep._labels_norm(L, 6, lambda v: modrep._on_line(v, alpha))
+        labels = Selector("V_H", L, alpha=alpha).labels(6)
         got = modrep._strongly_indecomposable(L, labels)
         assert sorted(got) == sorted([alpha, (-alpha[0], -alpha[1])])
 
 
 def test_orthogonal_sum_is_not_a_strong_generator():
     # (1,1) = (1,0) + (0,1) with ((1,0)|(0,1)) = 0, so e^(1,1) is not kept
-    labels = modrep._labels_norm(DIAG22, 4, lambda v: member(DIAG22, P2_D, v))
+    labels = Selector("V_P", DIAG22, P=P2_D).labels(4)
     got = modrep._strongly_indecomposable(DIAG22, labels)
     assert got == [(-1, 0), (0, 1), (1, 0)]
 

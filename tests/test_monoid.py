@@ -426,6 +426,44 @@ def test_saturate_witnesses_precondition():
         saturate_witnesses(DIAG22, DIAG22.hvec(1, 2), (1, 0))  # wrong side
 
 
+def walk_witnesses(L, gamma, alpha):
+    """saturate_witnesses by one -alpha step at a time from the same starts."""
+    a1, a2 = lattice.halfplane_basis(L, gamma)
+    m, n = (int(x) for x in lattice._cramer(a1, a2, alpha))
+    g0, x0, y0 = monoid._ext_gcd(-n, m)
+
+    def pick(rhs):
+        x, y = x0 * g0 * rhs, y0 * g0 * rhs
+        beta = (x * a1[0] + y * a2[0], x * a1[1] + y * a2[1])
+        while side(L, gamma, beta) != PLUS:
+            beta = (beta[0] - alpha[0], beta[1] - alpha[1])
+        return beta
+
+    det = a1[0] * a2[1] - a1[1] * a2[0]
+    return pick(det), pick(-det)
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_saturate_witnesses_match_a_one_step_walk(gram):
+    L = GramLattice(gram=gram, D=2)
+    for gamma in (L.hvec(1, 2), L.hvec(-3, 1), L.hvec(1, 40),
+                  L.hvec(1, QuadScalar(0, 1, 2)), L.hvec(QuadScalar(-7, 3, 2), 5)):
+        for alpha in L.box(3):
+            if alpha != (0, 0) and math.gcd(*alpha) == 1 and side(L, gamma, alpha) == MINUS:
+                assert saturate_witnesses(L, gamma, alpha) == walk_witnesses(L, gamma, alpha)
+
+
+@pytest.mark.parametrize("ratio", [10**3, 10**9])
+def test_saturate_cost_is_logarithmic(monkeypatch, ratio):
+    # beta = (ratio + 1, -1) is ratio + 1 steps of -alpha from its start
+    calls = []
+    real = monoid._side_of
+    monkeypatch.setattr(monoid, "_side_of", lambda n, v: calls.append(v) or real(n, v))
+    got = saturate_witnesses(DIAG22, DIAG22.hvec(1, ratio), (-1, 0))
+    assert got == ((ratio + 1, -1), (0, 1))
+    assert len(calls) <= 2 * ratio.bit_length() + 2
+
+
 def test_saturation_fills_lattice():
     # adjoining a primitive negative-side point to the open half-plane
     # regenerates every box point
