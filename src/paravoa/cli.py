@@ -1,12 +1,14 @@
 """Command-line front end: config ingestion, dispatch, JSON reports.
 
 Machine output is a single JSON document on stdout; --pretty adds a human
-summary on stderr.  Exit codes: 0 all checks pass, 1 verification failure,
-2 a ParavoaError: a usage or config error, input that breaks a precondition,
-or a result degree above the truncation ceiling (TruncationOverflow); and 2
-for a result with an integer past the interpreter's digit limit, too long to
-print (the report and its summary are built before anything is written).
-Any other exception is a bug and ends in a traceback.
+summary on stderr.  Each cmd_* handler returns its report, its summary lines
+and whether its checks passed, and writes nothing; main() alone writes, once
+the report is serialized.  Exit codes: 0 all checks pass, 1 verification
+failure, 2 a ParavoaError: a usage or config error, input that breaks a
+precondition, or a result degree above the truncation ceiling
+(TruncationOverflow); and 2 for a result with an integer past the
+interpreter's digit limit, too long to print.  Any other exception is a bug
+and ends in a traceback.
 
 main() parses with a parser of only the first argument that names a
 subcommand, silenced, and falls back to the parser of all subcommands, which
@@ -174,25 +176,18 @@ def parse_hvec(s: str, D: int):
     return (parse_scalar(parts[0], D), parse_scalar(parts[1], D))
 
 
-def emit(obj: dict, pretty: bool, lines: Optional[list] = None) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
-    if pretty and lines:
-        for ln in lines:
-            sys.stderr.write(ln + "\n")
+# -- subcommands: each returns (report, summary lines, ok) --------------------
 
 
-# -- subcommands -------------------------------------------------------------
-
-
-def cmd_classify(cfg: SessionConfig, args) -> int:
+def cmd_classify(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
     rep = classify(cfg.lattice, cfg.descriptor(args.descriptor))
-    out = rep.to_json()
-    emit(out, args.pretty, [f"{args.descriptor}: {rep.type}"
-                            + (f", boundary alpha {rep.alpha}" if rep.alpha else "")])
-    return 0
+    line = f"{args.descriptor}: {rep.type}"
+    if rep.alpha:
+        line += f", boundary alpha {rep.alpha}"
+    return rep.to_json(), [line], True
 
 
-def cmd_borel(cfg: SessionConfig, args) -> int:
+def cmd_borel(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
     L = cfg.lattice
     gamma = parse_hvec(args.gamma, L.D)
     desc = borel_in(L, gamma)
@@ -212,11 +207,10 @@ def cmd_borel(cfg: SessionConfig, args) -> int:
         "intersectionIsZero": inter_ok,
     }
     ok = union_ok and inter_ok
-    emit(out, args.pretty, [f"Borel axioms in box R={R}: {'ok' if ok else 'FAILED'}"])
-    return 0 if ok else 1
+    return out, [f"Borel axioms in box R={R}: {'ok' if ok else 'FAILED'}"], ok
 
 
-def cmd_saturate(cfg: SessionConfig, args) -> int:
+def cmd_saturate(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
     L = cfg.lattice
     gamma = parse_hvec(args.gamma, L.D)
     alpha = parse_vec(args.alpha)
@@ -229,9 +223,8 @@ def cmd_saturate(cfg: SessionConfig, args) -> int:
     }
     ok = all(checks.values())
     out = {"beta": list(beta), "betaPrime": list(beta_p), "checks": checks}
-    emit(out, args.pretty,
-         [f"witnesses beta={beta}, beta'={beta_p}: {'ok' if ok else 'FAILED'}"])
-    return 0 if ok else 1
+    return out, [f"witnesses beta={beta}, beta'={beta_p}: "
+                 f"{'ok' if ok else 'FAILED'}"], ok
 
 
 def _character_target(cfg: SessionConfig, args):
@@ -279,16 +272,15 @@ def _alpha(cfg: SessionConfig, args):
     raise ParavoaError("no descriptor provides a boundary line; pass --alpha")
 
 
-def cmd_character(cfg: SessionConfig, args) -> int:
+def cmd_character(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
     q = character(_character_target(cfg, args),
                   parse_size(args.cap, "--cap", rational=True))
     out = {"target": args.target, "cap": args.cap, "series": q.to_json()}
-    emit(out, args.pretty,
-         ["  ".join(f"q^{t['exp']}:{t['dim']}" for t in q.to_json()) or "(empty)"])
-    return 0
+    return out, ["  ".join(f"q^{t['exp']}:{t['dim']}" for t in out["series"])
+                 or "(empty)"], True
 
 
-def cmd_verify_iso(cfg: SessionConfig, args) -> int:
+def cmd_verify_iso(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
     L = cfg.lattice
     alpha = _alpha(cfg, args)
     char_cap = parse_size(args.char_cap, "--char-cap", rational=True)
@@ -298,26 +290,22 @@ def cmd_verify_iso(cfg: SessionConfig, args) -> int:
     out = {"hom": {k: hom[k] for k in ("check", "instances", "failures",
                                        "omega_ok", "dims_ok")},
            "characters": chars}
-    emit(out, args.pretty,
-         [f"mode instances: {hom['instances']}, failures: {len(hom['failures'])}",
-          f"omega image: {'ok' if hom['omega_ok'] else 'FAILED'}",
-          f"character identity to cap {args.char_cap}: "
-          f"{'ok' if chars['equal'] else 'FAILED'}"])
-    return 0 if ok else 1
+    return out, [f"mode instances: {hom['instances']}, "
+                 f"failures: {len(hom['failures'])}",
+                 f"omega image: {'ok' if hom['omega_ok'] else 'FAILED'}",
+                 f"character identity to cap {args.char_cap}: "
+                 f"{'ok' if chars['equal'] else 'FAILED'}"], ok
 
 
-def cmd_verify_ideal(cfg: SessionConfig, args) -> int:
+def cmd_verify_ideal(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
     rep = check_ideal(cfg.lattice, cfg.descriptor(args.descriptor), cfg.ctx(),
                       sample_degree=parse_size(args.sample_degree,
                                                "--sample-degree"))
-    ok = not rep["failures"]
-    emit(rep, args.pretty,
-         [f"ideal stability: {rep['instances']} instances, "
-          f"{len(rep['failures'])} failures"])
-    return 0 if ok else 1
+    return rep, [f"ideal stability: {rep['instances']} instances, "
+                 f"{len(rep['failures'])} failures"], not rep["failures"]
 
 
-def cmd_verify_commutators(cfg: SessionConfig, args) -> int:
+def cmd_verify_commutators(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
     L = cfg.lattice
     sp = FockSpace.full_lattice(L)
     rng = random.Random(cfg.seed)
@@ -332,22 +320,19 @@ def cmd_verify_commutators(cfg: SessionConfig, args) -> int:
         if not r.is_zero():
             failures.append({"sample": k, "m": m, "n": n})
     out = {"check": "commutator", "samples": samples, "failures": failures}
-    emit(out, args.pretty,
-         [f"commutator residuals: {args.samples} samples, "
-          f"{len(failures)} failures"])
-    return 0 if not failures else 1
+    return out, [f"commutator residuals: {args.samples} samples, "
+                 f"{len(failures)} failures"], not failures
 
 
-def cmd_zhu_nil(cfg: SessionConfig, args) -> int:
+def cmd_zhu_nil(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
     cert = nilpotency_certificate(cfg.lattice, cfg.descriptor(args.descriptor),
                                   parse_vec(args.beta), cfg.ctx())
-    emit(cert, args.pretty,
-         [f"beta={tuple(cert['beta'])}, N={cert['N']}, "
-          f"steps={len(cert['steps'])}: {'ok' if cert['ok'] else 'FAILED'}"])
-    return 0 if cert["ok"] else 1
+    ok = cert["ok"]
+    return cert, [f"beta={tuple(cert['beta'])}, N={cert['N']}, "
+                  f"steps={len(cert['steps'])}: {'ok' if ok else 'FAILED'}"], ok
 
 
-def cmd_fusion(cfg: SessionConfig, args) -> int:
+def cmd_fusion(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
     L = cfg.lattice
     P = cfg.descriptor(args.descriptor)
     kind = parabolic(L, P).type
@@ -366,19 +351,15 @@ def cmd_fusion(cfg: SessionConfig, args) -> int:
                 if fusion(m1, m2, m3) == 1:
                     table.append([m1.to_json(), m2.to_json(), m3.to_json()])
     out = {"modules": [m.to_json() for m in mods], "nonzeroTriples": table}
-    emit(out, args.pretty,
-         [f"{len(mods)} modules, {len(table)} nonzero fusion triples"])
-    return 0
+    return out, [f"{len(mods)} modules, {len(table)} nonzero fusion triples"], True
 
 
-def cmd_c1(cfg: SessionConfig, args) -> int:
+def cmd_c1(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
     rep = c1_decide(cfg.lattice, cfg.descriptor(args.descriptor))
-    out = rep.to_json()
-    emit(out, args.pretty, [f"verdict: {rep.verdict}"])
-    return 0
+    return rep.to_json(), [f"verdict: {rep.verdict}"], True
 
 
-def cmd_c1_dims(cfg: SessionConfig, args) -> int:
+def cmd_c1_dims(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
     L = cfg.lattice
     cap = parse_size(args.cap, "--cap")
     if args.target in ("VH", "V_H"):
@@ -388,8 +369,7 @@ def cmd_c1_dims(cfg: SessionConfig, args) -> int:
         _inapplicable(args, ("alpha",), f"descriptor {args.target!r}")
         dims = c1_quotient_dims(L, "V_P", cap, P=P)
     out = {"target": args.target, "cap": cap, "dims": dims}
-    emit(out, args.pretty, ["dims per degree: " + " ".join(map(str, dims))])
-    return 0
+    return out, ["dims per degree: " + " ".join(map(str, dims))], True
 
 
 def _arg(*flags, **kw):
@@ -483,8 +463,8 @@ def main(argv: Optional[list] = None) -> int:
         # argparse uses 2 for usage errors already; normalize --help to 0
         return int(exc.code or 0)
     try:
-        cfg = load_config(args.config)
-        return args.fn(cfg, args)
+        report, summary, ok = args.fn(load_config(args.config), args)
+        out = json.dumps(report, sort_keys=True) + "\n"
     except ParavoaError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -494,6 +474,10 @@ def main(argv: Optional[list] = None) -> int:
         sys.stderr.write("error: the result has an integer of more than "
                          f"{sys.get_int_max_str_digits()} digits, too long to print\n")
         return 2
+    sys.stdout.write(out)
+    if args.pretty:
+        sys.stderr.write("".join(ln + "\n" for ln in summary))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -272,6 +272,9 @@ class FockSpace:
         self._den = math.lcm(*(x.denominator for row in gm + gg for x in row))
         self._gen_mode = tuple(tuple(int(x * self._den) for x in row) for row in gm)
         self._gen_gen = tuple(tuple(int(x * self._den) for x in row) for row in gg)
+        # filled on demand by vertexops' mode engine and zhu's residue spans
+        self._mode_cache: dict = {}
+        self._residue_spans: dict = {}
 
     # -- constructors -------------------------------------------------
 

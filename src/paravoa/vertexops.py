@@ -208,7 +208,7 @@ def _unit(sp: FockSpace, d: int) -> tuple[int, ...]:
 
 
 def _word_mode_w(sp: FockSpace, u: BasisWord, k: int, w: BasisWord) -> FockState:
-    cache = sp.__dict__.setdefault("_mode_cache", {})
+    cache = sp._mode_cache
     key = (u, k, w)
     hit = cache.get(key)
     if hit is not None:
@@ -267,7 +267,8 @@ def state_mode(sp: FockSpace, a: FockState, k: int, v: FockState) -> FockState:
 def check_commutator(sp: FockSpace, a: FockState, b: FockState, m: int, n: int,
                      v: FockState, ctx: Optional[TruncationCtx] = None) -> FockState:
     """a_m b_n v - b_n a_m v - sum_j C(m,j) (a_j b)_{m+n-j} v; zero iff the
-    commutator identity holds on this instance."""
+    commutator identity holds on this instance.  ctx is accepted for callers
+    that still pass one, and ignored: results above its ceiling are computed."""
     lhs = state_mode(sp, a, m, state_mode(sp, b, n, v)) - state_mode(
         sp, b, n, state_mode(sp, a, m, v)
     )

@@ -57,7 +57,8 @@ def _residue(sp: FockSpace, a: FockState, b: FockState, top: int,
 
 def star(sp: FockSpace, a: FockState, b: FockState,
          ctx: Optional[TruncationCtx] = None) -> FockState:
-    """a * b = sum_j C(wt a, j) a_{j-1} b."""
+    """a * b = sum_j C(wt a, j) a_{j-1} b.  ctx is accepted for callers
+    that still pass one, and ignored: no degree of the product is checked."""
     if a.is_zero() or b.is_zero():
         return FockState()
     return _residue(sp, a, b, _weight_of(sp, a), -1)
@@ -192,7 +193,7 @@ def _residue_span(sp: FockSpace, pool: list[BasisWord], ctx: TruncationCtx,
     """(meta, span): every nonzero R(x, y, m, n) over the pool with
     m <= mmax that fits under the ceiling, eliminated once per space, pool,
     ceiling and mmax and kept on the space."""
-    cache = sp.__dict__.setdefault("_residue_spans", {})
+    cache = sp._residue_spans
     key = (tuple(pool), ctx, mmax)
     hit = cache.get(key)
     if hit is not None:

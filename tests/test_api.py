@@ -192,6 +192,43 @@ def test_the_label_check_sees_what_it_forbids():
     assert _label_enumerations(bad) == [(5, "Selector.keep"), (7, "character")]
 
 
+def _output_uses(tree: ast.AST, where: str = "") -> list:
+    """(line, where) of each use of print, stdout or stderr, where names the
+    enclosing classes and functions."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = where
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{where}.{node.name}" if where else node.name
+        elif (getattr(node, "attr", None) in ("stdout", "stderr")
+              or getattr(node, "id", None) in ("print", "stdout", "stderr")):
+            found.append((node.lineno, where))
+        found += _output_uses(node, inner)
+    return found
+
+
+def test_only_main_writes_output():
+    # handlers return their report and summary; cli.main alone writes them
+    assert [(path.stem, hit) for path in SRC
+            for hit in _output_uses(ast.parse(path.read_text()))
+            if (path.stem, hit[1]) != ("cli", "main")] == []
+
+
+def test_the_output_check_sees_what_it_forbids():
+    bad = ast.parse(
+        "import sys\n"
+        "from sys import stderr\n"
+        "def emit(obj):\n"
+        "    sys.stdout.write(obj)\n"
+        "class Report:\n"
+        "    def show(self):\n"
+        "        print(self, file=stderr)\n"
+        "def main():\n"
+        "    sys.stderr.write('error')\n")
+    assert _output_uses(bad) == [(4, "emit"), (7, "Report.show"), (7, "Report.show"),
+                                 (9, "main")]
+
+
 def load_perfbench(name):
     path = str(ROOT / "perfbench")
     sys.path.insert(0, path)

@@ -27,7 +27,7 @@ from paravoa.cli import (
     parse_scalar,
     parse_vec,
 )
-from paravoa import lattice, monoid
+from paravoa import cli, lattice, monoid
 from paravoa.fock import FULL_L, FockSpace, FockState, enumerate_basis
 from paravoa.lattice import GramLattice, ParavoaError
 from paravoa.monoid import borel_in, member
@@ -301,6 +301,20 @@ def test_character_module(capsys):
     assert series[0] == {"exp": "1/4", "dim": 2}
 
 
+def test_character_module_index_out_of_range(capsys):
+    err = usage_error(capsys, "--config", "diag22", "character", "P2",
+                      "--t", "0", "--i", "9")
+    assert err == "error: no module with coset index 9\n"
+
+
+def test_character_vh_needs_a_boundary_line(capsys, tmp_path):
+    # a cone has no boundary line to default --alpha to
+    config = a2_with(tmp_path, ("descriptors",),
+                     {"C": {"kind": "cone", "cone": [[1, 0], [0, 1]]}})
+    err = usage_error(capsys, "--config", config, "character", "VH")
+    assert err == "error: no descriptor provides a boundary line; pass --alpha\n"
+
+
 def test_c1_verdicts(capsys):
     code, out, _ = run(capsys, "--config", "diag22", "c1", "P1")
     assert code == 0
@@ -317,6 +331,12 @@ def test_c1_dims_vh(capsys):
                        "--cap", "4")
     assert code == 0
     assert json.loads(out)["dims"] == [1, 4, 0, 0, 0]
+
+
+def test_c1_dims_of_a_descriptor(capsys):
+    code, out, _ = run(capsys, "--config", "a2", "c1-dims", "P1", "--cap", "5")
+    assert code == 0
+    assert json.loads(out)["dims"] == [1, 5, 0, 1, 0, 0]
 
 
 def test_zhu_nil(capsys):
@@ -614,6 +634,54 @@ def test_readme_commands_are_byte_stable(capsys, monkeypatch):
         assert (code, digest) == want, argv
         # the top parser and the named subcommand's, not one per subcommand
         assert len(parsers) <= 2, argv
+
+
+# sha256 over exit code, stdout and stderr of each README command with
+# --pretty, in order: the summaries are pinned as well as the reports
+README_PRETTY_DIGEST = "940d8c0821ed7ab6173bed7c3e2978009c636e222ecdb215fe0ace3a10ae0a3a"
+
+
+def test_readme_summaries_are_byte_stable(capsys, tmp_path):
+    runs = [(*argv, "--pretty") for argv in README_DIGESTS]
+    assert digest_runs(capsys, tmp_path, runs) == (README_PRETTY_DIGEST, [0] * 12)
+
+
+# each verifying command with the library check it reads made to report a
+# failure: (argv, name in paravoa.cli, the stand-in made from the real one,
+# the summary line)
+FAILING = (
+    (("borel", "1,2"), "member", lambda real: lambda *a: True,
+     "Borel axioms in box R=8: FAILED"),
+    (("saturate", "1,1", "0,-1"), "side", lambda real: lambda *a: None,
+     "witnesses beta=(1, 0), beta'=(-1, 2): FAILED"),
+    (("verify-iso", "--cap", "1", "--char-cap", "4"), "check_tensor_character",
+     lambda real: lambda *a: {**real(*a), "equal": False},
+     "mode instances: 175, failures: 0\nomega image: ok\n"
+     "character identity to cap 4: FAILED"),
+    (("verify-ideal", "P2", "--sample-degree", "1"), "check_ideal",
+     lambda real: lambda *a, **kw: {**real(*a, **kw), "failures": ["planted"]},
+     "ideal stability: 42 instances, 1 failures"),
+    (("verify-commutators", "--samples", "3"), "check_commutator",
+     lambda real: lambda sp, a, *rest: a,
+     "commutator residuals: 3 samples, 3 failures"),
+    (("zhu-nil", "P2", "0,1"), "nilpotency_certificate",
+     lambda real: lambda *a: {**real(*a), "ok": False},
+     "beta=(0, 1), N=1, steps=11: FAILED"),
+)
+# sha256 over exit code, stdout and stderr of the FAILING runs, in order
+FAILING_DIGEST = "f328c16cd71bf8278519e85342242d2586d4daef3ba4c567f2e4996fd44a3b6b"
+
+
+def test_a_failed_check_exits_1_with_its_whole_report(capsys, monkeypatch, tmp_path):
+    for _, name, stand_in, _ in FAILING:
+        monkeypatch.setattr(cli, name, stand_in(getattr(cli, name)))
+    runs = []
+    for argv, _, _, summary in FAILING:
+        runs.append(("--config", "diag22", "--pretty", *argv))
+        code, out, err = run(capsys, *runs[-1])
+        assert (code, out.count("\n"), err) == (1, 1, summary + "\n"), argv
+        json.loads(out)  # the whole report, on one line
+    assert digest_runs(capsys, tmp_path, runs) == (FAILING_DIGEST, [1] * 6)
 
 
 # -- parsing: the named subcommand's parser first, the full parser on exit ------

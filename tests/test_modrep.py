@@ -99,6 +99,18 @@ def test_character_type2_module_bottom():
     assert q.coeff(Fraction(5, 4)) == 4
 
 
+def test_character_type1_module():
+    # the bottom weight (lam|lam)/2 dressed by two Heisenberg colors
+    lo, hi = irreducibles(DIAG22, P1_D, {"lams": [(0, 0), (1, 0)]})
+    assert [t["dim"] for t in character(lo, 2).to_json()] == [1, 2, 5]
+    assert character(hi, 3).to_json() == [
+        {"exp": "1", "dim": 1}, {"exp": "2", "dim": 2}, {"exp": "3", "dim": 5}]
+    (irr,) = irreducibles(DIAG22, P1_D, {"lams": [(QuadScalar(1, 1, 2), 0)]})
+    assert irr.h == QuadScalar(3, 2, 2)  # no exponent of a q-series
+    with pytest.raises(ValueError, match="rational bottom weight"):
+        character(irr, 4)
+
+
 def test_character_vl_vs_vp_split():
     qL = character(Selector(kind="V_L", L=DIAG22), 2)
     qP = character(Selector(kind="V_P", L=DIAG22, P=P2_D), 2)

@@ -497,7 +497,7 @@ def test_mode_results_are_never_aliased():
     first = calls()
     assert all(first)
     kept = [snapshot(s) for s in first]
-    cache = sp.__dict__["_mode_cache"]
+    cache = sp._mode_cache
     cached = {k: snapshot(s) for k, s in cache.items()}
     # sums and multiples of the first results, fed back into the engine
     mixed = first[0] + first[1].scale(3) - first[2] + first[3]
@@ -579,7 +579,7 @@ def test_cached_modes_match_direct_modes(gram):
                 sp = FockSpace.full_lattice(L)
                 for n in order:
                     assert word_mode(sp, ea, n, v) == want[n], (a, w, n)
-                cache = sp.__dict__.get("_mode_cache", {})
+                cache = sp._mode_cache
                 cached = {n: st for (u, n, x), st in cache.items()
                           if u == ea and x == w}
                 assert cached == {n: want[n] for n in cached}, (a, w)
@@ -692,7 +692,7 @@ def test_mode_caches_hold_integral_parts_as_ints(gram, monkeypatch):
         assert check_commutator(sp, x, y, m, n, sp.vacuum()).is_zero()
     kinds = Counter()
     for s in spaces.values():
-        for st in s.__dict__.get("_mode_cache", {}).values():
+        for st in s._mode_cache.values():
             for c in st.terms.values():
                 assert type(c) is QuadScalar and not c._b
                 x = c._a
