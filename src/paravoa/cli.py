@@ -13,6 +13,12 @@ and ends in a traceback.
 main() parses with a parser of only the first argument that names a
 subcommand, silenced, and falls back to the parser of all subcommands, which
 prints every help and usage text, only when that parse exits.
+
+This module imports only exactnum, lattice and monoid; each handler imports
+the engine layers it runs (fock, vertexops, linalg, zhu, modrep) when it
+runs, so classify, borel and saturate load none of them.  The engine layers
+stay attributes of the package: the first access to any of them imports all
+five.
 """
 
 from __future__ import annotations
@@ -25,10 +31,9 @@ import random
 import sys
 from fractions import Fraction
 from importlib import resources
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .exactnum import QuadScalar
-from .fock import FULL_L, FockSpace, FockState, enumerate_basis
 from .lattice import PLUS, GramLattice, ParavoaError, _json_int, is_primitive, side
 from .monoid import (
     MonoidDescriptor,
@@ -38,17 +43,9 @@ from .monoid import (
     parabolic,
     saturate_witnesses,
 )
-from .modrep import (
-    Selector,
-    c1_decide,
-    c1_quotient_dims,
-    character,
-    check_tensor_character,
-    fusion,
-    irreducibles,
-)
-from .vertexops import TruncationCtx, check_commutator, check_ideal, check_phi_hom
-from .zhu import nilpotency_certificate
+
+if TYPE_CHECKING:
+    from .vertexops import TruncationCtx
 
 __all__ = ["main", "SessionConfig"]
 
@@ -83,6 +80,8 @@ class SessionConfig:
         self.source = source
 
     def ctx(self) -> TruncationCtx:
+        from .vertexops import TruncationCtx
+
         return TruncationCtx(self.max_degree)
 
     def descriptor(self, name: str) -> MonoidDescriptor:
@@ -228,6 +227,9 @@ def cmd_saturate(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
 
 
 def _character_target(cfg: SessionConfig, args):
+    from .fock import Selector
+    from .modrep import irreducibles
+
     L = cfg.lattice
     name = args.target
     if name in cfg.descriptors:
@@ -273,6 +275,8 @@ def _alpha(cfg: SessionConfig, args):
 
 
 def cmd_character(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
+    from .modrep import character
+
     q = character(_character_target(cfg, args),
                   parse_size(args.cap, "--cap", rational=True))
     out = {"target": args.target, "cap": args.cap, "series": q.to_json()}
@@ -281,6 +285,9 @@ def cmd_character(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
 
 
 def cmd_verify_iso(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
+    from .modrep import check_tensor_character
+    from .vertexops import check_phi_hom
+
     L = cfg.lattice
     alpha = _alpha(cfg, args)
     char_cap = parse_size(args.char_cap, "--char-cap", rational=True)
@@ -293,11 +300,13 @@ def cmd_verify_iso(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
     return out, [f"mode instances: {hom['instances']}, "
                  f"failures: {len(hom['failures'])}",
                  f"omega image: {'ok' if hom['omega_ok'] else 'FAILED'}",
-                 f"character identity to cap {args.char_cap}: "
+                 f"character identity to cap {char_cap}: "
                  f"{'ok' if chars['equal'] else 'FAILED'}"], ok
 
 
 def cmd_verify_ideal(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
+    from .vertexops import check_ideal
+
     rep = check_ideal(cfg.lattice, cfg.descriptor(args.descriptor), cfg.ctx(),
                       sample_degree=parse_size(args.sample_degree,
                                                "--sample-degree"))
@@ -306,6 +315,9 @@ def cmd_verify_ideal(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
 
 
 def cmd_verify_commutators(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
+    from .fock import FULL_L, FockSpace, FockState, enumerate_basis
+    from .vertexops import check_commutator
+
     L = cfg.lattice
     sp = FockSpace.full_lattice(L)
     rng = random.Random(cfg.seed)
@@ -320,11 +332,13 @@ def cmd_verify_commutators(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
         if not r.is_zero():
             failures.append({"sample": k, "m": m, "n": n})
     out = {"check": "commutator", "samples": samples, "failures": failures}
-    return out, [f"commutator residuals: {args.samples} samples, "
+    return out, [f"commutator residuals: {samples} samples, "
                  f"{len(failures)} failures"], not failures
 
 
 def cmd_zhu_nil(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
+    from .zhu import nilpotency_certificate
+
     cert = nilpotency_certificate(cfg.lattice, cfg.descriptor(args.descriptor),
                                   parse_vec(args.beta), cfg.ctx())
     ok = cert["ok"]
@@ -333,6 +347,8 @@ def cmd_zhu_nil(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
 
 
 def cmd_fusion(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
+    from .modrep import fusion, irreducibles
+
     L = cfg.lattice
     P = cfg.descriptor(args.descriptor)
     kind = parabolic(L, P).type
@@ -355,11 +371,15 @@ def cmd_fusion(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
 
 
 def cmd_c1(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
+    from .modrep import c1_decide
+
     rep = c1_decide(cfg.lattice, cfg.descriptor(args.descriptor))
     return rep.to_json(), [f"verdict: {rep.verdict}"], True
 
 
 def cmd_c1_dims(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
+    from .modrep import c1_quotient_dims
+
     L = cfg.lattice
     cap = parse_size(args.cap, "--cap")
     if args.target in ("VH", "V_H"):

@@ -27,7 +27,7 @@ from paravoa.cli import (
     parse_scalar,
     parse_vec,
 )
-from paravoa import cli, lattice, monoid
+from paravoa import cli, lattice, modrep, monoid, vertexops, zhu
 from paravoa.fock import FULL_L, FockSpace, FockState, enumerate_basis
 from paravoa.lattice import GramLattice, ParavoaError
 from paravoa.monoid import borel_in, member
@@ -647,24 +647,24 @@ def test_readme_summaries_are_byte_stable(capsys, tmp_path):
 
 
 # each verifying command with the library check it reads made to report a
-# failure: (argv, name in paravoa.cli, the stand-in made from the real one,
-# the summary line)
+# failure: (argv, the module the handler reads the check from, the check's
+# name there, the stand-in made from the real one, the summary line)
 FAILING = (
-    (("borel", "1,2"), "member", lambda real: lambda *a: True,
+    (("borel", "1,2"), cli, "member", lambda real: lambda *a: True,
      "Borel axioms in box R=8: FAILED"),
-    (("saturate", "1,1", "0,-1"), "side", lambda real: lambda *a: None,
+    (("saturate", "1,1", "0,-1"), cli, "side", lambda real: lambda *a: None,
      "witnesses beta=(1, 0), beta'=(-1, 2): FAILED"),
-    (("verify-iso", "--cap", "1", "--char-cap", "4"), "check_tensor_character",
-     lambda real: lambda *a: {**real(*a), "equal": False},
+    (("verify-iso", "--cap", "1", "--char-cap", "4"), modrep,
+     "check_tensor_character", lambda real: lambda *a: {**real(*a), "equal": False},
      "mode instances: 175, failures: 0\nomega image: ok\n"
      "character identity to cap 4: FAILED"),
-    (("verify-ideal", "P2", "--sample-degree", "1"), "check_ideal",
+    (("verify-ideal", "P2", "--sample-degree", "1"), vertexops, "check_ideal",
      lambda real: lambda *a, **kw: {**real(*a, **kw), "failures": ["planted"]},
      "ideal stability: 42 instances, 1 failures"),
-    (("verify-commutators", "--samples", "3"), "check_commutator",
+    (("verify-commutators", "--samples", "3"), vertexops, "check_commutator",
      lambda real: lambda sp, a, *rest: a,
      "commutator residuals: 3 samples, 3 failures"),
-    (("zhu-nil", "P2", "0,1"), "nilpotency_certificate",
+    (("zhu-nil", "P2", "0,1"), zhu, "nilpotency_certificate",
      lambda real: lambda *a: {**real(*a), "ok": False},
      "beta=(0, 1), N=1, steps=11: FAILED"),
 )
@@ -673,15 +673,28 @@ FAILING_DIGEST = "f328c16cd71bf8278519e85342242d2586d4daef3ba4c567f2e4996fd44a3b
 
 
 def test_a_failed_check_exits_1_with_its_whole_report(capsys, monkeypatch, tmp_path):
-    for _, name, stand_in, _ in FAILING:
-        monkeypatch.setattr(cli, name, stand_in(getattr(cli, name)))
+    for _, owner, name, stand_in, _ in FAILING:
+        monkeypatch.setattr(owner, name, stand_in(getattr(owner, name)))
     runs = []
-    for argv, _, _, summary in FAILING:
+    for argv, _, _, _, summary in FAILING:
         runs.append(("--config", "diag22", "--pretty", *argv))
         code, out, err = run(capsys, *runs[-1])
         assert (code, out.count("\n"), err) == (1, 1, summary + "\n"), argv
         json.loads(out)  # the whole report, on one line
     assert digest_runs(capsys, tmp_path, runs) == (FAILING_DIGEST, [1] * 6)
+
+
+@pytest.mark.parametrize("argv, summary", [
+    (("verify-commutators", "--samples", "002"),
+     "commutator residuals: 2 samples, 0 failures\n"),
+    (("verify-iso", "--cap", "0", "--char-cap", "08/2"),
+     "mode instances: 7, failures: 0\nomega image: ok\n"
+     "character identity to cap 4: ok\n"),
+], ids=["verify-commutators", "verify-iso"])
+def test_summaries_print_parsed_sizes(capsys, argv, summary):
+    # the summary names the value the check ran with, not the option text
+    code, _, err = run(capsys, "--config", "diag22", "--pretty", *argv)
+    assert (code, err) == (0, summary)
 
 
 # -- parsing: the named subcommand's parser first, the full parser on exit ------
@@ -770,6 +783,54 @@ def test_module_entry_point_matches_main(capsys, monkeypatch):
                            capture_output=True, text=True, env=env, timeout=120)
         code = main(argv)
         assert (p.returncode, p.stdout) == (code, capsys.readouterr().out), argv
+
+
+GEOMETRY = ("exactnum", "lattice", "monoid")
+ENGINE = ("fock", "vertexops", "linalg", "zhu", "modrep")
+
+
+def fresh_process(*args):
+    """stdout and stderr of python -X importtime *args, a new interpreter on
+    this checkout's src, which must exit 0."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    p = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert p.returncode == 0, p.stderr
+    return p.stdout, p.stderr
+
+
+def paravoa_imports(importtime: str) -> set:
+    """The paravoa modules named in -X importtime's report."""
+    names = {line.rsplit("|", 1)[1].strip() for line in importtime.splitlines()
+             if line.startswith("import time:")}
+    return {name for name in names if name.split(".")[0] == "paravoa"}
+
+
+@pytest.mark.parametrize("argv", [("classify", "P2"), ("borel", "1,1~1"),
+                                  ("saturate", "1,1", "0,-1")])
+def test_geometry_commands_load_no_engine_layer(argv):
+    _, err = fresh_process("-m", "paravoa.cli", "--config", "diag22", *argv)
+    assert paravoa_imports(err) == {"paravoa", *(f"paravoa.{m}" for m in GEOMETRY)}
+
+
+def test_verify_ideal_loads_the_engine():
+    _, err = fresh_process("-m", "paravoa.cli", "--config", "diag22", "verify-ideal", "P2")
+    assert {"paravoa.fock", "paravoa.vertexops"} <= paravoa_imports(err)
+
+
+def test_an_engine_package_attribute_loads_every_engine_layer():
+    out, _ = fresh_process("-c", (
+        "import sys, paravoa\n"
+        "print(sorted(m for m in sys.modules if m.startswith('paravoa.')))\n"
+        "print(paravoa.zhu.__name__)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('paravoa.')))\n"
+        "try:\n"
+        "    paravoa.nope\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"))
+    loaded = repr(sorted(f"paravoa.{m}" for m in ENGINE + GEOMETRY))
+    assert out.splitlines() == ["[]", "paravoa.zhu", loaded,
+                                "module 'paravoa' has no attribute 'nope'"]
 
 
 # -- geometry commands over the reduced-form family ----------------------------
