@@ -272,8 +272,10 @@ class FockSpace:
         self._den = math.lcm(*(x.denominator for row in gm + gg for x in row))
         self._gen_mode = tuple(tuple(int(x * self._den) for x in row) for row in gm)
         self._gen_gen = tuple(tuple(int(x * self._den) for x in row) for row in gg)
-        # filled on demand by vertexops' mode engine and zhu's residue spans
+        # filled on demand by vertexops' mode engine (modes, and the vacuum
+        # series of E^- per label) and by zhu's residue spans
         self._mode_cache: dict = {}
+        self._exp_vacua: dict = {}
         self._residue_spans: dict = {}
 
     # -- constructors -------------------------------------------------

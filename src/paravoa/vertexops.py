@@ -7,12 +7,14 @@ checks ask it which modes fit, and a result above the ceiling raises
 instead of truncating, so no check is fooled by an over-eager cutoff.
 
 Modes of exponential vectors come from the product form
-E^-(-a,z) E^+(-a,z) e_a z^a.  Both exponentials have the shape
-X(z) = exp(sum_{k>0} x_k z^(+-k) / k) with commuting x_k, so one
-recurrence, N X_N = sum_{k=1..N} x_k X_{N-k}, expands either exactly:
-E^+ (x_k = -a(k)) up to the word's mode degree, where it ends, and E^-
-(x_k = a(-k)) once per power of E^+, up to the z-power of the lowest mode
-asked, so a mode cache miss at e^a_n w fills in every e^a_n' w, n' >= n.
+E^-(-a,z) E^+(-a,z) e_a z^a, each exponential in closed form on a basis
+word, a monomial in the creation modes b_d(-n).  a(k) acts as
+k (a|b_d) d/d b_d(-k), so E^+ is the translation
+b_d(-n) -> b_d(-n) - (a|b_d) z^-n: one pass over the word's modes gives
+every power, with no recurrence.  E^- only creates, so it multiplies by
+its vacuum series X_N(1), expanded once per label, kept on the space as
+integers over a common denominator; a cache miss at e^a_n w fills in
+every e^a_n' w, n' >= n.
 Modes of dressed words h(-n_1)...h(-n_k) e^a are reduced to those by the
 associativity (iterate) recursion for h(-n)-prefixed vectors, which is a
 finite sum here because every state in a positive-definite lattice
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import ONE, QuadScalar
+from .exactnum import ONE, QuadScalar, _make
 from .fock import (
     MONOID,
     BasisWord,
@@ -35,6 +37,7 @@ from .fock import (
     FockState,
     _add_into,
     _adopt,
+    _ratio,
     enumerate_basis,
     make_word,
 )
@@ -149,49 +152,118 @@ def _translate(sp: FockSpace, w: BasisWord) -> FockState:
     return _adopt(FockState, out)
 
 
-def _exp_series(sp: FockSpace, h, s: int, v: FockState, top: int) -> list:
-    """[X_0 v, ..., X_top v] with X_N the coefficient of z^(sN) in
-    X(z) = exp(sum_{k>0} x_k z^(sk) / k), x_k = s h(-sk): s = 1 gives
-    E^-(-h, z) and s = -1 gives E^+(-h, z).  The x_k commute, so the
-    derivative in z^s is X' = (sum_k x_k z^(s(k-1))) X, which is
-    N X_N = sum_{k=1..N} x_k X_{N-k}."""
-    xs = [v]
-    for N in range(1, top + 1):
+def _merge(x: tuple, y: tuple) -> tuple:
+    """The canonical mode tuple of the product of two canonical ones."""
+    out = []
+    i = j = 0
+    while i < len(x) and j < len(y):
+        p, q = x[i], y[j]
+        if p[0] > q[0] or (p[0] == q[0] and p[1] <= q[1]):
+            out.append(p)
+            i += 1
+        else:
+            out.append(q)
+            j += 1
+    return tuple(out) + x[i:] + y[j:]
+
+
+def _grow_vacuum(sp: FockSpace, a, xs: list, top: int) -> None:
+    """Extend xs = [X_0(1), X_1(1), ...] in place up to X_top(1), X_N(1)
+    the coefficient of z^N in E^-(-a, z) 1 = exp(sum_{k>0} a(-k) z^k / k) 1,
+    kept as (den, {modes: numerator}) with integer numerators over a den
+    that every earlier den divides.  The a(-k) commute, so the derivative
+    in z gives N X_N = sum_{k=1..N} a(-k) X_{N-k}."""
+    dirs = [((k, d), x) for k in range(1, top + 1)
+            for d, x in enumerate(sp.label_coords(a)) if x]
+    for N in range(len(xs), top + 1):
         acc: dict = {}
-        c = Fraction(s, N)
-        for k in range(1, N + 1):
-            if xs[N - k]:
-                _add_into(acc, heis_mode(sp, h, -s * k, xs[N - k]).terms.items(), c)
-        xs.append(_adopt(FockState, acc))
-    return xs
+        for mode, x in dirs:
+            k = mode[0]
+            if k > N:
+                break
+            den, terms = xs[N - k]
+            for modes, c in terms.items():
+                key = _merge(modes, (mode,))
+                acc[key] = acc.get(key, 0) + Fraction(c * x, den * N)
+        den = math.lcm(xs[-1][0], *(c.denominator for c in acc.values()))
+        xs.append((den, {m: int(c * den) for m, c in acc.items() if c}))
+
+
+def _vacuum_series(sp: FockSpace, a, top: int) -> tuple:
+    """(pairs, xs): pairs[d] = (a|b_d) and xs[N] = X_N(1) for N <= top at
+    least, kept on the space and grown only when a larger top is asked."""
+    hit = sp._exp_vacua.get(a)
+    if hit is None:
+        pairs = tuple(sp.pair_label_mode(a, d) for d in range(sp.rank))
+        hit = sp._exp_vacua[a] = (pairs, [(1, {(): 1})])
+    if len(hit[1]) <= top:
+        _grow_vacuum(sp, a, hit[1], top)
+    return hit
+
+
+def _exp_plus(pairs: tuple, modes: tuple) -> dict:
+    """E^+(-a, z) w by powers of z^-1, as {p: {modes left: coefficient}}.
+    a(k) acts as k (a|b_d) d/d b_d(-k), so E^+(-a, z) is the translation
+    b_d(-n) -> b_d(-n) - (a|b_d) z^-n: X_p w sums, over the sub-multisets
+    of w's modes with n adding up to p, w without them times the product
+    of their -(a|b_d).  A run of m equal modes loses r of them C(m, r)
+    ways."""
+    terms = [(0, (), 1)]
+    i = 0
+    while i < len(modes):
+        j = i + 1
+        while j < len(modes) and modes[j] == modes[i]:
+            j += 1
+        n, d = modes[i]
+        c = -pairs[d]
+        if c:
+            terms = [(p + r * n, left + modes[i:j - r],
+                      x * math.comb(j - i, r) * c ** r)
+                     for r in range(j - i + 1) for p, left, x in terms]
+        else:
+            terms = [(p, left + modes[i:j], x) for p, left, x in terms]
+        i = j
+    out: dict = {}
+    for p, left, x in terms:
+        out.setdefault(p, {})[left] = x
+    return out
 
 
 def _exp_modes(sp: FockSpace, a, w: BasisWord, lo: int, hi: int) -> list:
-    """[e^a_lo w, ..., e^a_hi w]: E^+ is expanded once, and E^- once per
-    power of E^+, up to the z-power that mode lo takes from it."""
+    """[e^a_lo w, ..., e^a_hi w] from E^-(-a,z) E^+(-a,z) e_a z^a: E^+ w in
+    closed form, once, and each of its z-powers times the vacuum series of
+    E^- at the z-powers modes lo..hi take from it."""
     t0 = sp.label_inner(a, w.label)
     if t0.denominator != 1:
         raise ParavoaError(f"(a|label) = {t0} is not an integer")
     if lo > hi:
         return []
-    acoords = sp.label_coords(a)
-    outs = [{} for _ in range(lo, hi + 1)]
-    # E^+(-a, z) ends at the word's mode degree
-    series = _exp_series(sp, acoords, -1, FockState.of(w), w.mode_degree())
-    # e_a z^a: sign and label shift, z-power shift by (a|label)
+    # X_p w sits at z^(t0 - p); E^-(-a, z) supplies z^(p - t0 - n - 1)
+    top = w.mode_degree() - t0 - lo - 1
+    pairs, xs = _vacuum_series(sp, a, top)
+    # each power j <= top of E^- is integers over dj, and every dj divides den
+    den = xs[max(top, 0)][0]
+    # e_a: sign and label shift
     sgn = sp.eps(a, w.label)
-    newlab = tuple(x + y for x, y in zip(a, w.label))
-    for p, st in enumerate(series):
-        # X_p w sits at z^(t0 - p); E^-(-a, z) supplies z^(p - t0 - n - 1)
+    lab = tuple(x + y for x, y in zip(a, w.label))
+    plus = _exp_plus(pairs, w.modes) if w.modes else {0: {(): 1}}
+    outs = [{} for _ in range(lo, hi + 1)]
+    for p, left in plus.items():
         need = p - t0 - lo - 1
-        if need < 0 or not st:
-            continue
-        moved = _adopt(FockState, {BasisWord(wd.modes, newlab): cc * sgn
-                                   for wd, cc in st})
-        minus = _exp_series(sp, acoords, 1, moved, need)
         for i in range(min(need, hi - lo) + 1):
-            _add_into(outs[i], minus[need - i].terms.items())
-    return [_adopt(FockState, t) for t in outs]
+            out = outs[i]
+            dj, series = xs[need - i]
+            f = den // dj * sgn
+            for lm, cl in left.items():
+                cl *= f
+                for vm, cv in series.items():
+                    key = _merge(lm, vm) if lm and vm else lm or vm
+                    x = cv if cl == 1 else cl * cv
+                    s = out.get(key)
+                    out[key] = x if s is None else s + x
+    return [_adopt(FockState, {BasisWord(m, lab): _make(_ratio(c, den), 0, 1)
+                               for m, c in out.items() if c})
+            for out in outs]
 
 
 def exp_mode(sp: FockSpace, a, n: int, v: FockState) -> FockState:
@@ -480,11 +552,24 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
     for d in range(degree_cap + 1):
         basis.extend(adapted.basis(d, labels=labels))
 
+    # from_tensor runs once per distinct (w1, w2) pair; a tensor state's
+    # image is the sum of its pairs' images
+    pair_images: dict = {}
+
+    def to_lattice(T: TensorState) -> FockState:
+        out: dict = {}
+        for pair, c in T:
+            im = pair_images.get(pair)
+            if im is None:
+                im = pair_images[pair] = from_tensor(alpha, beta, TensorState.of(*pair))
+            _add_into(out, im.terms.items(), c)
+        return _adopt(FockState, out)
+
     # each basis word's split image, its lattice-basis image and degree
     images = []
     for u in basis:
         pu = phi_map(FockState.of(u))
-        images.append((u, from_tensor(alpha, beta, pu), pu, adapted.degree(u)))
+        images.append((u, to_lattice(pu), pu, adapted.degree(u)))
     instances = 0
     failures = []
     for u, fu, pu, du in images:
@@ -493,7 +578,7 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
             right = _tensor_modes(sp1, sp2, pu, lo, int(du + dv) - 1, pv)
             for n, tn in enumerate(right, lo):
                 lhs = state_mode(full, fu, n, fv)
-                rhs = from_tensor(alpha, beta, tn)
+                rhs = to_lattice(tn)
                 instances += 1
                 if lhs != rhs:
                     failures.append({"u": u.to_str(), "v": v.to_str(), "n": n})
@@ -503,7 +588,7 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
     _add_into(expect, (((w, vac2), c) for w, c in sp1.virasoro()))
     vac1 = sp1.word(())
     _add_into(expect, (((vac1, w), c) for w, c in sp2.virasoro()))
-    omega_ok = full.virasoro() == from_tensor(alpha, beta, _adopt(TensorState, expect))
+    omega_ok = full.virasoro() == to_lattice(_adopt(TensorState, expect))
 
     dims_ok = True
     for d in range(degree_cap + 1):

@@ -16,7 +16,7 @@ from paravoa.fock import (
     enumerate_basis,
     make_word,
 )
-from paravoa.lattice import GramLattice, ParavoaError
+from paravoa.lattice import GramLattice, ParavoaError, perp_primitive
 from paravoa.linalg import quotient_dimension
 from paravoa.modrep import Selector, character, check_tensor_character
 from paravoa.monoid import MonoidDescriptor
@@ -536,47 +536,60 @@ def test_heis_creation_inserts_in_canonical_order(modes, label, n, h):
 # -- mode work done once per word pair --------------------------------------
 
 
+def _exp_series(sp, h, s, v, top):
+    """[X_0 v, ..., X_top v] with X_N the coefficient of z^(sN) in
+    X(z) = exp(sum_{k>0} x_k z^(sk) / k), x_k = s h(-sk): s = 1 gives
+    E^-(-h, z) and s = -1 gives E^+(-h, z), by the recurrence
+    N X_N = sum_{k=1..N} x_k X_{N-k} on heis_mode, independent of the
+    closed forms the kernel uses."""
+    xs = [v]
+    for N in range(1, top + 1):
+        acc = FockState()
+        for k in range(1, N + 1):
+            acc = acc + heis_mode(sp, h, -s * k, xs[N - k]).scale(Fraction(s, N))
+        xs.append(acc)
+    return xs
+
+
 def _exp_mode_per_n(sp, a, n, w):
-    """e^a_n w with E^- expanded for this n alone: the reference for the
-    kernel that expands it once for a whole range of modes."""
+    """e^a_n w with E^+ and E^- each expanded by the recurrence, for this n
+    alone: the reference for the kernel's closed forms, which serve a whole
+    range of modes at once."""
     h = sp.label_coords(a)
     t0 = sp.label_inner(a, w.label)
     sgn = sp.eps(a, w.label)
     lab = tuple(x + y for x, y in zip(a, w.label))
     out = FockState()
-    plus = vertexops._exp_series(sp, h, -1, FockState.of(w), w.mode_degree())
+    plus = _exp_series(sp, h, -1, FockState.of(w), w.mode_degree())
     for p, st in enumerate(plus):
         need = p - t0 - n - 1
         if need >= 0 and st:
             moved = FockState({make_word(x.modes, lab): c * sgn for x, c in st})
-            out = out + vertexops._exp_series(sp, h, 1, moved, need)[need]
+            out = out + _exp_series(sp, h, 1, moved, need)[need]
     return out
 
 
-@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
-def test_cached_modes_match_direct_modes(gram):
-    # e^a with (a|a) <= 4 on basis words w of degree <= 2, asked for every n
-    # from the lowest that fits degree 4 to two past the last nonzero mode,
-    # ascending and then descending on a fresh space, so that a lower n
-    # fills in over entries already cached
-    L = GramLattice(gram=gram)
-    ref = FockSpace.full_lattice(L)
-    words = [w for d in range(3) for w in enumerate_basis(L, FULL_L, d)]
+def _check_cached_modes(new_space, labels, words):
+    """e^a with (a|a) <= 4 on the words, asked for every n from the lowest
+    that fits degree 4 to two past the last nonzero mode, ascending and
+    then descending on a fresh space, so that a lower n fills in over
+    entries already cached; and Y(h(-1)1, z) = h(z) on the words."""
+    ref = new_space()
     nonzero = 0
-    for a in _labels_up_to(L, 4):
-        if a == (0, 0):
+    for a in labels:
+        if not any(a) or ref.label_inner(a, a) > 4:
             continue
-        ea = make_word((), a)
+        ea = ref.word((), a)
         for w in words:
             v = FockState.of(w)
-            top = w.mode_degree() - L.inner_int(a, w.label) - 1
+            top = w.mode_degree() - ref.label_inner(a, w.label) - 1
             lowest = TruncationCtx(4).lowest_mode(ref.degree(ea) + ref.degree(w))
             want = {n: exp_mode(ref, a, n, v) for n in range(lowest, top + 3)}
             for n, st in want.items():
                 assert st == _exp_mode_per_n(ref, a, n, w), (a, w, n)
                 nonzero += bool(st)
             for order in (sorted(want), sorted(want, reverse=True)):
-                sp = FockSpace.full_lattice(L)
+                sp = new_space()
                 for n in order:
                     assert word_mode(sp, ea, n, v) == want[n], (a, w, n)
                 cache = sp._mode_cache
@@ -585,35 +598,75 @@ def test_cached_modes_match_direct_modes(gram):
                 assert cached == {n: want[n] for n in cached}, (a, w)
                 assert set(want) <= set(cached), (a, w)
     assert nonzero
-    for d, h in enumerate((E1, E2)):
-        hu = make_word(((1, d),), (0, 0))
+    for d in range(ref.rank):
+        hu, h = ref.word(((1, d),)), _unit(ref, d)
         for w in words:
             v = FockState.of(w)
             for j in range(-3, 4):
                 assert word_mode(ref, hu, j, v) == heis_mode(ref, h, j, v), (d, w, j)
 
 
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_cached_modes_match_direct_modes(gram):
+    L = GramLattice(gram=gram)
+    _check_cached_modes(lambda: FockSpace.full_lattice(L), _labels_up_to(L, 4),
+                        [w for d in range(3) for w in enumerate_basis(L, FULL_L, d)])
+
+
+@pytest.mark.parametrize("L,alpha", [(DIAG22, (1, 0)), (DIAG22, (1, 1)),
+                                     (A2, (1, 0)), (A2, (1, 1)),
+                                     (GramLattice(gram=((2, 1), (1, 4))), (0, 1))],
+                         ids=str)
+def test_cached_modes_match_direct_modes_on_factor_spaces(L, alpha):
+    # the spaces check_phi_hom runs: modes (beta, alpha) with mode_gram
+    # diag((beta|beta), (alpha|alpha)), not the lattice Gram, and the
+    # rank-one lattice on Z*alpha, each with one label coordinate
+    beta = perp_primitive(L, alpha)
+    adapted = FockSpace.hyperplane_adapted(L, alpha, beta)
+    eps = adapted.eps_table[0][0]
+    labels = [(p,) for p in range(-2, 3)]
+    for new_space in (lambda: FockSpace.hyperplane_adapted(L, alpha, beta),
+                      lambda: FockSpace.rank_one_lattice(L.norm(alpha), eps_exp=eps)):
+        sp = new_space()
+        _check_cached_modes(new_space, labels,
+                            [w for d in range(3) for w in sp.basis(d, labels=labels)])
+
+
 def test_mode_work_is_done_once_per_word_pair(monkeypatch):
     # E^+ of (e^a, w) is expanded once for each k below every k asked
-    # before, and h_d(j) w with j >= 0 once per space
-    real_series = vertexops._exp_series
+    # before, and with no heis_mode call; h_d(j) w with j >= 0 once per
+    # space; the E^- vacuum series of e^a is built once per space, and
+    # grown again only for a larger top
+    real_exp = vertexops._exp_modes
+    real_plus = vertexops._exp_plus
+    real_grow = vertexops._grow_vacuum
     real_heis = vertexops.heis_mode
     real_word = vertexops._word_mode_w
     expansions, allowed, annihilations = Counter(), Counter(), Counter()
-    lowest = {}
-    depth = [0]
+    lowest, tops = {}, {}
+    inside = []
 
-    def series(sp, h, s, v, top):
-        if s == -1:
-            expansions[id(sp), tuple(h), tuple(v.terms)] += 1
-        depth[0] += 1
+    def exp(sp, a, w, lo, hi):
+        inside.append((id(sp), a, w))
         try:
-            return real_series(sp, h, s, v, top)
+            return real_exp(sp, a, w, lo, hi)
         finally:
-            depth[0] -= 1
+            inside.pop()
+
+    def plus(pairs, modes):
+        key = inside[-1]
+        assert modes == key[2].modes
+        expansions[key] += 1
+        return real_plus(pairs, modes)
+
+    def grow(sp, a, xs, top):
+        assert len(xs) <= top
+        tops.setdefault((id(sp), a), []).append(top)
+        return real_grow(sp, a, xs, top)
 
     def heis(sp, h, m, v):
-        if m >= 0 and not depth[0]:
+        assert not inside
+        if m >= 0:
             annihilations[id(sp), tuple(h), m, tuple(v.terms)] += 1
         return real_heis(sp, h, m, v)
 
@@ -622,17 +675,20 @@ def test_mode_work_is_done_once_per_word_pair(monkeypatch):
             key = (id(sp), u.label, w)
             if key not in lowest or k < lowest[key]:
                 lowest[key] = k
-                allowed[id(sp), sp.label_coords(u.label), (w,)] += 1
+                allowed[key] += 1
         return real_word(sp, u, k, w)
 
-    monkeypatch.setattr(vertexops, "_exp_series", series)
+    monkeypatch.setattr(vertexops, "_exp_modes", exp)
+    monkeypatch.setattr(vertexops, "_exp_plus", plus)
+    monkeypatch.setattr(vertexops, "_grow_vacuum", grow)
     monkeypatch.setattr(vertexops, "heis_mode", heis)
     monkeypatch.setattr(vertexops, "_word_mode_w", word)
     rep = check_phi_hom(DIAG22, (1, 0), 2, TruncationCtx(2))
     assert rep["instances"] > 0 and rep["failures"] == []
-    assert expansions and annihilations
+    assert expansions and annihilations and tops
     assert all(c <= allowed[key] for key, c in expansions.items())
     assert max(annihilations.values()) == 1
+    assert all(t == sorted(set(t)) for t in tops.values())
 
 
 def test_tensor_degrees_are_taken_once_per_word_pair(monkeypatch):
