@@ -271,7 +271,10 @@ def exp_mode(sp: FockSpace, a, n: int, v: FockState) -> FockState:
     a = tuple(int(x) for x in a)
     out: dict = {}
     for w, c in v:
-        _add_into(out, _exp_modes(sp, a, w, n, n)[0].terms.items(), c)
+        st = _exp_modes(sp, a, w, n, n)[0]
+        if c == 1 and len(v.terms) == 1:
+            return st  # fresh, and held by no cache
+        _add_into(out, st.terms.items(), c)
     return _adopt(FockState, out)
 
 
@@ -380,32 +383,28 @@ def check_lemma35(sp: FockSpace, beta, m: int, u: BasisWord, v: FockState,
 
 def check_ideal(L: GramLattice, P: MonoidDescriptor,
                 ctx: TruncationCtx, sample_degree: int = 2) -> dict:
-    """Spot check that modes of V_P elements keep ideal elements inside the
-    ideal: labels of a_n b stay in S (= P minus 0 for type I, the open
-    positive side for type II)."""
+    """Check that modes of V_P words a keep ideal words b inside the ideal S
+    (P minus 0 for type I, the open positive side for type II), on every
+    a_n b that fits.  Every term of a_n b has the label label(a) +
+    label(b), so the verdict is that sum's: a mode is evaluated only on a
+    pair whose sum leaves S, and each term of it is a failure."""
     in_ideal = _ideal(L, P, parabolic(L, P))
     sp = FockSpace.full_lattice(L)
-    a_words = []
-    b_words = []
-    for d in range(sample_degree + 1):
-        for w in enumerate_basis(L, MONOID(P), d):
-            a_words.append(w)
-            if in_ideal(w.label):
-                b_words.append(w)
+    a_words = [(w, sp.degree(w)) for d in range(sample_degree + 1)
+               for w in enumerate_basis(L, MONOID(P), d)]
+    b_words = [(w, dw) for w, dw in a_words if in_ideal(w.label)]
     instances = 0
     failures = []
-    for a in a_words:
-        for b in b_words:
-            da, db = sp.degree(a), sp.degree(b)
-            for n in range(ctx.lowest_mode(da + db), int(da + db)):
-                res = word_mode(sp, a, n, FockState.of(b))
-                instances += 1
-                for w, _ in res:
-                    if not in_ideal(w.label):
-                        failures.append(
-                            {"a": a.to_str(), "b": b.to_str(), "n": n,
-                             "label": list(w.label)}
-                        )
+    for a, da in a_words:
+        for b, db in b_words:
+            ns = range(ctx.lowest_mode(da + db), int(da + db))
+            instances += len(ns)
+            if not in_ideal((a.label[0] + b.label[0], a.label[1] + b.label[1])):
+                for n in ns:
+                    failures.extend(
+                        {"a": a.to_str(), "b": b.to_str(), "n": n,
+                         "label": list(w.label)}
+                        for w, _ in word_mode(sp, a, n, FockState.of(b)))
     return {"check": "ideal", "instances": instances, "failures": failures}
 
 
@@ -483,16 +482,14 @@ def phi_map(v: FockState) -> TensorState:
     return _adopt(TensorState, out)
 
 
-def _tensor_modes(sp1: FockSpace, sp2: FockSpace, A: TensorState, lo: int,
-                  hi: int, B: TensorState) -> list:
+def _tensor_modes(sp1: FockSpace, sp2: FockSpace, A: list, lo: int,
+                  hi: int, B: list) -> list:
     """[A_lo B, ..., A_hi B], with (x (x) y)_n (v (x) w) = sum_i x_i v (x)
-    y_{n-i-1} w: each term's degree is taken once, and each left mode x_i v
-    is looked up once for all the n it enters."""
+    y_{n-i-1} w, for A and B given as graded terms (x, y, c, deg x, deg y):
+    each left mode x_i v is looked up once for all the n it enters."""
     outs = [{} for _ in range(lo, hi + 1)]
-    bs = [(v, w, cb, sp1.degree(v), sp2.degree(w)) for (v, w), cb in B]
-    for (x, y), ca in A:
-        dx, dy = sp1.degree(x), sp2.degree(y)
-        for v, w, cb, dv, dw in bs:
+    for x, y, ca, dx, dy in A:
+        for v, w, cb, dv, dw in B:
             c = ca * cb
             # y_{n-i-1} w vanishes for n > i + dy + dw, x_i v for i > dx + dv - 1
             for i in range(math.ceil(lo - dy - dw), math.floor(dx + dv - 1) + 1):
@@ -565,11 +562,12 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
             _add_into(out, im.terms.items(), c)
         return _adopt(FockState, out)
 
-    # each basis word's split image, its lattice-basis image and degree
+    # each basis word's lattice-basis image, split terms graded once, and degree
     images = []
     for u in basis:
         pu = phi_map(FockState.of(u))
-        images.append((u, to_lattice(pu), pu, adapted.degree(u)))
+        graded = [(x, y, c, sp1.degree(x), sp2.degree(y)) for (x, y), c in pu]
+        images.append((u, to_lattice(pu), graded, adapted.degree(u)))
     instances = 0
     failures = []
     for u, fu, pu, du in images:

@@ -291,3 +291,15 @@ def test_accept_11_c1_dims_at_scale():
     dims = c1_quotient_dims(DIAG22, "V_P", 6, TruncationCtx(6), P=P2)
     assert dims == [1, 5] + [0] * 5
     report(11, "C1 quotient dimensions at scale", time.time() - t0, 60)
+
+
+def test_accept_12_ideal_at_scale():
+    # no mode is evaluated for a valid P, so the 3 * 10^5 instances of
+    # sample degree 5 cost one degree sum and one label sum per word pair
+    t0 = time.time()
+    ctx = TruncationCtx(6)
+    for kind, instances in (("type1", 167384), ("type2", 134379)):
+        P = MonoidDescriptor(kind=kind, gamma=DIAG22.hvec(0, 1))
+        rep = check_ideal(DIAG22, P, ctx, sample_degree=5)
+        assert rep == {"check": "ideal", "instances": instances, "failures": []}
+    report(12, "ideal property at scale", time.time() - t0, 2)

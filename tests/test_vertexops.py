@@ -19,7 +19,7 @@ from paravoa.fock import (
 from paravoa.lattice import GramLattice, ParavoaError, perp_primitive
 from paravoa.linalg import quotient_dimension
 from paravoa.modrep import Selector, character, check_tensor_character
-from paravoa.monoid import MonoidDescriptor
+from paravoa.monoid import MonoidDescriptor, parabolic
 from paravoa.vertexops import (
     _unit,
     _translate,
@@ -38,7 +38,7 @@ from paravoa.vertexops import (
     word_mode,
 )
 
-from forms import A2, ALPHAS, DIAG22, reduced_forms
+from forms import A2, ALPHAS, DIAG22, reduced_forms, type2
 
 SPA = FockSpace.full_lattice(A2)
 SPD = FockSpace.full_lattice(DIAG22)
@@ -322,6 +322,90 @@ def test_ideal_type1():
     assert rep["failures"] == []
 
 
+def _ideal_by_modes(L, P, ctx, sample_degree):
+    """check_ideal's report with every mode a_n b evaluated and the label of
+    each of its terms tested: the route check_ideal's label sums replace,
+    kept as their oracle.  The ideal test is looked up on vertexops, so a
+    test that patches it there patches both routes."""
+    in_ideal = vertexops._ideal(L, P, parabolic(L, P))
+    sp = FockSpace.full_lattice(L)
+    a_words = []
+    b_words = []
+    for d in range(sample_degree + 1):
+        for w in enumerate_basis(L, MONOID(P), d):
+            a_words.append(w)
+            if in_ideal(w.label):
+                b_words.append(w)
+    instances = 0
+    failures = []
+    for a in a_words:
+        for b in b_words:
+            da, db = sp.degree(a), sp.degree(b)
+            for n in range(ctx.lowest_mode(da + db), int(da + db)):
+                res = word_mode(sp, a, n, FockState.of(b))
+                instances += 1
+                for w, _ in res:
+                    if not in_ideal(w.label):
+                        failures.append(
+                            {"a": a.to_str(), "b": b.to_str(), "n": n,
+                             "label": list(w.label)}
+                        )
+    return {"check": "ideal", "instances": instances, "failures": failures}
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_ideal_label_route_matches_mode_route(gram):
+    # type II on the lines through ALPHAS, both sides; type I with rational
+    # gammas and with quadratic-irrational ones, whose boundary meets L in 0
+    L = GramLattice(gram=gram, D=2)
+    descs = [type2(L, a, s) for a in ALPHAS for s in (1, -1)]
+    descs += [MonoidDescriptor(kind="type1", gamma=g) for g in (
+        L.hvec(1, 2), L.hvec(Fraction(-3, 2), 1),
+        (QuadScalar(1, 1, 2), QuadScalar(-1, 0, 2)),
+        (QuadScalar(0, -1, 2), QuadScalar(1, 0, 2)))]
+    ctx = TruncationCtx(3)
+    instances = 0
+    for P in descs:
+        rep = check_ideal(L, P, ctx, 2)
+        assert rep["failures"] == [] and rep == _ideal_by_modes(L, P, ctx, 2), P
+        instances += rep["instances"]
+    assert instances
+
+
+def test_valid_ideal_evaluates_no_mode(monkeypatch):
+    calls = [0]
+    real_word = vertexops.word_mode
+
+    def word(sp, u, k, v):
+        calls[0] += 1
+        return real_word(sp, u, k, v)
+
+    monkeypatch.setattr(vertexops, "word_mode", word)
+    for kind in ("type1", "type2"):
+        P = MonoidDescriptor(kind=kind, gamma=DIAG22.hvec(0, 1))
+        rep = check_ideal(DIAG22, P, TruncationCtx(6), sample_degree=4)
+        assert rep["instances"] > 0 and rep["failures"] == []
+    assert calls[0] == 0
+
+
+def test_broken_ideal_fails_as_the_mode_route_does(monkeypatch):
+    # S without the label (0, 2), which a + b reaches from a = b = e^(0,1):
+    # every nonzero term of such a mode is a failure, on both routes alike
+    real_ideal = vertexops._ideal
+
+    def ideal(L, P, rep):
+        inside = real_ideal(L, P, rep)
+        return lambda v: v != (0, 2) and inside(v)
+
+    monkeypatch.setattr(vertexops, "_ideal", ideal)
+    P = MonoidDescriptor(kind="type2", gamma=DIAG22.hvec(0, 1))
+    ctx = TruncationCtx(4)
+    rep = check_ideal(DIAG22, P, ctx, sample_degree=2)
+    want = _ideal_by_modes(DIAG22, P, ctx, 2)
+    assert rep["failures"] and {tuple(f["label"]) for f in rep["failures"]} == {(0, 2)}
+    assert rep == want
+
+
 # -- tensor factorization ---------------------------------------------------
 
 
@@ -516,6 +600,29 @@ def test_mode_results_are_never_aliased():
     assert word_mode(sp, u, -1, w1) == ref
 
 
+def test_exp_mode_single_word_result_is_fresh():
+    # one word with coefficient 1 returns the kernel's fresh state; a state
+    # with several terms or a scale accumulates; both agree with each other
+    sp = FockSpace.full_lattice(A2)
+    a = (1, 1)
+    w1, w2 = make_word(((2, 1), (1, 0)), (0, 1)), make_word(((1, 1),), (-1, 0))
+    both = 0
+    for n in range(-4, 1):
+        # the cache holds e^a_n w1 before exp_mode is asked for it
+        cached = word_mode(sp, sp.word((), a), n, FockState.of(w1))
+        one = exp_mode(sp, a, n, FockState.of(w1))
+        assert one == cached and all(one is not s for s in sp._mode_cache.values())
+        two = exp_mode(sp, a, n, FockState.of(w2))
+        v = FockState({w1: 1, w2: Fraction(-3, 2)})
+        assert exp_mode(sp, a, n, v) == one + two.scale(Fraction(-3, 2))
+        assert exp_mode(sp, a, n, FockState.of(w1, 2)) == one.scale(2)
+        both += bool(one and two)
+        ref = snapshot(one)
+        one.terms.clear()
+        assert exp_mode(sp, a, n, FockState.of(w1)) == ref == cached
+    assert both
+
+
 @settings(max_examples=200, deadline=None)
 @given(modes=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 1)), max_size=5),
        label=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
@@ -692,9 +799,10 @@ def test_mode_work_is_done_once_per_word_pair(monkeypatch):
 
 
 def test_tensor_degrees_are_taken_once_per_word_pair(monkeypatch):
-    # every n of a (u, v) pair shares one pass over pu's and pv's terms, so
-    # outside the mode recursion degree runs once per basis word (its
-    # adapted degree) and at most four times per word pair
+    # each basis word's split terms are graded once, where its image is
+    # made, so outside the mode recursion degree runs three times per basis
+    # word (its adapted degree and the degrees of its two factors) and
+    # never per word pair
     real_degree = FockSpace.degree
     real_phi = vertexops.phi_map
     real_word = vertexops._word_mode_w
@@ -722,7 +830,7 @@ def test_tensor_degrees_are_taken_once_per_word_pair(monkeypatch):
     rep = check_phi_hom(DIAG22, (1, 0), 2, TruncationCtx(2))
     assert rep["instances"] == 588 and rep["failures"] == []
     assert words[0] == 14
-    assert calls[0] <= words[0] + 4 * words[0] ** 2
+    assert calls[0] == 3 * words[0]
 
 
 @pytest.mark.parametrize("gram", reduced_forms(), ids=str)
