@@ -63,6 +63,21 @@ def make_word(modes, label) -> BasisWord:
     return BasisWord(modes=ms, label=tuple(label))
 
 
+def _merge(x: tuple, y: tuple) -> tuple:
+    """The canonical mode tuple of the product of two canonical ones."""
+    out = []
+    i = j = 0
+    while i < len(x) and j < len(y):
+        p, q = x[i], y[j]
+        if p[0] > q[0] or (p[0] == q[0] and p[1] <= q[1]):
+            out.append(p)
+            i += 1
+        else:
+            out.append(q)
+            j += 1
+    return tuple(out) + x[i:] + y[j:]
+
+
 def _add_into(t: dict, items, c=None) -> None:
     """t += c*y in place, for y given as (key, coefficient) pairs and c None
     meaning 1.  Keys may be any hashable.  Every coefficient of y must be
@@ -109,7 +124,11 @@ def _coeff(c) -> QuadScalar:
 
 
 class FockState:
-    """Finite linear combination of basis words with QuadScalar coefficients."""
+    """Finite linear combination of basis words with QuadScalar coefficients.
+
+    The sparse-state implementation: vertexops.TensorState takes its
+    constructor, iteration, truth, arithmetic and equality from here, so
+    the arithmetic builds type(self)."""
 
     __slots__ = ("terms",)
 
@@ -129,9 +148,6 @@ class FockState:
         out.terms = {word: c} if c else {}
         return out
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -147,24 +163,21 @@ class FockState:
     def __add__(self, other: "FockState") -> "FockState":
         t = dict(self.terms)
         _add_into(t, other.terms.items())
-        return _adopt(FockState, t)
+        return _adopt(type(self), t)
 
     def __sub__(self, other: "FockState") -> "FockState":
         t = dict(self.terms)
         _add_into(t, other.terms.items(), -1)
-        return _adopt(FockState, t)
+        return _adopt(type(self), t)
 
     def scale(self, c) -> "FockState":
         if not isinstance(c, (QuadScalar, int, Fraction)):
             c = QuadScalar(c)
-        if not c:
-            return FockState()
-        out = FockState.__new__(FockState)
-        out.terms = {w: x * c for w, x in self.terms.items()}
-        return out
+        return _adopt(type(self), {w: x * c for w, x in self.terms.items()}
+                      if c else {})
 
     def __eq__(self, other):
-        return isinstance(other, FockState) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:

@@ -24,7 +24,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .exactnum import QuadScalar, _parts
-from .fock import FockState
+from .fock import FockState, _add_into
 
 __all__ = ["Span", "quotient_dimension"]
 
@@ -48,17 +48,7 @@ def _reduce(t: dict, row: dict, a: int, b: int) -> None:
     if a != 1:
         for k in t:
             t[k] *= a
-    get = t.get
-    for k, x in row.items():
-        s = get(k)
-        if s is None:
-            t[k] = -b * x
-        else:
-            s -= b * x
-            if s:
-                t[k] = s
-            else:
-                del t[k]
+    _add_into(t, row.items(), -b)
 
 
 def _eliminate(pivots: dict, t: dict, hist: Optional[dict] = None) -> int:

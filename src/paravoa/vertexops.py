@@ -29,16 +29,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import ONE, QuadScalar, _make
+from .exactnum import ONE, _make
 from .fock import (
-    MONOID,
     BasisWord,
     FockSpace,
     FockState,
+    Selector,
     _add_into,
     _adopt,
+    _merge,
     _ratio,
-    enumerate_basis,
     make_word,
 )
 from .lattice import GramLattice, LatVec, ParavoaError, perp_primitive
@@ -103,17 +103,9 @@ def heis_mode(sp: FockSpace, h, m: int, v: FockState) -> FockState:
     out: dict = {}
     dirs = [(d, x) for d, x in enumerate(h) if x]
     if m < 0:
-        n = -m
         for w, c in v:
-            modes = w.modes
             for d, x in dirs:
-                # canonical order is n descending, ties by direction
-                i = 0
-                for nn, dd in modes:
-                    if nn < n or (nn == n and dd > d):
-                        break
-                    i += 1
-                nw = BasisWord(modes[:i] + ((n, d),) + modes[i:], w.label)
+                nw = BasisWord(_merge(w.modes, ((-m, d),)), w.label)
                 _add_into(out, ((nw, c if x == 1 else c * x),))
         return _adopt(FockState, out)
     if m == 0:
@@ -144,27 +136,12 @@ def _translate(sp: FockSpace, w: BasisWord) -> FockState:
     out: dict = {}
     modes = w.modes
     for i, (n, d) in enumerate(modes):
-        raised = make_word(modes[:i] + ((n + 1, d),) + modes[i + 1:], w.label)
+        raised = BasisWord(_merge(modes[:i] + modes[i + 1:], ((n + 1, d),)), w.label)
         _add_into(out, ((raised, ONE * n),))
     if any(w.label):
         lam = heis_mode(sp, sp.label_coords(w.label), -1, FockState.of(w))
         _add_into(out, lam.terms.items())
     return _adopt(FockState, out)
-
-
-def _merge(x: tuple, y: tuple) -> tuple:
-    """The canonical mode tuple of the product of two canonical ones."""
-    out = []
-    i = j = 0
-    while i < len(x) and j < len(y):
-        p, q = x[i], y[j]
-        if p[0] > q[0] or (p[0] == q[0] and p[1] <= q[1]):
-            out.append(p)
-            i += 1
-        else:
-            out.append(q)
-            j += 1
-    return tuple(out) + x[i:] + y[j:]
 
 
 def _grow_vacuum(sp: FockSpace, a, xs: list, top: int) -> None:
@@ -390,17 +367,18 @@ def check_ideal(L: GramLattice, P: MonoidDescriptor,
     pair whose sum leaves S, and each term of it is a failure."""
     in_ideal = _ideal(L, P, parabolic(L, P))
     sp = FockSpace.full_lattice(L)
+    labels = Selector("V_P", L, P).labels(sample_degree)
     a_words = [(w, sp.degree(w)) for d in range(sample_degree + 1)
-               for w in enumerate_basis(L, MONOID(P), d)]
+               for w in sp.basis(d, labels=labels)]
     b_words = [(w, dw) for w, dw in a_words if in_ideal(w.label)]
     instances = 0
     failures = []
     for a, da in a_words:
         for b, db in b_words:
-            ns = range(ctx.lowest_mode(da + db), int(da + db))
-            instances += len(ns)
+            lo, hi = ctx.lowest_mode(da + db), int(da + db)
+            instances += max(hi - lo, 0)  # no range: its len fails past 2**63
             if not in_ideal((a.label[0] + b.label[0], a.label[1] + b.label[1])):
-                for n in ns:
+                for n in range(lo, hi):
                     failures.extend(
                         {"a": a.to_str(), "b": b.to_str(), "n": n,
                          "label": list(w.label)}
@@ -412,53 +390,18 @@ def check_ideal(L: GramLattice, P: MonoidDescriptor,
 
 
 class TensorState:
-    """Sparse element of a two-factor tensor product of Fock modules."""
+    """Sparse element of a two-factor tensor product of Fock modules, keyed
+    by word pairs.  Its arithmetic is FockState's own functions, assigned,
+    not inherited, so a TensorState is never a FockState."""
 
     __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[dict] = None):
-        t = {}
-        if terms:
-            for k, c in terms.items():
-                c = c if isinstance(c, QuadScalar) else QuadScalar(c)
-                if c:
-                    t[k] = c
-        self.terms = t
+    __init__, __iter__, __bool__, __add__, __sub__, scale, __eq__ = (
+        FockState.__init__, FockState.__iter__, FockState.__bool__, FockState.__add__,
+        FockState.__sub__, FockState.scale, FockState.__eq__)
 
     @classmethod
     def of(cls, w1: BasisWord, w2: BasisWord, coeff=1) -> "TensorState":
         return cls({(w1, w2): coeff})
-
-    def __iter__(self):
-        return iter(self.terms.items())
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        _add_into(t, other.terms.items())
-        return _adopt(TensorState, t)
-
-    def __sub__(self, other):
-        t = dict(self.terms)
-        _add_into(t, other.terms.items(), -1)
-        return _adopt(TensorState, t)
-
-    def scale(self, c):
-        if not isinstance(c, (QuadScalar, int, Fraction)):
-            c = QuadScalar(c)
-        if not c:
-            return TensorState()
-        out = TensorState.__new__(TensorState)
-        out.terms = {k: x * c for k, x in self.terms.items()}
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, TensorState) and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -545,9 +488,7 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
     pmax = math.isqrt(2 * degree_cap // twoN)
     labels = [(p,) for p in range(-pmax, pmax + 1)]
 
-    basis = []
-    for d in range(degree_cap + 1):
-        basis.extend(adapted.basis(d, labels=labels))
+    by_degree = [adapted.basis(d, labels=labels) for d in range(degree_cap + 1)]
 
     # from_tensor runs once per distinct (w1, w2) pair; a tensor state's
     # image is the sum of its pairs' images
@@ -564,10 +505,11 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
 
     # each basis word's lattice-basis image, split terms graded once, and degree
     images = []
-    for u in basis:
-        pu = phi_map(FockState.of(u))
-        graded = [(x, y, c, sp1.degree(x), sp2.degree(y)) for (x, y), c in pu]
-        images.append((u, to_lattice(pu), graded, adapted.degree(u)))
+    for du, words in enumerate(by_degree):
+        for u in words:
+            pu = phi_map(FockState.of(u))
+            graded = [(x, y, c, sp1.degree(x), sp2.degree(y)) for (x, y), c in pu]
+            images.append((u, to_lattice(pu), graded, du))
     instances = 0
     failures = []
     for u, fu, pu, du in images:
@@ -588,16 +530,12 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
     _add_into(expect, (((vac1, w), c) for w, c in sp2.virasoro()))
     omega_ok = full.virasoro() == to_lattice(_adopt(TensorState, expect))
 
-    dims_ok = True
-    for d in range(degree_cap + 1):
-        left = len(adapted.basis(d, labels=labels))
-        # right side: products of factor dimensions at complementary degrees
-        right = sum(
-            len(sp1.basis(d1)) * len(sp2.basis(d - d1, labels=labels))
-            for d1 in range(d + 1)
-        )
-        if left != right:
-            dims_ok = False
+    # per degree, the adapted basis against products of factor dimensions
+    # at complementary degrees
+    dims_ok = all(
+        len(words) == sum(len(sp1.basis(d1)) * len(sp2.basis(d - d1, labels=labels))
+                          for d1 in range(d + 1))
+        for d, words in enumerate(by_degree))
     return {
         "check": "phi_hom",
         "instances": instances,

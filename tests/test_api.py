@@ -229,6 +229,77 @@ def test_the_output_check_sees_what_it_forbids():
                                  (9, "main")]
 
 
+SHARED = ("__init__", "__iter__", "__bool__", "__add__", "__sub__", "scale", "__eq__")
+
+
+def test_tensor_state_is_fock_states_implementation():
+    # one sparse-state implementation: TensorState holds FockState's own
+    # functions, assigned and not inherited, so every method perfbench
+    # traces is in its own __dict__ and a TensorState is no FockState
+    from paravoa.fock import FockState
+    from paravoa.vertexops import TensorState
+
+    fock, tensor = vars(FockState), vars(TensorState)
+    assert [k for k in SHARED if tensor[k] is not fock[k]] == []
+    own = {k for k, v in tensor.items()
+           if callable(v) or isinstance(v, classmethod)} - set(SHARED)
+    assert own == {"of", "__repr__"}
+    assert not isinstance(TensorState(), FockState)
+    assert TensorState() != FockState() and FockState() == FockState()
+
+
+def _state_decisions(tree: ast.AST, where: str = "") -> list:
+    """(line, where, what) of each place that decides a sparse state's order
+    or drops a cancelled entry: a definition of _merge or _add_into ("def",
+    where is its own name), a `del d[k]` ("del") and a call of sorted or
+    .sort ("sort"); where names the enclosing classes and functions."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = where
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{where}.{node.name}" if where else node.name
+            if node.name in ("_merge", "_add_into"):
+                found.append((node.lineno, inner, "def"))
+        elif isinstance(node, ast.Delete) and any(
+                isinstance(t, ast.Subscript) for t in node.targets):
+            found.append((node.lineno, where, "del"))
+        elif isinstance(node, ast.Call) and {
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        } & {"sorted", "sort"}:
+            found.append((node.lineno, where, "sort"))
+        found += _state_decisions(node, inner)
+    return found
+
+
+def test_fock_alone_orders_words_and_updates_rows():
+    # the canonical mode order (_merge, and make_word's sort) and the
+    # order-keeping, cancel-dropping sparse update (_add_into) each have
+    # one body, in fock; the mode engine sorts nothing itself
+    found = [(path.stem, where, what) for path in SRC
+             for _, where, what in _state_decisions(ast.parse(path.read_text()))]
+    assert sorted(hit for hit in found if hit[2] != "sort") == [
+        ("fock", "_add_into", "def"), ("fock", "_add_into", "del"),
+        ("fock", "_merge", "def")]
+    assert [hit for hit in found if hit[0] == "vertexops"] == []
+
+
+def test_the_state_check_sees_what_it_forbids():
+    bad = ast.parse(
+        "class TensorState:\n"
+        "    def __add__(self, other):\n"
+        "        t = dict(self.terms)\n"
+        "        del t[next(iter(t))]\n"
+        "        return sorted(t, key=lambda w: -w[0])\n"
+        "def heis_mode(modes):\n"
+        "    def _merge(x, y):\n"
+        "        return x + y\n"
+        "    modes.sort()\n"
+        "    del modes\n")
+    assert _state_decisions(bad) == [
+        (4, "TensorState.__add__", "del"), (5, "TensorState.__add__", "sort"),
+        (7, "heis_mode._merge", "def"), (9, "heis_mode", "sort")]
+
+
 def load_perfbench(name):
     path = str(ROOT / "perfbench")
     sys.path.insert(0, path)

@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from paravoa.cli import (
     COMMANDS,
@@ -293,6 +293,18 @@ def test_character_vh(capsys):
     assert series[1] == {"exp": "1", "dim": 4}
 
 
+@pytest.mark.parametrize("cap, want", [
+    ("3", "3"), ("1/3", "1/3"), (None, "6"), ("03", "3"), ("6/2", "3"), ("0.5", "1/2"),
+    ("+3", "3"), ("-0", "0")])
+def test_character_reports_the_parsed_cap(capsys, cap, want):
+    # the cap that was computed to, written canonically, as c1-dims does;
+    # spellings of one cap give one report
+    given = () if cap is None else ("--cap", cap)
+    code, out, _ = run(capsys, "--config", "a2", "character", "VL", *given)
+    _, same, _ = run(capsys, "--config", "a2", "character", "VL", "--cap", want)
+    assert code == 0 and json.loads(out)["cap"] == want and out == same
+
+
 def test_character_module(capsys):
     code, out, _ = run(capsys, "--config", "diag22", "character", "P2",
                        "--cap", "2", "--t", "0", "--i", "1")
@@ -370,6 +382,18 @@ def test_verify_ideal(capsys):
                        "--sample-degree", "1")
     assert code == 0
     assert json.loads(out)["failures"] == []
+
+
+@pytest.mark.parametrize("ceiling", [6, 10**30])
+def test_verify_ideal_counts_modes_past_a_machine_word(capsys, tmp_path, ceiling):
+    # each of the 14 pairs of degree <= 1 has the ceiling + 1 modes whose
+    # result degree lies in [0, ceiling]; at 10**30 that count ended in an
+    # OverflowError traceback
+    path = a2_with(tmp_path, ("truncation", "maxDegree"), ceiling)
+    code, out, _ = run(capsys, "--config", path, "verify-ideal", "P2", "--sample-degree", "1")
+    assert code == 0
+    assert json.loads(out) == {"check": "ideal", "failures": [],
+                               "instances": 14 * (ceiling + 1)}
 
 
 def test_pretty_goes_to_stderr(capsys):
@@ -1008,6 +1032,109 @@ def test_main_never_raises_on_fuzzed_arguments(parts):
         code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+# -- generated configs -------------------------------------------------------------
+
+# a config is drawn valid field by field, then up to two of its fields, at
+# any depth, are dropped or given a mistyped or huge value
+HUGE = 10**30
+MISSING = object()
+NONZERO = st.sampled_from([1, -1, 2, -2, 3])
+RATIONAL = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-3/4", "2/3"]))
+RATIONAL_GAMMA = st.one_of(st.tuples(NONZERO, RATIONAL), st.tuples(RATIONAL, NONZERO)).map(list)
+IRRATIONAL = st.fixed_dictionaries({"a": RATIONAL, "b": NONZERO})
+DESCRIPTOR = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("type1"), "gamma": st.one_of(
+        RATIONAL_GAMMA, st.tuples(RATIONAL, IRRATIONAL).map(list),
+        st.tuples(IRRATIONAL, RATIONAL).map(list))}),
+    st.fixed_dictionaries({"kind": st.just("type2"), "gamma": RATIONAL_GAMMA}),
+    st.fixed_dictionaries({"kind": st.just("cone"), "cone": st.sampled_from(
+        [[[1, 0], [0, 1]], [[1, 0], [1, 1]], [[1, 1], [-1, 1]], [[2, 1], [1, 2]]])}),
+    st.fixed_dictionaries({"kind": st.just("generators"), "generators": st.sampled_from(
+        [[[1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]], [[1, 0], [-1, 0], [0, 1]], [[2, 1]],
+         [[1, 1], [-1, -1], [1, 0]]])}))
+CONFIG = st.fixed_dictionaries({
+    "lattice": st.fixed_dictionaries({
+        "gram": st.sampled_from(reduced_forms()).map(lambda g: [list(r) for r in g]),
+        "D": st.sampled_from([1, 2, 3, 5, 6, 7, 10]), "names": st.just(["a1", "a2"])}),
+    "descriptors": st.fixed_dictionaries({"P": DESCRIPTOR, "Q": DESCRIPTOR}),
+    "truncation": st.fixed_dictionaries({"maxDegree": st.integers(0, 8)}),
+    "boxRadius": st.integers(1, 10), "seed": st.integers(0, 2**32)})
+FIELDS = [
+    ("lattice",), ("lattice", "gram"), ("lattice", "gram", 0), ("lattice", "gram", 0, 0),
+    ("lattice", "gram", 0, 1), ("lattice", "gram", 1, 1), ("lattice", "D"),
+    ("lattice", "names"), ("lattice", "names", 1), ("descriptors",), ("descriptors", "P"),
+    ("descriptors", "P", "kind"), ("descriptors", "P", "gamma"),
+    ("descriptors", "P", "gamma", 0), ("descriptors", "P", "gamma", 1),
+    ("descriptors", "P", "cone"), ("descriptors", "P", "cone", 0),
+    ("descriptors", "P", "cone", 1, 0), ("descriptors", "P", "generators"),
+    ("descriptors", "P", "generators", 0), ("descriptors", "P", "generators", 0, 1),
+    ("descriptors", "Q", "kind"), ("truncation",), ("truncation", "maxDegree"),
+    ("boxRadius",), ("seed",)]
+BAD_VALUES = st.sampled_from([
+    MISSING, None, True, 1.5, "2", "x", [], {}, [1, 2, 3], [[1, 2]], -1, 0, HUGE, -HUGE,
+    2**61 - 1, [HUGE, HUGE], [[HUGE, 0], [0, HUGE]], {"a": HUGE, "b": 1}])
+FAULTS = st.lists(st.tuples(st.sampled_from(FIELDS), BAD_VALUES), max_size=2)
+CONFIG_COMMANDS = [
+    ("classify", "P"), ("borel", "1,1~1"), ("saturate", "1,1~1", "1,0"),
+    ("character", "P", "--cap", "2"), ("character", "VH", "--cap", "2"),
+    ("character", "VL", "--cap", "1"),
+    ("character", "P", "--cap", "1", "--t", "1/2", "--i", "1"),
+    ("verify-iso", "--cap", "1", "--char-cap", "2"),
+    ("verify-ideal", "P", "--sample-degree", "1"), ("verify-commutators", "--samples", "2"),
+    ("zhu-nil", "P", "0,1"), ("zhu-nil", "P", "1,1"), ("fusion", "P"), ("c1", "P"),
+    ("c1-dims", "VH", "--cap", "2"), ("c1-dims", "P", "--cap", "2")]
+
+
+def _field(d, k):
+    """d[k] if the dict or list d holds k, else None."""
+    if isinstance(d, dict):
+        return d.get(k)
+    if isinstance(d, list) and isinstance(k, int) and k < len(d):
+        return d[k]
+    return None
+
+
+def with_faults(config, faults):
+    """config with each (path, value) of faults applied in turn: the field
+    at path dropped (MISSING) or set to value.  A path that an earlier
+    fault cut off is passed over."""
+    for path, value in faults:
+        parent = config
+        for k in path[:-1]:
+            parent = _field(parent, k)
+        k = path[-1]
+        if isinstance(parent, dict) or _field(parent, k) is not None:
+            if value is not MISSING:
+                parent[k] = json.loads(json.dumps(value))
+            elif k in parent or isinstance(parent, list):
+                del parent[k]
+    return config
+
+
+# derandomized, so tier-1 runs the same 300 examples, about 2 s, each time
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(CONFIG, FAULTS, st.sampled_from(CONFIG_COMMANDS))
+def test_generated_configs_keep_the_cli_contract(tmp_path_factory, config, faults,
+                                                 command):
+    config = with_faults(config, faults)
+    ceiling = _field(_field(config, "truncation"), "maxDegree")
+    # verify-iso checks every mode down to the ceiling, and at a ceiling of
+    # 10**30 it holds one dict per mode until memory runs out, a fault not
+    # yet mended; so it runs only under the drawn ceilings
+    assume(command[0] != "verify-iso" or not (type(ceiling) is int and ceiling > 8))
+    path = write_config(tmp_path_factory.getbasetemp() / "generated.json", config)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--config", path, *command])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err, (config, command, err)
+    if code == 2:
+        assert (out, err.count("\n"), err[:7]) == ("", 1, "error: "), (config, command, err)
+    else:
+        assert (out.count("\n"), out[-1:], err) == (1, "\n", ""), (config, command, err)
+        json.loads(out)
 
 
 # -- the degree ceiling at its edges --------------------------------------------

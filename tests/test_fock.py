@@ -113,7 +113,7 @@ def test_state_arith_trivial():
     x = FockState.of(make_word(((1, 0),), (0, 0)), 2)
     y = FockState.of(make_word(((2, 1),), (0, 0)), 3)
     assert x + y.scale(0) == x
-    assert (x + x.scale(-1)).is_zero()
+    assert not (x + x.scale(-1))
     doubled = x + x.scale(1)
     assert doubled == x.scale(2)
 
@@ -121,7 +121,7 @@ def test_state_arith_trivial():
 def test_state_no_zero_coeffs():
     w = make_word((), (0, 0))
     s = FockState({w: QuadScalar(0)})
-    assert s.is_zero()
+    assert not s
 
 
 def test_vacuum_and_virasoro_weights():

@@ -84,7 +84,7 @@ def test_contraction():
 
 
 def test_annihilates_vacuum():
-    assert heis_mode(SPD, E1, 5, vac(SPD)).is_zero()
+    assert not heis_mode(SPD, E1, 5, vac(SPD))
 
 
 def test_double_contraction_multiplicity():
@@ -121,7 +121,7 @@ def test_exp_nilpotent_range():
     # (b|b) = 2N = 2: e^b_{-m} e^b = 0 for m <= 2
     eb = SPD.exp_state((0, 1))
     for m in (0, 1, 2, -1):
-        assert exp_mode(SPD, (0, 1), -m, eb).is_zero()
+        assert not exp_mode(SPD, (0, 1), -m, eb)
 
 
 def test_exp_first_nonzero_mode():
@@ -173,7 +173,7 @@ def test_vacuum_operator_is_identity():
         v = FockState.of(w)
         assert word_mode(SPD, one, -1, v) == v
         for n in (-3, -2, 0, 1, 2):
-            assert word_mode(SPD, one, n, v).is_zero()
+            assert not word_mode(SPD, one, n, v)
 
 
 def test_truncation_overflow():
@@ -217,7 +217,7 @@ def test_l0_eigenvalues():
 
 
 def test_lminus1_vacuum():
-    assert l_mode(SPD, -1, vac(SPD)).is_zero()
+    assert not l_mode(SPD, -1, vac(SPD))
 
 
 def test_lminus1_translation_on_exp():
@@ -250,21 +250,21 @@ def test_virasoro_central_charge():
 
 def test_commutator_heisenberg():
     a = FockState.of(SPD.word(((1, 0),)))
-    assert check_commutator(SPD, a, a, 1, -1, vac(SPD)).is_zero()
+    assert not check_commutator(SPD, a, a, 1, -1, vac(SPD))
 
 
 def test_commutator_exp_pair():
     a = SPD.exp_state((1, 0))
     b = SPD.exp_state((-1, 0))
     for m, n in ((0, 0), (1, -1), (-1, 0), (2, -2)):
-        assert check_commutator(SPD, a, b, m, n, vac(SPD)).is_zero()
+        assert not check_commutator(SPD, a, b, m, n, vac(SPD))
 
 
 def test_commutator_omega_exp():
     om = SPD.virasoro()
     b = SPD.exp_state((1, 0))
     for m, n in ((0, 0), (1, -1), (2, -1)):
-        assert check_commutator(SPD, om, b, m, n, vac(SPD)).is_zero()
+        assert not check_commutator(SPD, om, b, m, n, vac(SPD))
 
 
 def test_commutator_randomized():
@@ -277,7 +277,7 @@ def test_commutator_randomized():
             v = FockState.of(rng.choice(words))
             m = rng.randint(-2, 2)
             n = rng.randint(-2, 2)
-            assert check_commutator(sp, a, b, m, n, v).is_zero()
+            assert not check_commutator(sp, a, b, m, n, v)
 
 
 # -- Lemma 3.5 style commutation -------------------------------------------
@@ -289,7 +289,7 @@ def test_lemma35_exp_pair():
     v = SPD.exp_state((-1, 0))
     for m in range(-2, 3):
         res = check_lemma35(SPD, beta, m, u, v, TruncationCtx(5))
-        assert res and all(r.is_zero() for r in res.values())
+        assert res and not any(res.values())
 
 
 def test_lemma35_dressed_word():
@@ -297,7 +297,7 @@ def test_lemma35_dressed_word():
     u = SPD.word(((1, 0),), (2, 0))
     for m in (-2, -1, 1, 2):
         res = check_lemma35(SPD, beta, m, u, vac(SPD), TruncationCtx(6))
-        assert all(r.is_zero() for r in res.values())
+        assert not any(res.values())
 
 
 def test_lemma35_precondition():
@@ -800,9 +800,9 @@ def test_mode_work_is_done_once_per_word_pair(monkeypatch):
 
 def test_tensor_degrees_are_taken_once_per_word_pair(monkeypatch):
     # each basis word's split terms are graded once, where its image is
-    # made, so outside the mode recursion degree runs three times per basis
-    # word (its adapted degree and the degrees of its two factors) and
-    # never per word pair
+    # made, so outside the mode recursion degree runs twice per basis word
+    # (the degrees of its two factors; its adapted degree is the degree of
+    # the basis it was enumerated in) and never per word pair
     real_degree = FockSpace.degree
     real_phi = vertexops.phi_map
     real_word = vertexops._word_mode_w
@@ -830,7 +830,7 @@ def test_tensor_degrees_are_taken_once_per_word_pair(monkeypatch):
     rep = check_phi_hom(DIAG22, (1, 0), 2, TruncationCtx(2))
     assert rep["instances"] == 588 and rep["failures"] == []
     assert words[0] == 14
-    assert calls[0] == 3 * words[0]
+    assert calls[0] == 2 * words[0]
 
 
 @pytest.mark.parametrize("gram", reduced_forms(), ids=str)
@@ -853,7 +853,7 @@ def test_mode_caches_hold_integral_parts_as_ints(gram, monkeypatch):
     h = FockState.of(sp.word(((1, 0), (1, 1))))
     for x, y, m, n in ((a, b, 0, 0), (a, b, 2, -2), (h, a, 1, -1),
                        (sp.virasoro(), b, 2, -1)):
-        assert check_commutator(sp, x, y, m, n, sp.vacuum()).is_zero()
+        assert not check_commutator(sp, x, y, m, n, sp.vacuum())
     kinds = Counter()
     for s in spaces.values():
         for st in s._mode_cache.values():

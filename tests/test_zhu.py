@@ -190,7 +190,7 @@ def test_linalg_matches_fraction_gauss_jordan(rows_targets, word_picks):
 
 def test_circle_vacuum_left():
     for w in enumerate_basis(DIAG22, FULL_L, 2):
-        assert reduce_35(SPD, SPD.vacuum(), FockState.of(w), 0, 0).is_zero()
+        assert not reduce_35(SPD, SPD.vacuum(), FockState.of(w), 0, 0)
 
 
 def test_circle_bilinear():
@@ -218,7 +218,7 @@ def test_reduce35_m0_is_circle():
     a = SPD.exp_state((0, 1))
     b = SPD.exp_state((0, -1))
     circle = state_mode(SPD, a, -2, b) + state_mode(SPD, a, -1, b)
-    assert not circle.is_zero()
+    assert circle
     assert reduce_35(SPD, a, b, 0, 0) == circle
 
 
@@ -226,7 +226,7 @@ def test_reduce35_vacuum_vanishes():
     b = SPD.exp_state((1, 0))
     for m in range(3):
         for n in range(m + 1):
-            assert reduce_35(SPD, SPD.vacuum(), b, m, n).is_zero()
+            assert not reduce_35(SPD, SPD.vacuum(), b, m, n)
 
 
 def test_reduce35_precondition():
@@ -251,7 +251,7 @@ def test_reduce35_exhibits_e2beta():
 def test_star_label_additive():
     # exp words sit too low for star to reach weight (2b|2b)/2, so dress one
     eb = SPD.exp_state((0, 1))
-    assert star(SPD, eb, eb).is_zero()
+    assert not star(SPD, eb, eb)
     a = heis_mode(SPD, (0, 1), -2, eb)  # weight 3
     got = star(SPD, a, eb)
     assert got
@@ -354,7 +354,7 @@ def test_eq33_exp_pair():
         for w in enumerate_basis(DIAG22, FULL_L, d)
         if w.label in ((0, 0), (1, 0), (-1, 0))
     ]
-    assert not _eq33_difference(sp, a, b).is_zero()
+    assert _eq33_difference(sp, a, b)
     for cap in range(3, 7):
         for mmax in range(3):
             rep = eq33_certificate(sp, a, b, pool, TruncationCtx(cap), mmax)
