@@ -59,15 +59,17 @@ class SessionConfig:
             if not isinstance(x, dict):
                 raise ParavoaError(f"{source}: {what}: expected a JSON object, got {x!r}")
         try:
+            if "lattice" not in obj:
+                raise ParavoaError("lattice: required")
             self.lattice = GramLattice.from_json(obj["lattice"])
-        except (KeyError, TypeError, ParavoaError) as exc:
+        except ParavoaError as exc:
             raise ParavoaError(f"{source}: bad lattice spec: {exc}") from exc
         self.descriptors: dict = {}
         for name, d in sections["descriptors"].items():
             try:
                 desc = MonoidDescriptor.from_json(d, self.lattice)
                 desc.validate(self.lattice)
-            except (KeyError, TypeError, ParavoaError) as exc:
+            except ParavoaError as exc:
                 raise ParavoaError(f"{source}: descriptor {name!r}: {exc}") from exc
             self.descriptors[name] = desc
         try:
@@ -239,13 +241,12 @@ def _character_target(cfg: SessionConfig, args):
             if P.kind == "type1":
                 raise ParavoaError(f"--t/--i select type-II modules; "
                                    f"descriptor {name!r} is TYPE_I")
-            t = "0" if args.t is None else args.t
-            mods = irreducibles(L, P, {"ts": [parse_fraction(t, "--t")]})
+            t = parse_fraction("0" if args.t is None else args.t, "--t")
             i = parse_int("0" if args.i is None else args.i, "--i")
-            for m in mods:
-                if m.i == i:
-                    return m
-            raise ParavoaError(f"no module with coset index {i}")
+            mods = irreducibles(L, P, {"ts": [t], "is": [i]})
+            if not mods:
+                raise ParavoaError(f"no module with coset index {i}")
+            return mods[0]
         return Selector(kind="V_P", L=L, P=P)
     if name in ("VH", "V_H"):
         _inapplicable(args, ("t", "i"), f"target {name!r}")
@@ -347,7 +348,7 @@ def cmd_zhu_nil(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
 
 
 def cmd_fusion(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
-    from .modrep import fusion, irreducibles
+    from .modrep import fusion_key, irreducibles
 
     L = cfg.lattice
     P = cfg.descriptor(args.descriptor)
@@ -360,13 +361,14 @@ def cmd_fusion(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
         _inapplicable(args, ("lams",), f"{kind} descriptor {args.descriptor!r}")
         ts = ("0" if args.ts is None else args.ts).split(",")
         mods = irreducibles(L, P, {"ts": [parse_fraction(t, "--ts") for t in ts]})
-    table = []
-    for m1 in mods:
-        for m2 in mods:
-            for m3 in mods:
-                if fusion(m1, m2, m3) == 1:
-                    table.append([m1.to_json(), m2.to_json(), m3.to_json()])
-    out = {"modules": [m.to_json() for m in mods], "nonzeroTriples": table}
+    # the modules of each fusion key, in order, and one lookup per pair
+    js = [m.to_json() for m in mods]
+    by_key: dict = {}
+    for m, j in zip(mods, js):
+        by_key.setdefault(fusion_key(m), []).append(j)
+    table = [[j1, j2, j3] for m1, j1 in zip(mods, js) for m2, j2 in zip(mods, js)
+             for j3 in by_key.get(fusion_key(m1, m2), ())]
+    out = {"modules": js, "nonzeroTriples": table}
     return out, [f"{len(mods)} modules, {len(table)} nonzero fusion triples"], True
 
 

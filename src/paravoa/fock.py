@@ -9,6 +9,7 @@ shows up only inside the conformal vector.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -102,12 +103,6 @@ def _add_into(t: dict, items, c=None) -> None:
                 t[k] = x
             else:
                 del t[k]
-
-
-def _ratio(n: int, d: int):
-    """n/d as an int when d divides n, else as a Fraction."""
-    q, r = divmod(n, d)
-    return Fraction(n, d) if r else q
 
 
 def _adopt(cls, terms: dict):
@@ -259,32 +254,30 @@ def enumerate_basis(L: GramLattice, ambient, degree: int) -> list[BasisWord]:
 class FockSpace:
     """A Fock module presentation the operator engine can run on.
 
-    Modes live in an r-element h-basis with rational pairwise products
-    `mode_gram`; labels are integer combinations of s generator vectors
-    whose mode-basis coordinates are `gen_coords`.  The cocycle is the
-    bilinear sign (-1)^(sum a_i b_j eps_table[i][j]) on labels.  Degrees,
-    pairings and coordinates are ints when integral and Fractions
-    otherwise, so the engine's bookkeeping is integer arithmetic.
+    Modes live in an r-element h-basis with integer pairwise products
+    `mode_gram`; labels are integer combinations of s generator vectors of
+    even norm, whose mode-basis coordinates are `gen_coords`.  The cocycle
+    is the bilinear sign (-1)^(sum a_i b_j eps_table[i][j]) on labels.  So
+    every pairing and degree is an int, and the bookkeeping is integers.
     """
 
     def __init__(self, mode_gram, gen_coords=(), eps_table=()):
         self.rank = len(mode_gram)
-        self.mode_gram, self.gen_coords = (
-            tuple(tuple(_ratio(*Fraction(x).as_integer_ratio()) for x in row)
-                  for row in rows) for rows in (mode_gram, gen_coords))
+        # operator.index: a Fraction or a float raises TypeError
+        self.mode_gram, self.gen_coords, self.eps_table = (
+            tuple(tuple(operator.index(x) for x in row) for row in rows)
+            for rows in (mode_gram, gen_coords, eps_table))
         self.label_rank = len(self.gen_coords)
-        self.eps_table = tuple(tuple(int(x) for x in row) for row in eps_table)
         self.zero_label = (0,) * self.label_rank
         # pairings of each label generator with each mode and with each
-        # other generator, as integers over one common denominator, so a
-        # label pairing is integer arithmetic and one _ratio
-        gm = [[sum(g[r] * self.mode_gram[r][i] for r in range(self.rank))
-               for i in range(self.rank)] for g in self.gen_coords]
-        gg = [[sum(x * y for x, y in zip(row, h)) for h in self.gen_coords]
-              for row in gm]
-        self._den = math.lcm(*(x.denominator for row in gm + gg for x in row))
-        self._gen_mode = tuple(tuple(int(x * self._den) for x in row) for row in gm)
-        self._gen_gen = tuple(tuple(int(x * self._den) for x in row) for row in gg)
+        # other generator
+        self._gen_mode = tuple(
+            tuple(sum(g[r] * self.mode_gram[r][i] for r in range(self.rank))
+                  for i in range(self.rank)) for g in self.gen_coords)
+        self._gen_gen = tuple(tuple(sum(x * y for x, y in zip(row, h))
+                                    for h in self.gen_coords) for row in self._gen_mode)
+        if any(row[i] % 2 for i, row in enumerate(self._gen_gen)):
+            raise ValueError("label generators must have even norm")
         # filled on demand by vertexops' mode engine (modes, and the vacuum
         # series of E^- per label) and by zhu's residue spans
         self._mode_cache: dict = {}
@@ -327,17 +320,11 @@ class FockSpace:
                 out[r] += lj * row[r]
         return tuple(out)
 
-    def pair_coords(self, x, y) -> Fraction:
-        s = Fraction(0)
-        for i in range(self.rank):
-            if not x[i]:
-                continue
-            for j in range(self.rank):
-                s += x[i] * y[j] * self.mode_gram[i][j]
-        return s
+    def pair_coords(self, x, y) -> int:
+        r, q = range(self.rank), self.mode_gram
+        return sum(x[i] * y[j] * q[i][j] for i in r if x[i] for j in r)
 
-    def _label_pairing(self, l1, l2) -> int:
-        """(l1|l2) times the common denominator self._den."""
+    def label_inner(self, l1, l2) -> int:
         n = 0
         for x, row in zip(l1, self._gen_gen):
             if x:
@@ -345,12 +332,8 @@ class FockSpace:
                     n += x * y * g
         return n
 
-    def label_inner(self, l1, l2):
-        return _ratio(self._label_pairing(l1, l2), self._den)
-
-    def pair_label_mode(self, label, i: int):
-        return _ratio(sum(x * row[i] for x, row in zip(label, self._gen_mode)),
-                      self._den)
+    def pair_label_mode(self, label, i: int) -> int:
+        return sum(x * row[i] for x, row in zip(label, self._gen_mode))
 
     def eps(self, l1, l2) -> int:
         e = 0
@@ -366,9 +349,8 @@ class FockSpace:
             label = self.zero_label
         return make_word(modes, label)
 
-    def degree(self, w: BasisWord):
-        return w.mode_degree() + _ratio(self._label_pairing(w.label, w.label),
-                                        2 * self._den)
+    def degree(self, w: BasisWord) -> int:
+        return w.mode_degree() + self.label_inner(w.label, w.label) // 2
 
     def state_degree(self, s: FockState):
         """Common degree of a homogeneous state, None if empty."""
@@ -405,10 +387,10 @@ class FockSpace:
         """Words of exact degree with labels drawn from the given tuples."""
         out = []
         for lab in labels:
-            m = degree - Fraction(self.label_inner(lab, lab), 2)
-            if m.denominator != 1 or m < 0:
+            m = degree - self.label_inner(lab, lab) // 2
+            if m < 0:
                 continue
-            for w in _mode_words(self.rank, int(m)):
+            for w in _mode_words(self.rank, m):
                 out.append(BasisWord(modes=w, label=tuple(lab)))
         return out
 

@@ -148,6 +148,10 @@ class GramLattice:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GramLattice":
+        if not isinstance(obj, dict):
+            raise ParavoaError(f"expected a JSON object, got {obj!r}")
+        if "gram" not in obj:
+            raise ParavoaError("gram: required")
         if "names" in obj:  # accepted and unused
             _json_pair(obj["names"], "names", _json_str)
         return cls(

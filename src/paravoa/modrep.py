@@ -36,6 +36,7 @@ __all__ = [
     "character",
     "check_tensor_character",
     "fusion",
+    "fusion_key",
     "c1_decide",
     "c1_quotient_dims",
     "Selector",
@@ -130,7 +131,9 @@ def _colored_partitions(colors: int, cap: int) -> list[int]:
 
 
 def irreducibles(L: GramLattice, P: MonoidDescriptor, sample_params: dict) -> list:
-    """Finite sample of the irreducible-module families attached to (L, P)."""
+    """Finite sample of the irreducible-module families attached to (L, P):
+    type I at the weights "lams", type II at the parameters "ts" (default 0)
+    and the coset indices "is" (default all; one outside 0..2N-1 gives none)."""
     rep = parabolic(L, P)
     out = []
     if rep.type == "TYPE_I":
@@ -146,7 +149,9 @@ def irreducibles(L: GramLattice, P: MonoidDescriptor, sample_params: dict) -> li
     for t in sample_params.get("ts", (Fraction(0),)):
         t = Fraction(t)
         h0 = t * t * Fraction(L.norm(beta), 2)
-        for i in range(2 * N):
+        for i in sample_params.get("is", range(twoN)):
+            if not 0 <= i < twoN:
+                continue
             h = h0 + Fraction(i * i, 4 * N)
             out.append(ModuleLabel(kind=TYPE_II_MOD, alpha=alpha, N=N, t=t, i=i, h=h))
     return out
@@ -227,18 +232,27 @@ def check_tensor_character(L: GramLattice, alpha: LatVec, cap) -> dict:
     }
 
 
+def fusion_key(m1: ModuleLabel, m2: Optional[ModuleLabel] = None):
+    """What fusion compares: lam for a type-I module and (i mod 2N, t) for
+    a type-II one; given m2 too, the key of m1 x m2, the sum of the two."""
+    if m1.kind == TYPE_I_MOD:
+        return m1.lam if m2 is None else tuple(a + b for a, b in zip(m1.lam, m2.lam))
+    if m2 is None:
+        return (m1.i % (2 * m1.N), m1.t)
+    return ((m1.i + m2.i) % (2 * m1.N), m1.t + m2.t)
+
+
 def fusion(m1: ModuleLabel, m2: ModuleLabel, m3: ModuleLabel) -> int:
+    """1 when m1 x m2 -> m3 is nonzero, as the key of m1 x m2 is m3's, else 0."""
     if not m1.kind == m2.kind == m3.kind:
         kinds = ", ".join(sorted({m1.kind, m2.kind, m3.kind}))
         raise ParavoaError(f"mixed module kinds {kinds}")
-    if m1.kind == TYPE_I_MOD:
-        s = tuple(a + b for a, b in zip(m1.lam, m2.lam))
-        return 1 if s == m3.lam else 0
-    if not (m1.alpha == m2.alpha == m3.alpha and m1.N == m2.N == m3.N):
-        raise ParavoaError("labels must share the same lattice data")
-    if (m1.i + m2.i - m3.i) % (2 * m1.N):  # in integers, and most triples stop here
-        return 0
-    return 1 if m1.t + m2.t == m3.t else 0
+    if m1.kind == TYPE_II_MOD:
+        if not (m1.alpha == m2.alpha == m3.alpha and m1.N == m2.N == m3.N):
+            raise ParavoaError("labels must share the same lattice data")
+        if (m1.i + m2.i - m3.i) % (2 * m1.N):
+            return 0  # the coset indices differ: most triples stop here, in integers
+    return 1 if fusion_key(m1, m2) == fusion_key(m3) else 0
 
 
 def c1_decide(L: GramLattice, P: MonoidDescriptor) -> C1Report:

@@ -133,7 +133,10 @@ class MonoidDescriptor:
         cone = None
         if "cone" in obj:
             cone = _json_pair(obj["cone"], "cone", _json_pair)
-        gens = tuple(_json_pair(v, "generators") for v in obj.get("generators", ()))
+        gens = obj.get("generators", [])
+        if not isinstance(gens, list):
+            raise ParavoaError(f"generators: expected a list, got {gens!r}")
+        gens = tuple(_json_pair(v, "generators") for v in gens)
         return cls(kind=kind, gamma=gamma, cone=cone, generators=gens)
 
 

@@ -38,7 +38,6 @@ from .fock import (
     _add_into,
     _adopt,
     _merge,
-    _ratio,
     make_word,
 )
 from .lattice import GramLattice, LatVec, ParavoaError, perp_primitive
@@ -86,6 +85,12 @@ class TruncationCtx:
     def lowest_mode(self, degree) -> int:
         """The least n for which u_n v fits, given degree = deg u + deg v."""
         return math.ceil(degree - 1 - self.max_degree)
+
+
+def _ratio(n: int, d: int):
+    """n/d as an int when d divides n, else as a Fraction."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 def _binom(m: int, j: int) -> int:
@@ -211,8 +216,6 @@ def _exp_modes(sp: FockSpace, a, w: BasisWord, lo: int, hi: int) -> list:
     closed form, once, and each of its z-powers times the vacuum series of
     E^- at the z-powers modes lo..hi take from it."""
     t0 = sp.label_inner(a, w.label)
-    if t0.denominator != 1:
-        raise ParavoaError(f"(a|label) = {t0} is not an integer")
     if lo > hi:
         return []
     # X_p w sits at z^(t0 - p); E^-(-a, z) supplies z^(p - t0 - n - 1)
@@ -285,7 +288,7 @@ def _word_mode_w(sp: FockSpace, u: BasisWord, k: int, w: BasisWord) -> FockState
     res: dict = {}
     # (h(-n)u')_k = sum_j C(n+j-1,j) [ h(-n-j) u'_{k+j}
     #                                  - (-1)^n u'_{-n+k-j} h(j) ]
-    for j in range(math.floor(du + dw - k - 1) + 1):
+    for j in range(du + dw - k):
         inner = _word_mode_w(sp, rest, k + j, w)
         if inner:
             _add_into(res, heis_mode(sp, hd, -(n + j), inner).terms.items(),
@@ -327,7 +330,7 @@ def check_commutator(sp: FockSpace, a: FockState, b: FockState, m: int, n: int,
     da = max((sp.degree(w) for w, _ in a), default=0)
     db = max((sp.degree(w) for w, _ in b), default=0)
     rhs: dict = {}
-    for j in range(math.floor(da + db - 1) + 1):
+    for j in range(da + db):
         ajb = state_mode(sp, a, j, b)
         if ajb:
             _add_into(rhs, state_mode(sp, ajb, m + n - j, v).terms.items(),
@@ -349,8 +352,7 @@ def check_lemma35(sp: FockSpace, beta, m: int, u: BasisWord, v: FockState,
     dv = max((sp.degree(w) for w, _ in v), default=0)
     out = {}
     # n ranges so that deg(u_n v) and deg(u_n beta(m) v) stay within the cap
-    nmax = math.floor(du + dv - 1 + max(-m, 0))
-    for n in range(ctx.lowest_mode(du + dv), nmax + 1):
+    for n in range(ctx.lowest_mode(du + dv), du + dv + max(-m, 0)):
         r = heis_mode(sp, beta, m, word_mode(sp, u, n, v)) - word_mode(
             sp, u, n, heis_mode(sp, beta, m, v)
         )
@@ -375,7 +377,7 @@ def check_ideal(L: GramLattice, P: MonoidDescriptor,
     failures = []
     for a, da in a_words:
         for b, db in b_words:
-            lo, hi = ctx.lowest_mode(da + db), int(da + db)
+            lo, hi = ctx.lowest_mode(da + db), da + db
             instances += max(hi - lo, 0)  # no range: its len fails past 2**63
             if not in_ideal((a.label[0] + b.label[0], a.label[1] + b.label[1])):
                 for n in range(lo, hi):
@@ -435,11 +437,11 @@ def _tensor_modes(sp1: FockSpace, sp2: FockSpace, A: list, lo: int,
         for v, w, cb, dv, dw in B:
             c = ca * cb
             # y_{n-i-1} w vanishes for n > i + dy + dw, x_i v for i > dx + dv - 1
-            for i in range(math.ceil(lo - dy - dw), math.floor(dx + dv - 1) + 1):
+            for i in range(lo - dy - dw, dx + dv):
                 left = _word_mode_w(sp1, x, i, v)
                 if not left:
                     continue
-                for n in range(lo, min(hi, math.floor(i + dy + dw)) + 1):
+                for n in range(lo, min(hi, i + dy + dw) + 1):
                     rightv = _word_mode_w(sp2, y, n - i - 1, w)
                     if rightv:
                         out = outs[n - lo]
@@ -515,7 +517,7 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
     for u, fu, pu, du in images:
         for v, fv, pv, dv in images:
             lo = ctx.lowest_mode(du + dv)
-            right = _tensor_modes(sp1, sp2, pu, lo, int(du + dv) - 1, pv)
+            right = _tensor_modes(sp1, sp2, pu, lo, du + dv - 1, pv)
             for n, tn in enumerate(right, lo):
                 lhs = state_mode(full, fu, n, fv)
                 rhs = to_lattice(tn)

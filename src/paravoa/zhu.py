@@ -36,15 +36,6 @@ __all__ = [
 ]
 
 
-def _weight_of(sp: FockSpace, a: FockState) -> int:
-    """The integer weight of a nonzero homogeneous state; every caller
-    handles the zero state first."""
-    wt = sp.state_degree(a)
-    if wt.denominator != 1:
-        raise ParavoaError(f"weight {wt} is not an integer")
-    return int(wt)
-
-
 def _residue(sp: FockSpace, a: FockState, b: FockState, top: int,
              first: int) -> FockState:
     """sum_j C(top, j) a_{j+first} b over j = 0..max(top, 0); at top = -1
@@ -61,7 +52,7 @@ def star(sp: FockSpace, a: FockState, b: FockState,
     that still pass one, and ignored: no degree of the product is checked."""
     if not a or not b:
         return FockState()
-    return _residue(sp, a, b, _weight_of(sp, a), -1)
+    return _residue(sp, a, b, sp.state_degree(a), -1)
 
 
 def reduce_35(sp: FockSpace, a: FockState, b: FockState, m: int, n: int,
@@ -72,7 +63,7 @@ def reduce_35(sp: FockSpace, a: FockState, b: FockState, m: int, n: int,
         raise ParavoaError("need m >= n >= 0")
     if not a or not b:
         return FockState()
-    wa = _weight_of(sp, a)
+    wa = sp.state_degree(a)
     if ctx is not None:
         ctx.check(wa + max(sp.degree(w) for w, _ in b) + m + 1)
     return _residue(sp, a, b, wa + n, -2 - m)
@@ -202,8 +193,6 @@ def _residue_span(sp: FockSpace, pool: list[BasisWord], ctx: TruncationCtx,
     for x in pool:
         xs = FockState.of(x)
         dx = sp.degree(x)
-        if dx.denominator != 1:
-            continue
         for y in pool:
             ys = FockState.of(y)
             for m in range(mmax + 1):
@@ -230,7 +219,7 @@ def eq33_certificate(sp: FockSpace, a: FockState, b: FockState,
     eliminated once per space, pool, ceiling and mmax, and reused."""
     if not a or not b:
         return {"status": "resolved", "combination": []}
-    wb = _weight_of(sp, b)
+    wb = sp.state_degree(b)
     diff = star(sp, a, b) - _residue(sp, b, a, wb - 1, -1)
     if not diff:
         return {"status": "resolved", "combination": []}

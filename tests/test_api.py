@@ -300,6 +300,42 @@ def test_the_state_check_sees_what_it_forbids():
         (7, "heis_mode._merge", "def"), (9, "heis_mode", "sort")]
 
 
+
+def _fraction_degree_paths(tree: ast.AST) -> list:
+    """(line, name) of each attribute, name, definition or import called
+    denominator, _den or _weight_of: the marks of a degree, pairing or
+    weight that might not be an integer."""
+    found = []
+    for node in ast.walk(tree):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else getattr(node, "name", None))
+        if name in ("denominator", "_den", "_weight_of"):
+            found.append((node.lineno, name))
+    return found
+
+
+def test_degrees_are_integers_by_construction():
+    # FockSpace takes integer Gram data and even label norms, so no degree
+    # or weight needs a denominator test; vertexops and linalg still read
+    # the denominators of their rational coefficients
+    found = [(path.stem, name) for path in SRC
+             for _, name in _fraction_degree_paths(ast.parse(path.read_text()))]
+    assert [hit for hit in found
+            if hit[0] in ("fock", "zhu") or hit[1] != "denominator"] == []
+
+
+def test_the_degree_check_sees_what_it_forbids():
+    bad = ast.parse(
+        "from .zhu import _weight_of\n"
+        "class FockSpace:\n"
+        "    def degree(self, w):\n"
+        "        d = w.mode_degree() + self._den\n"
+        "        if d.denominator != 1:\n"
+        "            raise ValueError\n")
+    assert sorted(_fraction_degree_paths(bad)) == [
+        (1, "_weight_of"), (4, "_den"), (5, "denominator")]
+
 def load_perfbench(name):
     path = str(ROOT / "perfbench")
     sys.path.insert(0, path)

@@ -163,10 +163,25 @@ def test_descriptor_vectors_are_integer_pairs(capsys, tmp_path, desc):
     (5, "expected a JSON object, got 5"),
     ({"gamma": ["1", "2"]}, "kind: expected one of type1, type2, cone, generators"),
     ({"kind": "cone"}, "cone: required by kind 'cone'"),
+    ({"kind": "generators", "generators": 1.5}, "generators: expected a list, got 1.5"),
+    ({"kind": "cone", "cone": [[1, 2], [2, 4]]}, "cone generators must be independent"),
 ], ids=json.dumps)
 def test_descriptor_errors_name_the_field(capsys, tmp_path, desc, want):
     path = a2_with(tmp_path, ("descriptors", "X"), desc)
     assert f"descriptor 'X': {want}" in usage_error(capsys, "--config", path, "classify", "X")
+
+
+# each of these gave a Python error text in place of the field: "list indices
+# must be integers or slices, not str", "'gram'" and "'lattice'"
+@pytest.mark.parametrize("obj,want", [
+    ({"lattice": [1, 2]}, "expected a JSON object, got [1, 2]"),
+    ({"lattice": {"D": 2}}, "gram: required"),
+    ({"descriptors": {}}, "lattice: required"),
+], ids=json.dumps)
+def test_lattice_errors_name_the_field(capsys, tmp_path, obj, want):
+    path = write_config(tmp_path / "c.json", obj)
+    err = usage_error(capsys, "--config", path, "classify", "P")
+    assert err == f"error: {path}: bad lattice spec: {want}\n"
 
 
 # each of these loaded with exit 0; the names are accepted and unused
@@ -547,6 +562,32 @@ def classify_other(capsys, tmp_path, generators, **extra):
 
 def test_quadrant_classification_is_other(capsys, tmp_path):
     classify_other(capsys, tmp_path, [[1, 0], [0, 1]])
+
+
+def test_generators_that_span_the_lattice_name_why(capsys, tmp_path):
+    path = write_config(tmp_path / "gens.json", {
+        "lattice": {"gram": [[2, 0], [0, 2]]},
+        "descriptors": {"G": {"kind": "generators",
+                              "generators": [[1, 0], [-1, 0], [0, 1], [0, -1]]}}})
+    assert run(capsys, "--config", path, "classify", "G") == (0, (
+        '{"parabolic": false, "type": "OTHER", '
+        '"witnesses": {"note": "closure fills the box"}}\n'), "")
+
+
+def test_character_of_one_module_builds_no_family(capsys, tmp_path):
+    # the boundary line has 2N = 10**30 coset indices; --i picks one of
+    # them without building the others
+    path = write_config(tmp_path / "wide.json", {
+        "lattice": {"gram": [[10**30, 0], [0, 2]]},
+        "descriptors": {"P": {"kind": "type2", "gamma": ["0", "1"]}}})
+    t0 = time.process_time()
+    code, out, err = run(capsys, "--config", path, "character", "P", "--t", "0", "--i", "1")
+    assert time.process_time() - t0 < 1
+    assert (code, err) == (0, "")
+    assert json.loads(out)["series"][0] == {"dim": 1, "exp": f"1/{2 * 10**30}"}
+    for i in (-1, 10**30):
+        err = usage_error(capsys, "--config", path, "character", "P", "--i", str(i))
+        assert err == f"error: no module with coset index {i}\n"
 
 
 def test_character_module_of_a_type1_descriptor_is_usage_error(capsys):

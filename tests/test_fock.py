@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from paravoa.fock import (
     enumerate_basis,
     make_word,
 )
-from paravoa.lattice import GramLattice
+from paravoa.lattice import GramLattice, perp_primitive
 from paravoa.modrep import character
 from paravoa.monoid import MonoidDescriptor, member
 
@@ -191,26 +192,33 @@ def test_negative_mode_rejected():
         make_word(((0, 0),), (0, 0))
 
 
-# -- exact bookkeeping: ints when integral, Fractions otherwise --------------
+# -- exact bookkeeping: integer pairings and degrees by construction --------
 
-# full-lattice spaces on the reduced forms, then spaces whose pairings are
-# not all integral
-EXACT_SPACES = [
-    *(pytest.param(FockSpace.full_lattice(GramLattice(gram=g, D=2)), id=str(g))
-      for g in reduced_forms()),
-    pytest.param(FockSpace.rank_one_lattice(3), id="rank_one_lattice(3)"),
-    pytest.param(FockSpace(
-        mode_gram=((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 3), 2)),
-        gen_coords=((1, 0), (0, 1))), id="fraction_gram"),
-]
+
+def _engine_spaces():
+    """Every kind of space the engine builds, over the reduced forms: V_L,
+    and for a boundary vector alpha the adapted V_H with its two factors,
+    M(1) on beta and the rank-one lattice Z*alpha."""
+    for g in reduced_forms():
+        L = GramLattice(gram=g, D=2)
+        yield pytest.param(FockSpace.full_lattice(L), id=str(g))
+        alpha = (1, 1)
+        beta = perp_primitive(L, alpha)
+        adapted = FockSpace.hyperplane_adapted(L, alpha, beta)
+        eps = adapted.eps_table[0][0]
+        yield pytest.param(adapted, id=f"hyperplane_adapted{g}")
+        yield pytest.param(FockSpace.rank_one_heisenberg(L.norm(beta)),
+                           id=f"rank_one_heisenberg{g}")
+        yield pytest.param(FockSpace.rank_one_lattice(L.norm(alpha), eps_exp=eps),
+                           id=f"rank_one_lattice{g}")
 
 
 def _exact(x, want: Fraction) -> bool:
-    """x equals want and is an int exactly when want is integral."""
-    return x == want and type(x) is (int if want.denominator == 1 else Fraction)
+    """x equals want and is an int."""
+    return x == want and type(x) is int
 
 
-@pytest.mark.parametrize("sp", EXACT_SPACES)
+@pytest.mark.parametrize("sp", list(_engine_spaces()))
 def test_pairings_and_degrees_are_exact(sp):
     G = [[Fraction(x) for x in row] for row in sp.mode_gram]
     r = range(sp.rank)
@@ -224,9 +232,7 @@ def test_pairings_and_degrees_are_exact(sp):
 
     assert all(_exact(x, y) for row, grow in zip(sp.mode_gram, G)
                for x, y in zip(row, grow))
-    span = range(-2, 3)
-    labels = ([(m,) for m in span] if sp.label_rank == 1
-              else [(m, n) for m in span for n in span])
+    labels = list(itertools.product(range(-2, 3), repeat=sp.label_rank))
     for l1 in labels:
         c1 = coords(l1)
         for i in r:
@@ -241,9 +247,27 @@ def test_pairings_and_degrees_are_exact(sp):
         want = 0
         for lab in labels:
             m = d - inner(coords(lab), coords(lab)) / 2
-            if m.denominator == 1 and m >= 0:
+            if m >= 0:
                 want += colored_partitions(int(m), sp.rank)
         assert len(sp.basis(d, labels=labels)) == want
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: FockSpace(mode_gram=((Fraction(1, 2), Fraction(1, 3)),
+                                  (Fraction(1, 3), 2)),
+                       gen_coords=((1, 0), (0, 1))), TypeError),
+    (lambda: FockSpace(mode_gram=((2.0,),)), TypeError),
+    (lambda: FockSpace(mode_gram=((2,),), gen_coords=((Fraction(1, 2),),)), TypeError),
+    (lambda: FockSpace.rank_one_lattice(3), ValueError),
+    (lambda: FockSpace(mode_gram=((2, 1), (1, 3)), gen_coords=((1, 0), (0, 1))),
+     ValueError),
+], ids=["fraction_gram", "float_gram", "fraction_coords", "rank_one_lattice(3)",
+        "odd_generator"])
+def test_space_without_integer_bookkeeping_is_rejected(build, error):
+    # a rational Gram or an odd label norm would make a degree or a mode
+    # index a fraction; the engine's bookkeeping is integer arithmetic only
+    with pytest.raises(error):
+        build()
 
 
 def ring_search(L, maxnorm):

@@ -162,6 +162,15 @@ def test_tensor_character_small_caps():
 # -- fusion -----------------------------------------------------------------
 
 
+def test_irreducibles_sample_the_coset_indices_asked_for():
+    # in the order given; an index outside 0..2N-1 yields nothing
+    mods = irreducibles(DIAG22, P2_D, {"ts": [Fraction(0), Fraction(1, 2)],
+                                       "is": [1, 5, -1, 0]})
+    assert [(m.t, m.i) for m in mods] == [
+        (0, 1), (0, 0), (Fraction(1, 2), 1), (Fraction(1, 2), 0)]
+    assert mods[1:2] == irreducibles(DIAG22, P2_D, {"ts": [0]})[:1]
+
+
 def test_fusion_type2_examples():
     mods = irreducibles(DIAG22, P2_D, {"ts": [Fraction(0)]})
     m0 = next(m for m in mods if m.i == 0)
