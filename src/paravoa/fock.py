@@ -200,13 +200,14 @@ def _mode_words(rank: int, m: int):
 
 def _labels_up_to(L: GramLattice, maxnorm: int) -> list[LatVec]:
     """All lattice points with (v|v) <= maxnorm, sorted: over each x the
-    norm is at least x^2 det / g11, and over each y at least y^2 det / g00."""
-    (g00, _), (_, g11) = L.gram
+    norm is at least x^2 det / g11, and over each y at least y^2 det / g00.
+    The norm g00 x^2 + 2 g01 xy + g11 y^2 is evaluated inline."""
+    (g00, g01), (_, g11) = L.gram
     top = max(maxnorm, 0)
     X = math.isqrt(top * g11 // L.det)
     Y = math.isqrt(top * g00 // L.det)
     return [(x, y) for x in range(-X, X + 1) for y in range(-Y, Y + 1)
-            if L.norm((x, y)) <= maxnorm]
+            if (g00 * x + 2 * g01 * y) * x + g11 * y * y <= maxnorm]
 
 
 @dataclass(frozen=True)

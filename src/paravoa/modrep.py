@@ -5,6 +5,11 @@ Irreducible-module families are uncountable; the registry returns honest
 finite samples (rational Heisenberg parameters only) plus the discrete
 coset index.  Characters are graded-dimension q-series anchored at the
 bottom conformal weight, with no modular (-c/24) normalization.
+
+Every lattice is even, so the algebra weights (v|v)/2 of V_L, V_P, V_H and
+M(1) are integers: their characters grade by int, and Fraction enters
+only in QSeries.build, once per kept exponent.  A module's weight is a
+Fraction from irreducibles on, but fusion decides t1 + t2 = t3 in integers.
 """
 
 from __future__ import annotations
@@ -78,10 +83,11 @@ class QSeries:
 
     @classmethod
     def build(cls, d: dict, cap) -> "QSeries":
+        """d maps exponents (ints or Fractions) to coefficients; the raw keys
+        are sorted, and each kept one becomes one Fraction."""
         cap = Fraction(cap)
-        items = tuple(sorted((Fraction(e), int(c)) for e, c in d.items()
-                             if c and Fraction(e) <= cap))
-        return cls(terms=items, cap=cap)
+        return cls(terms=tuple((Fraction(e), int(c)) for e, c in sorted(d.items())
+                               if c and e <= cap), cap=cap)
 
     def as_dict(self) -> dict:
         return dict(self.terms)
@@ -159,15 +165,20 @@ def irreducibles(L: GramLattice, P: MonoidDescriptor, sample_params: dict) -> li
 
 def _theta_line(norm: int, shift: Fraction, cap) -> dict:
     """Exponent multiset of q^{(m+shift)^2 norm/2}, m in Z, up to cap: the
-    bottom weights of a coset of a rank-one lattice of the given norm."""
-    N2 = Fraction(norm, 2)
+    bottom weights of a coset of a rank-one lattice of the given norm.  With
+    shift = p/q and cap = a/b that is (mq + p)^2 norm / 2q^2, kept when
+    (mq + p)^2 norm b <= 2q^2 a."""
+    p, q = shift.numerator, shift.denominator
+    a, b = cap.numerator, cap.denominator
+    den = 2 * q * q
     out: dict = {}
     m = 0
     while True:
         hit = False
         for mm in (m, -m - 1):
-            e = (mm + shift) ** 2 * N2
-            if e <= cap:
+            x = (mm * q + p) ** 2 * norm
+            if x * b <= a * den:
+                e = Fraction(x, den)
                 out[e] = out.get(e, 0) + 1
                 hit = True
         if not hit:
@@ -176,17 +187,17 @@ def _theta_line(norm: int, shift: Fraction, cap) -> dict:
     return out
 
 
-def _dress(bottoms: dict, colors: int, cap: Fraction) -> QSeries:
+def _dress(bottoms: dict, colors: int, cap) -> QSeries:
     """sum_e c_e q^e (bottoms maps each exponent e to c_e) times the
-    colored-partition series prod_k (1 - q^k)^-colors, up to cap."""
+    colored-partition series prod_k (1 - q^k)^-colors, up to cap.  Each
+    bottom is bounded once, by e + n <= cap for n <= floor(cap - e), so an
+    int bottom (an algebra weight) adds only ints."""
     low = min(bottoms, default=cap)
     parts = _colored_partitions(colors, max(0, math.floor(cap - low)))
     out: dict = {}
     for e, c in bottoms.items():
-        for n, p in enumerate(parts):
-            if e + n > cap:
-                break
-            out[e + n] = out.get(e + n, 0) + c * p
+        for n in range(math.floor(cap - e) + 1):
+            out[e + n] = out.get(e + n, 0) + c * parts[n]
     return QSeries.build(out, cap)
 
 
@@ -207,9 +218,11 @@ def character(obj, cap) -> QSeries:
         return _dress({h0 + e: c for e, c in theta.items()}, 2, cap)
     if not isinstance(obj, Selector):
         raise TypeError("character expects a ModuleLabel or Selector")
+    # the weight (v|v)/2 of e^v is an int: every GramLattice is even
+    norm = obj.L.norm
     bottoms: dict = {}
     for v in obj.labels(cap):
-        h0 = Fraction(obj.L.norm(v), 2)
+        h0 = norm(v) // 2
         bottoms[h0] = bottoms.get(h0, 0) + 1
     return _dress(bottoms, 2, cap)
 
@@ -243,16 +256,22 @@ def fusion_key(m1: ModuleLabel, m2: Optional[ModuleLabel] = None):
 
 
 def fusion(m1: ModuleLabel, m2: ModuleLabel, m3: ModuleLabel) -> int:
-    """1 when m1 x m2 -> m3 is nonzero, as the key of m1 x m2 is m3's, else 0."""
+    """1 when m1 x m2 -> m3 is nonzero, as the key of m1 x m2 is m3's, else 0.
+    For type II that is i1 + i2 = i3 mod 2N and t1 + t2 = t3, both decided
+    in integers: with t = n/d, the second is n1 d2 d3 + n2 d1 d3 = n3 d1 d2."""
     if not m1.kind == m2.kind == m3.kind:
         kinds = ", ".join(sorted({m1.kind, m2.kind, m3.kind}))
         raise ParavoaError(f"mixed module kinds {kinds}")
-    if m1.kind == TYPE_II_MOD:
-        if not (m1.alpha == m2.alpha == m3.alpha and m1.N == m2.N == m3.N):
-            raise ParavoaError("labels must share the same lattice data")
-        if (m1.i + m2.i - m3.i) % (2 * m1.N):
-            return 0  # the coset indices differ: most triples stop here, in integers
-    return 1 if fusion_key(m1, m2) == fusion_key(m3) else 0
+    if m1.kind != TYPE_II_MOD:
+        return 1 if fusion_key(m1, m2) == fusion_key(m3) else 0
+    if not (m1.alpha == m2.alpha == m3.alpha and m1.N == m2.N == m3.N):
+        raise ParavoaError("labels must share the same lattice data")
+    if (m1.i + m2.i - m3.i) % (2 * m1.N):
+        return 0  # the coset indices differ: most triples stop here
+    n1, d1 = m1.t.as_integer_ratio()
+    n2, d2 = m2.t.as_integer_ratio()
+    n3, d3 = m3.t.as_integer_ratio()
+    return 1 if (n1 * d2 + n2 * d1) * d3 == n3 * d1 * d2 else 0
 
 
 def c1_decide(L: GramLattice, P: MonoidDescriptor) -> C1Report:

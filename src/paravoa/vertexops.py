@@ -25,6 +25,7 @@ h(-1)1, since Y(h(-1)1, z) = h(z).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -366,25 +367,37 @@ def check_ideal(L: GramLattice, P: MonoidDescriptor,
     (P minus 0 for type I, the open positive side for type II), on every
     a_n b that fits.  Every term of a_n b has the label label(a) +
     label(b), so the verdict is that sum's: a mode is evaluated only on a
-    pair whose sum leaves S, and each term of it is a failure."""
+    pair whose sum leaves S, and each term of it is a failure.  The pairs
+    are walked by class: instances counts the words of each degree, S is
+    tested once per pair of labels, and only the b that fail with a's label
+    are visited, in the order of the word pairs."""
     in_ideal = _ideal(L, P, parabolic(L, P))
     sp = FockSpace.full_lattice(L)
     labels = Selector("V_P", L, P).labels(sample_degree)
     a_words = [(w, sp.degree(w)) for d in range(sample_degree + 1)
                for w in sp.basis(d, labels=labels)]
     b_words = [(w, dw) for w, dw in a_words if in_ideal(w.label)]
-    instances = 0
+    a_degs = Counter(da for _, da in a_words)
+    b_degs = Counter(db for _, db in b_words)
+    # a_n b fits for lowest_mode(da + db) <= n < da + db; no range: its len
+    # fails past 2**63
+    instances = sum(ka * kb * max(da + db - ctx.lowest_mode(da + db), 0)
+                    for da, ka in a_degs.items() for db, kb in b_degs.items())
+    b_labels = list(dict.fromkeys(b.label for b, _ in b_words))
+    failing: dict = {}  # a's label -> the b words whose label sum leaves S
     failures = []
     for a, da in a_words:
-        for b, db in b_words:
-            lo, hi = ctx.lowest_mode(da + db), da + db
-            instances += max(hi - lo, 0)  # no range: its len fails past 2**63
-            if not in_ideal((a.label[0] + b.label[0], a.label[1] + b.label[1])):
-                for n in range(lo, hi):
-                    failures.extend(
-                        {"a": a.to_str(), "b": b.to_str(), "n": n,
-                         "label": list(w.label)}
-                        for w, _ in word_mode(sp, a, n, FockState.of(b)))
+        bad = failing.get(a.label)
+        if bad is None:
+            x, y = a.label
+            out = {lb for lb in b_labels if not in_ideal((x + lb[0], y + lb[1]))}
+            bad = failing[a.label] = [(b, db) for b, db in b_words if b.label in out]
+        for b, db in bad:
+            for n in range(ctx.lowest_mode(da + db), da + db):
+                failures.extend(
+                    {"a": a.to_str(), "b": b.to_str(), "n": n,
+                     "label": list(w.label)}
+                    for w, _ in word_mode(sp, a, n, FockState.of(b)))
     return {"check": "ideal", "instances": instances, "failures": failures}
 
 

@@ -295,7 +295,8 @@ def test_accept_11_c1_dims_at_scale():
 
 def test_accept_12_ideal_at_scale():
     # no mode is evaluated for a valid P, so the 3 * 10^5 instances of
-    # sample degree 5 cost one degree sum and one label sum per word pair
+    # sample degree 5 cost one product per pair of degrees and one label
+    # sum per pair of labels
     t0 = time.time()
     ctx = TruncationCtx(6)
     for kind, instances in (("type1", 167384), ("type2", 134379)):

@@ -336,6 +336,54 @@ def test_the_degree_check_sees_what_it_forbids():
     assert sorted(_fraction_degree_paths(bad)) == [
         (1, "_weight_of"), (4, "_den"), (5, "denominator")]
 
+
+# the integer hot paths of the characters and fusion, and what each may not
+# hold: a Fraction name, or a call of .norm
+INTEGER_PATHS = {"_dress": "Fraction", "fusion": "Fraction", "_labels_up_to": ".norm("}
+
+
+def _integer_path_breaks(tree: ast.AST) -> list:
+    """(line, function, what) of each Fraction name or attribute inside
+    _dress or fusion, and each .norm call inside _labels_up_to."""
+    found = []
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in INTEGER_PATHS):
+            continue
+        for node in ast.walk(fn):
+            if INTEGER_PATHS[fn.name] == "Fraction":
+                hit = "Fraction" in (getattr(node, "id", None), getattr(node, "attr", None))
+            else:
+                hit = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "norm")
+            if hit:
+                found.append((node.lineno, fn.name, INTEGER_PATHS[fn.name]))
+    return found
+
+
+def test_characters_and_fusion_stay_in_integers():
+    # algebra weights are ints on an even lattice and fusion decides
+    # t1 + t2 = t3 by cross-multiplication: Fraction enters in QSeries.build
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC}
+    defined = sorted(fn.name for stem in ("fock", "modrep") for fn in ast.walk(trees[stem])
+                     if isinstance(fn, ast.FunctionDef) and fn.name in INTEGER_PATHS)
+    assert defined == sorted(INTEGER_PATHS)
+    assert [(stem, hit) for stem, tree in trees.items()
+            for hit in _integer_path_breaks(tree)] == []
+
+
+def test_the_integer_check_sees_what_it_forbids():
+    bad = ast.parse(
+        "def _dress(bottoms, cap):\n"
+        "    return {Fraction(e): c for e, c in bottoms.items()}\n"
+        "def fusion(m1, m2, m3):\n"
+        "    return fractions.Fraction(m1.t) + m2.t == m3.t\n"
+        "def _labels_up_to(L, top):\n"
+        "    return [v for v in L.box(3) if L.norm(v) <= top]\n"
+        "def character(obj, cap):\n"
+        "    return Fraction(cap), obj.L.norm((0, 0))\n")
+    assert _integer_path_breaks(bad) == [
+        (2, "_dress", "Fraction"), (4, "fusion", "Fraction"), (6, "_labels_up_to", ".norm(")]
+
 def load_perfbench(name):
     path = str(ROOT / "perfbench")
     sys.path.insert(0, path)

@@ -963,6 +963,26 @@ def test_fusion_and_c1_are_byte_stable(capsys, tmp_path):
     assert digest_runs(capsys, tmp_path, runs)[0] == FUSION_C1_DIGEST
 
 
+# the algebra characters, every type-II module of X at t = -1/3 (X's alpha
+# is (1, 0), so its coset indices are 0 .. g00 - 1) and the tensor identity
+CHARACTER_COMMANDS = (
+    ("character", "VL", "--cap", "7/2"), ("character", "M1", "--cap", "3"),
+    ("character", "VH", "--cap", "5/2"),
+    ("verify-iso", "--cap", "1", "--char-cap", "9/2"),
+)
+CHARACTER_DIGEST = "42dd0b1500469610da9396b3270175534a088cac95be047a189f3863fcc46c3a"
+
+
+def test_characters_are_byte_stable(capsys, tmp_path):
+    runs = []
+    for path in family_configs(tmp_path, fusion_c1_descriptors):
+        runs += [("--config", path, *argv) for argv in CHARACTER_COMMANDS]
+        twoN = json.loads(Path(path).read_text())["lattice"]["gram"][0][0]
+        runs += [("--config", path, "character", "X", "--t=-1/3", "--i", str(k))
+                 for k in range(twoN)]
+    assert digest_runs(capsys, tmp_path, runs) == (CHARACTER_DIGEST, [0] * len(runs))
+
+
 # type II on the Fibonacci lines F and E, and the generators [a, -a, s*b]
 # G and H on them with det[a, b] = +-1: c1 finds alpha's basis partners,
 # which lie far out, whatever boxRadius says

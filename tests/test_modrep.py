@@ -10,12 +10,14 @@ from paravoa.fock import FockSpace, FockState
 from paravoa.lattice import GramLattice, ParavoaError
 from paravoa.modrep import (
     C1Report,
+    QSeries,
     Selector,
     c1_decide,
     c1_quotient_dims,
     character,
     check_tensor_character,
     fusion,
+    fusion_key,
     irreducibles,
 )
 from paravoa.monoid import MonoidDescriptor, classify, member
@@ -87,6 +89,24 @@ def test_character_rank1_lattice():
     q = modrep._dress(modrep._theta_line(2, Fraction(0), 3), 1, Fraction(3))
     assert q.coeff(0) == 1
     assert q.coeff(1) == 3
+
+
+def test_series_exponents_are_fractions():
+    # algebra weights are ints and module weights Fractions; QSeries.build
+    # makes every kept exponent a Fraction, sorted, and drops zero terms
+    # and exponents past the cap
+    sels = [Selector("V_L", DIAG22), Selector("V_P", DIAG22, P2_D),
+            Selector("V_H", DIAG22, alpha=(1, 0)), Selector("M1", DIAG22)]
+    mods = (irreducibles(DIAG22, P2_D, {"ts": [Fraction(-1, 3)]})
+            + irreducibles(DIAG22, P1_D, {"lams": [(1, 0)]}))
+    series = [character(x, Fraction(5, 2)) for x in sels + mods]
+    series += [modrep._dress(modrep._theta_line(2, Fraction(0), 3), 1, 3),
+               QSeries.build({2: 1, 0: 3, Fraction(1, 2): 0, 4: 1}, 3)]
+    for q in series:
+        assert q.terms and type(q.cap) is Fraction
+        assert [(type(e), type(c)) for e, c in q.terms] == [(Fraction, int)] * len(q.terms)
+        assert list(q.terms) == sorted(q.terms)
+    assert series[-1].terms == ((Fraction(0), 3), (Fraction(2), 1))
 
 
 def test_character_type2_module_bottom():
@@ -220,6 +240,41 @@ def test_fusion_rule_type2_exhaustive(N):
             for m3 in mods:
                 rule = m1.t + m2.t == m3.t and (m1.i + m2.i - m3.i) % (2 * N) == 0
                 assert fusion(m1, m2, m3) == int(rule)
+
+
+# denominators 1, 2, 3, 5 and 6, one t negative, and -1/3 + 1/2 = 1/6 sampled
+ORACLE_TS = [Fraction(-1, 3), Fraction(0), Fraction(1, 2), Fraction(2, 5), Fraction(1, 6)]
+
+
+@pytest.mark.parametrize("gram", reduced_forms(), ids=str)
+def test_fusion_agrees_with_the_fusion_keys(gram):
+    # on the type-II monoids of the lines through (1, 0) and (0, 1), both
+    # sides: fusion's integer test is key(m1 x m2) == key(m3) on every triple
+    L = GramLattice(gram=gram, D=2)
+    families = []
+    for a0 in ALPHAS[:2]:
+        for s in (1, -1):
+            mods = irreducibles(L, type2(L, a0, s), {"ts": ORACLE_TS})
+            keys = [fusion_key(m) for m in mods]
+            for m1 in mods:
+                for m2 in mods:
+                    k12 = fusion_key(m1, m2)
+                    assert [fusion(m1, m2, m3) for m3 in mods] == [
+                        int(k12 == k3) for k3 in keys], (m1, m2)
+            families.append(mods)
+    # mixed kinds, then modules of another alpha or N, still raise first
+    t1 = irreducibles(L, MonoidDescriptor(kind="type1", gamma=L.hvec(1, 2)),
+                      {"lams": [(0, 0)]})[0]
+    m = families[0][1]
+    for args in ((t1, m, m), (m, t1, m), (m, m, t1)):
+        with pytest.raises(ParavoaError, match="^mixed module kinds"):
+            fusion(*args)
+    others = [f[0] for f in families if (f[0].alpha, f[0].N) != (m.alpha, m.N)]
+    assert others
+    for other in others:
+        for args in ((other, m, m), (m, other, m), (m, m, other)):
+            with pytest.raises(ParavoaError, match="^labels must share the same lattice data$"):
+                fusion(*args)
 
 
 def test_fusion_labels_must_share_lattice_data():

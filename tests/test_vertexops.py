@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -388,22 +389,74 @@ def test_valid_ideal_evaluates_no_mode(monkeypatch):
     assert calls[0] == 0
 
 
-def test_broken_ideal_fails_as_the_mode_route_does(monkeypatch):
-    # S without the label (0, 2), which a + b reaches from a = b = e^(0,1):
-    # every nonzero term of such a mode is a failure, on both routes alike
+def _broken_ideal(monkeypatch, removed):
+    """vertexops._ideal patched to leave the labels in removed out of S."""
     real_ideal = vertexops._ideal
 
     def ideal(L, P, rep):
         inside = real_ideal(L, P, rep)
-        return lambda v: v != (0, 2) and inside(v)
+        return lambda v: v not in removed and inside(v)
 
     monkeypatch.setattr(vertexops, "_ideal", ideal)
+
+
+def test_broken_ideal_fails_as_the_mode_route_does(monkeypatch):
+    # S without the label (0, 2), which a + b reaches from a = b = e^(0,1):
+    # every nonzero term of such a mode is a failure, on both routes alike
+    _broken_ideal(monkeypatch, {(0, 2)})
     P = MonoidDescriptor(kind="type2", gamma=DIAG22.hvec(0, 1))
     ctx = TruncationCtx(4)
     rep = check_ideal(DIAG22, P, ctx, sample_degree=2)
     want = _ideal_by_modes(DIAG22, P, ctx, 2)
     assert rep["failures"] and {tuple(f["label"]) for f in rep["failures"]} == {(0, 2)}
     assert rep == want
+
+
+def test_broken_ideal_fails_in_word_pair_order(monkeypatch):
+    # the failing b of a = e^(1,0) have two labels, (1, 1) and (-1, 1), at
+    # degrees 2 and 3, and come out in the order of the word pairs (by
+    # degree first, not by label), as on the mode route
+    removed = {(0, 1), (2, 1)}
+    _broken_ideal(monkeypatch, removed)
+    P = MonoidDescriptor(kind="type2", gamma=DIAG22.hvec(0, 1))
+    ctx = TruncationCtx(5)
+    rep = check_ideal(DIAG22, P, ctx, sample_degree=3)
+    assert {tuple(f["label"]) for f in rep["failures"]} == removed
+    assert rep == _ideal_by_modes(DIAG22, P, ctx, 3)
+
+
+def _ideal_by_pairs(L, P, ctx, sample_degree):
+    """check_ideal's instance count summed over every word pair, as
+    max(da + db - lowest_mode(da + db), 0): the count check_ideal takes per
+    pair of degrees."""
+    in_ideal = vertexops._ideal(L, P, parabolic(L, P))
+    sp = FockSpace.full_lattice(L)
+    a_degs = [sp.degree(w) for d in range(sample_degree + 1)
+              for w in enumerate_basis(L, MONOID(P), d)]
+    b_degs = [sp.degree(w) for d in range(sample_degree + 1)
+              for w in enumerate_basis(L, MONOID(P), d) if in_ideal(w.label)]
+    return sum(max(da + db - ctx.lowest_mode(da + db), 0)
+               for da in a_degs for db in b_degs)
+
+
+@pytest.mark.parametrize("max_degree", [3, 2**64 + 5], ids=("small", "past_2_63"))
+def test_ideal_instances_count_every_word_pair(max_degree):
+    ctx = TruncationCtx(max_degree)
+    for kind in ("type1", "type2"):
+        P = MonoidDescriptor(kind=kind, gamma=A2.hvec(2, 1))
+        rep = check_ideal(A2, P, ctx, sample_degree=3)
+        assert rep == {"check": "ideal", "failures": [],
+                       "instances": _ideal_by_pairs(A2, P, ctx, 3)}
+        assert (rep["instances"] > 2**63) == (max_degree > 2**63)
+
+
+def test_ideal_at_sample_degree_8_walks_label_classes():
+    # 8.8 million instances for type I: counted by degree, not pair by pair
+    t0 = time.process_time()
+    P = MonoidDescriptor(kind="type1", gamma=DIAG22.hvec(0, 1))
+    rep = check_ideal(DIAG22, P, TruncationCtx(6), sample_degree=8)
+    assert rep == {"check": "ideal", "instances": 8815520, "failures": []}
+    assert time.process_time() - t0 < 0.5
 
 
 # -- tensor factorization ---------------------------------------------------
