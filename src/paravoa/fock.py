@@ -4,6 +4,10 @@ Basis words are b_{i1}(-n1)...b_{ik}(-nk) e^label with modes in a fixed
 h-basis and the label a lattice point.  Mode directions are the lattice
 basis itself, so all structure constants stay rational; orthonormalization
 shows up only inside the conformal vector.
+
+This module alone knows the engine's coefficient type: `_coefficient`
+builds a coefficient from ints and `_rational` reads one out, for the mode
+engine and the elimination alike.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .exactnum import ONE, ZERO, QuadScalar
+from .exactnum import ONE, ZERO, QuadScalar, _make, _parts
 from .lattice import GramLattice, LatVec, _cramer
 from .monoid import MonoidDescriptor, member
 
@@ -116,6 +120,21 @@ def _coeff(c) -> QuadScalar:
     if isinstance(c, QuadScalar):
         return c
     return ONE if c == 1 else QuadScalar(c)
+
+
+def _coefficient(n: int, d: int = 1) -> QuadScalar:
+    """The engine coefficient n/d, for ints n and d != 0 of either sign."""
+    q, r = divmod(n, d)
+    return _make(Fraction(n, d) if r else q, 0, 1)
+
+
+def _rational(c: QuadScalar) -> int | Fraction:
+    """The engine coefficient c as an int or a Fraction; ValueError if c is
+    irrational."""
+    a, b = _parts(c)
+    if b:
+        raise ValueError(f"{c} is irrational")
+    return a
 
 
 class FockState:

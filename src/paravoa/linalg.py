@@ -19,12 +19,10 @@ and then solves any number of targets.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .exactnum import QuadScalar, _parts
-from .fock import FockState, _add_into
+from .fock import FockState, _add_into, _coefficient, _rational
 
 __all__ = ["Span", "quotient_dimension"]
 
@@ -32,11 +30,7 @@ __all__ = ["Span", "quotient_dimension"]
 def _integer_row(terms: dict) -> tuple:
     """(row, m): the integer terms dict m*terms and the least such m > 0.
     Raises ValueError on an irrational coefficient."""
-    fr = {}
-    for w, c in terms.items():
-        fr[w], b = _parts(c)
-        if b:
-            raise ValueError(f"{c} is irrational")
+    fr = {w: _rational(c) for w, c in terms.items()}
     m = lcm(*(f.denominator for f in fr.values()))
     return {w: f.numerator * (m // f.denominator) for w, f in fr.items()}, m
 
@@ -131,7 +125,7 @@ class Span:
     def solve(self, target: FockState) -> Optional[list]:
         """Coefficients expressing target in the span, or None.
 
-        Returns a list of (index, QuadScalar) over the input ordering.
+        Returns a list of (index, coefficient) over the input ordering.
         """
         t, m = _integer_row(target.terms)
         # s*m*target + sum_i minus[i]*scales[i]*span_states[i] == t throughout
@@ -139,5 +133,5 @@ class Span:
         s = _eliminate(self._pivots, t, minus)
         if t:
             return None
-        return sorted((k, QuadScalar(Fraction(-v * self._scales[k], s * m)))
+        return sorted((k, _coefficient(-v * self._scales[k], s * m))
                       for k, v in minus.items())

@@ -167,23 +167,17 @@ def _theta_line(norm: int, shift: Fraction, cap) -> dict:
     """Exponent multiset of q^{(m+shift)^2 norm/2}, m in Z, up to cap: the
     bottom weights of a coset of a rank-one lattice of the given norm.  With
     shift = p/q and cap = a/b that is (mq + p)^2 norm / 2q^2, kept when
-    (mq + p)^2 norm b <= 2q^2 a."""
+    (mq + p)^2 norm b <= 2q^2 a, so exactly when |mq + p| <= r below."""
     p, q = shift.numerator, shift.denominator
     a, b = cap.numerator, cap.denominator
+    if a < 0:
+        return {}
     den = 2 * q * q
+    r = math.isqrt(den * a // (norm * b))
     out: dict = {}
-    m = 0
-    while True:
-        hit = False
-        for mm in (m, -m - 1):
-            x = (mm * q + p) ** 2 * norm
-            if x * b <= a * den:
-                e = Fraction(x, den)
-                out[e] = out.get(e, 0) + 1
-                hit = True
-        if not hit:
-            break
-        m += 1
+    for m in range(-((r + p) // q), (r - p) // q + 1):
+        e = Fraction((m * q + p) ** 2 * norm, den)
+        out[e] = out.get(e, 0) + 1
     return out
 
 

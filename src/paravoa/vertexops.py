@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import ONE, _make
 from .fock import (
     BasisWord,
     FockSpace,
@@ -38,6 +37,7 @@ from .fock import (
     Selector,
     _add_into,
     _adopt,
+    _coefficient,
     _merge,
     make_word,
 )
@@ -88,16 +88,8 @@ class TruncationCtx:
         return math.ceil(degree - 1 - self.max_degree)
 
 
-def _ratio(n: int, d: int):
-    """n/d as an int when d divides n, else as a Fraction."""
-    q, r = divmod(n, d)
-    return Fraction(n, d) if r else q
-
-
 def _binom(m: int, j: int) -> int:
-    """Binomial coefficient with arbitrary integer top."""
-    if j < 0:
-        return 0
+    """Binomial coefficient with arbitrary integer top and j >= 0."""
     num = 1
     for i in range(j):
         num *= m - i
@@ -143,7 +135,7 @@ def _translate(sp: FockSpace, w: BasisWord) -> FockState:
     modes = w.modes
     for i, (n, d) in enumerate(modes):
         raised = BasisWord(_merge(modes[:i] + modes[i + 1:], ((n + 1, d),)), w.label)
-        _add_into(out, ((raised, ONE * n),))
+        _add_into(out, ((raised, _coefficient(n)),))
     if any(w.label):
         lam = heis_mode(sp, sp.label_coords(w.label), -1, FockState.of(w))
         _add_into(out, lam.terms.items())
@@ -242,7 +234,7 @@ def _exp_modes(sp: FockSpace, a, w: BasisWord, lo: int, hi: int) -> list:
                     x = cv if cl == 1 else cl * cv
                     s = out.get(key)
                     out[key] = x if s is None else s + x
-    return [_adopt(FockState, {BasisWord(m, lab): _make(_ratio(c, den), 0, 1)
+    return [_adopt(FockState, {BasisWord(m, lab): _coefficient(c, den)
                                for m, c in out.items() if c})
             for out in outs]
 

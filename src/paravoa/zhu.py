@@ -90,9 +90,8 @@ def nilpotency_certificate(L: GramLattice, P: MonoidDescriptor, beta: LatVec,
     """
     if beta == (0, 0) or not _ideal(L, P, parabolic(L, P))(beta):
         raise ParavoaError(f"beta {beta} is not in the semigroup S")
+    # beta != 0 on an even positive-definite lattice, so (beta|beta) >= 2
     twoN = L.norm(beta)
-    if twoN < 2:
-        raise ParavoaError("(beta|beta) must be >= 2")
     N = twoN // 2
     sp = FockSpace.full_lattice(L)
     eb = sp.exp_state(beta)
@@ -102,28 +101,22 @@ def nilpotency_certificate(L: GramLattice, P: MonoidDescriptor, beta: LatVec,
     # the highest of any step: made first, it raises before any other work
     r = reduce_35(sp, eb, eb, twoN - 1, 0, ctx)
     steps = []
-    ok = True
 
     # (i) vanishing modes and the first surviving one
     for m in range(-2, twoN + 1):
-        got = exp_mode(sp, beta, -m, eb)
-        good = not got
-        ok = ok and good
-        steps.append({"kind": "exp_mode_vanish", "m": m, "ok": good})
+        steps.append({"kind": "exp_mode_vanish", "m": m,
+                      "ok": not exp_mode(sp, beta, -m, eb)})
     got = exp_mode(sp, beta, -(twoN + 1), eb)
-    good = got == e2b.scale(eps_sign)
-    ok = ok and good
     steps.append({
         "kind": "exp_mode_leading",
         "m": twoN + 1,
         "cocycle_sign": eps_sign,
         "value": state_json(got),
-        "ok": good,
+        "ok": got == e2b.scale(eps_sign),
     })
 
     # (ii) e^{2 beta} in O(V_P) via one residue element
     good = r == e2b.scale(eps_sign)
-    ok = ok and good
     steps.append({
         "kind": "reduce_35_membership",
         "m": twoN - 1,
@@ -150,14 +143,12 @@ def nilpotency_certificate(L: GramLattice, P: MonoidDescriptor, beta: LatVec,
                     continue
                 lhs = heis_mode(sp, hd, -k - 2, us) + heis_mode(sp, hd, -k - 1, us)
                 rel = reduce_35(sp, h1s[d], us, k, 0, ctx)
-                good = lhs == rel
-                ok = ok and good
                 steps.append({
                     "kind": "h_shift",
                     "word": u.to_str(),
                     "direction": d,
                     "k": k,
-                    "ok": good,
+                    "ok": lhs == rel,
                 })
 
     # (iv) h(-1)-dressing via star against the dead class
@@ -165,16 +156,14 @@ def nilpotency_certificate(L: GramLattice, P: MonoidDescriptor, beta: LatVec,
         got = star(sp, h1s[d], e2b)
         pairing = sp.pair_label_mode(lab2, d)
         expect = heis_mode(sp, hd, -1, e2b) + e2b.scale(pairing)
-        good = got == expect
-        ok = ok and good
-        steps.append({"kind": "star_generation", "direction": d, "ok": good})
+        steps.append({"kind": "star_generation", "direction": d, "ok": got == expect})
 
     return {
         "beta": list(beta),
         "N": N,
         "cocycle_sign": eps_sign,
         "steps": steps,
-        "ok": ok,
+        "ok": all(s["ok"] for s in steps),
     }
 
 

@@ -301,6 +301,42 @@ def test_the_state_check_sees_what_it_forbids():
 
 
 
+def _exactnum_imports(tree: ast.AST) -> list:
+    """(line, name) of each name imported from exactnum and each import of
+    exactnum itself, at any depth."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("exactnum"):
+            found += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name.split(".")[-1] == "exactnum"]
+    return found
+
+
+def test_only_fock_knows_the_coefficient_type():
+    # fock builds (_coefficient) and reads (_rational) every coefficient the
+    # mode engine, the elimination and the certificates make, so in src a
+    # change of coefficient type touches fock and a coefficient's JSON alone
+    found = [(name, hit) for name in ("vertexops", "linalg", "zhu")
+             for hit in _exactnum_imports(ast.parse(
+                 (ROOT / "src" / "paravoa" / f"{name}.py").read_text()))]
+    assert found == []
+
+
+def test_the_coefficient_check_sees_what_it_forbids():
+    bad = ast.parse(
+        "from .exactnum import ONE, _make\n"
+        "from . import exactnum, fock\n"
+        "import paravoa.exactnum as ex\n"
+        "def f():\n"
+        "    from paravoa.exactnum import QuadScalar\n"
+        "    return QuadScalar\n")
+    assert sorted(_exactnum_imports(bad)) == [
+        (1, "ONE"), (1, "_make"), (2, "exactnum"), (3, "paravoa.exactnum"),
+        (5, "QuadScalar")]
+
+
 def _fraction_degree_paths(tree: ast.AST) -> list:
     """(line, name) of each attribute, name, definition or import called
     denominator, _den or _weight_of: the marks of a degree, pairing or
@@ -317,8 +353,8 @@ def _fraction_degree_paths(tree: ast.AST) -> list:
 
 def test_degrees_are_integers_by_construction():
     # FockSpace takes integer Gram data and even label norms, so no degree
-    # or weight needs a denominator test; vertexops and linalg still read
-    # the denominators of their rational coefficients
+    # or weight needs a denominator test; vertexops still reads those of
+    # its vacuum series, and linalg those of the rationals fock reads out
     found = [(path.stem, name) for path in SRC
              for _, name in _fraction_degree_paths(ast.parse(path.read_text()))]
     assert [hit for hit in found

@@ -102,6 +102,18 @@ def test_deeply_nested_config_is_usage_error(capsys, tmp_path):
     assert "nested too deeply" in err and "Traceback" not in err
 
 
+# each of these printed the decoder's message alone, without the config
+@pytest.mark.parametrize("text,want", [
+    (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+    (b'{"seed": ' + b"7" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+], ids=["not utf-8", "5000-digit integer"])
+def test_undecodable_config_names_its_source(capsys, tmp_path, text, want):
+    p = tmp_path / "c.json"
+    p.write_bytes(text)
+    err = usage_error(capsys, "--config", str(p), "classify", "P2")
+    assert err.startswith(f"error: {p}: {want}")
+
+
 def test_config_rejects_odd_gram():
     with pytest.raises(ParavoaError, match="bad lattice spec: diagonal Gram entries"):
         SessionConfig({"lattice": {"gram": [[1, 0], [0, 2]]}}, "test")
@@ -275,6 +287,11 @@ def test_classify_json(capsys):
 
 def test_classify_unknown_descriptor(capsys):
     assert "unknown descriptor" in usage_error(capsys, "--config", "diag22", "classify", "NOPE")
+
+
+def test_character_unknown_target(capsys):
+    assert usage_error(capsys, "--config", "diag22", "character", "FOO") == (
+        "error: unknown character target 'FOO'\n")
 
 
 def test_borel_irrational(capsys):

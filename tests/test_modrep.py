@@ -91,6 +91,21 @@ def test_character_rank1_lattice():
     assert q.coeff(1) == 3
 
 
+@pytest.mark.parametrize("norm", range(2, 9))
+def test_theta_line_matches_a_brute_force_count(norm):
+    # every m with (m + shift)^2 norm / 2 <= cap, counted by exponent, for
+    # shifts inside and outside [0, 1) and caps negative, 0 and non-integral
+    for i in range(-norm, 2 * norm):
+        shift = Fraction(i, norm)
+        for cap in (Fraction(-1, 2), -1, 0, Fraction(7, 3), 5):
+            want: dict = {}
+            for m in range(-20, 21):
+                e = (m + shift) ** 2 * norm / 2
+                if e <= cap:
+                    want[e] = want.get(e, 0) + 1
+            assert modrep._theta_line(norm, shift, cap) == want, (shift, cap)
+
+
 def test_series_exponents_are_fractions():
     # algebra weights are ints and module weights Fractions; QSeries.build
     # makes every kept exponent a Fraction, sorted, and drops zero terms
