@@ -38,6 +38,7 @@ from .lattice import PLUS, GramLattice, ParavoaError, _json_int, is_primitive, s
 from .monoid import (
     MonoidDescriptor,
     borel_in,
+    c1_decide,
     classify,
     member,
     parabolic,
@@ -373,8 +374,6 @@ def cmd_fusion(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
 
 
 def cmd_c1(cfg: SessionConfig, args) -> tuple[dict, list, bool]:
-    from .modrep import c1_decide
-
     rep = c1_decide(cfg.lattice, cfg.descriptor(args.descriptor))
     return rep.to_json(), [f"verdict: {rep.verdict}"], True
 

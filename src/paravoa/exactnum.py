@@ -10,10 +10,12 @@ parts of the lattice side tests alike.
 Each part is stored as an int when it is integral and as a Fraction only
 otherwise, and `a` and `b` read it as a Fraction.  The operator engine's
 coefficients are rational and nearly all small integers, +-1 above all, so
-most of its products, sums and comparisons are int operations with no gcd.
-When both operands are rational, or one of them is a plain int or
-Fraction, an operation costs at most one operation per part: a rational
-product is one product, not four.
+most of its products, sums and comparisons are int operations with no gcd,
+and a result with D = 1 that is an integer in [-256, 256] is that
+integer's one shared instance (`_SHARED_INTS`), so it allocates nothing; a
+QuadScalar is immutable, so sharing one is safe.  When both operands are
+rational, or one of them is a plain int or Fraction, an operation costs at
+most one operation per part: a rational product is one product, not four.
 
 Only the public constructor validates, and it tests a given D for being
 squarefree once per process, in about D^(1/3) trial divisions.  Arithmetic
@@ -268,16 +270,31 @@ def _parts(x: QuadScalar) -> tuple[RationalLike, RationalLike]:
     return x._a, x._b
 
 
+# each integer in [-_SHARED_INTS, _SHARED_INTS] with D = 1 has one shared
+# instance, which _make hands out in place of a new one
+_SHARED_INTS = 256
+_SHARED: dict = {}
+
+
 def _make(a: RationalLike, b: RationalLike, D: int) -> QuadScalar:
     """a + b*sqrt(D) from int or Fraction parts and a D already validated;
     the caller guarantees b == 0 when D == 1.  An integral Fraction part is
-    stored as its int."""
+    stored as its int, and a small integer with D == 1 is its shared
+    instance."""
+    if type(a) is not int and a.denominator == 1:
+        a = a.numerator
+    if D == 1 and type(a) is int:
+        q = _SHARED.get(a)
+        if q is not None:
+            return q
     q = _new(QuadScalar)
-    _set_a(q, a if type(a) is int or a.denominator != 1 else a.numerator)
+    _set_a(q, a)
     _set_b(q, b if type(b) is int or b.denominator != 1 else b.numerator)
     _set_D(q, D)
     return q
 
 
-ZERO = QuadScalar(0)
-ONE = QuadScalar(1)
+# _make builds each one new, as _SHARED is still empty
+_SHARED = {k: _make(k, 0, 1) for k in range(-_SHARED_INTS, _SHARED_INTS + 1)}
+ZERO = _SHARED[0]
+ONE = _SHARED[1]

@@ -110,7 +110,9 @@ def _add_into(t: dict, items, c=None) -> None:
 
 
 def _adopt(cls, terms: dict):
-    """A FockState or TensorState that takes ownership of the dict terms."""
+    """A FockState or TensorState that takes ownership of the dict terms,
+    which no one writes to from then on: the mode engine hands its cached
+    states out as they are."""
     out = cls.__new__(cls)
     out.terms = terms
     return out

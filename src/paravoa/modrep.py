@@ -1,5 +1,7 @@
-"""Module registries, truncated characters, fusion rules, and the
-C1-cofiniteness decision procedure.
+"""Module registries, truncated characters, fusion rules, and C1 quotient
+dimensions.  The C1-cofiniteness decision procedure is monoid's, which
+needs only lattice and monoid arithmetic; C1Report and c1_decide are
+re-exported here.
 
 Irreducible-module families are uncountable; the registry returns honest
 finite samples (rational Heisenberg parameters only) plus the discrete
@@ -30,7 +32,8 @@ from .lattice import (
     perp_primitive,
 )
 from .linalg import quotient_dimension
-from .monoid import MonoidDescriptor, _ext_gcd, member, parabolic
+from . import monoid
+from .monoid import MonoidDescriptor, parabolic
 from .vertexops import TruncationCtx, _translate, _unit, exp_mode, heis_mode
 
 __all__ = [
@@ -46,6 +49,9 @@ __all__ = [
     "c1_quotient_dims",
     "Selector",
 ]
+
+# the C1 decision needs only lattice and monoid arithmetic, so it is monoid's
+C1Report, c1_decide = monoid.C1Report, monoid.c1_decide
 
 TYPE_I_MOD = "TYPE_I_MOD"
 TYPE_II_MOD = "TYPE_II_MOD"
@@ -107,24 +113,6 @@ class QSeries:
 
     def to_json(self) -> list:
         return [{"exp": str(e), "dim": c} for e, c in self.terms]
-
-
-@dataclass(frozen=True)
-class C1Report:
-    # COFINITE | NOT_COFINITE | CONDITION_FAILED, from alpha's basis partners
-    # in P out to the sup norm of the two next to the line's point nearest 0
-    verdict: str
-    witness_basis: Optional[tuple[LatVec, LatVec]] = None
-    condition_values: Optional[tuple[int, int, int, int]] = None  # (n, k, l, value)
-
-    def to_json(self) -> dict:
-        obj: dict = {"verdict": self.verdict}
-        if self.witness_basis:
-            obj["witness"] = [list(v) for v in self.witness_basis]
-        if self.condition_values:
-            n, k, l, val = self.condition_values
-            obj["condition"] = {"n": n, "k": k, "l": l, "value": val}
-        return obj
 
 
 def _colored_partitions(colors: int, cap: int) -> list[int]:
@@ -266,48 +254,6 @@ def fusion(m1: ModuleLabel, m2: ModuleLabel, m3: ModuleLabel) -> int:
     n2, d2 = m2.t.as_integer_ratio()
     n3, d3 = m3.t.as_integer_ratio()
     return 1 if (n1 * d2 + n2 * d1) * d3 == n3 * d1 * d2 else 0
-
-
-def c1_decide(L: GramLattice, P: MonoidDescriptor) -> C1Report:
-    """The paper's sufficient test n^2 + l^2 - 4lk <= 0 for C1-cofiniteness
-    of V_P on the bases (alpha, beta) of L with beta in P, n = (alpha|beta),
-    scanned by (sup norm, |n|, beta).  The line through alpha bounds P, so
-    those beta are b0 + k*alpha with det[alpha, b0] = +-1 and b0 in P, and
-    n = c + k*(alpha|alpha).  As n^2 = (alpha|alpha)(beta|beta) - det L, the
-    value for n != 0 is min(N_alpha, N_beta)^2 - det L (N = norm/2), one
-    value for all beta with N_beta >= N_alpha.  The beta with N_beta <
-    N_alpha or n = 0 have |n| < (alpha|alpha), so they are at the two k next
-    to -c/(alpha|alpha); past the sup norm of those two no beta changes the
-    verdict, the witness or the best condition, and the scan stops there."""
-    rep = parabolic(L, P)
-    if rep.type == "TYPE_I":
-        return C1Report(verdict="NOT_COFINITE")
-    alpha = rep.alpha
-    (a1, a2), (_, x, y) = alpha, _ext_gcd(*alpha)  # det[alpha, (-y, x)] = 1
-    b1, b2 = (-y, x) if member(L, P, (-y, x)) else (y, -x)
-    c, N2 = L.inner_int(alpha, (b1, b2)), L.norm(alpha)
-    sup = lambda k: max(abs(b1 + k * a1), abs(b2 + k * a2))
-    R = max(sup(-(c // N2)), sup(-c // N2))
-    # |b0 + k*alpha| >= |k|*|alpha| - |b0| in the sup norm
-    K = (R + max(abs(b1), abs(b2))) // max(abs(a1), abs(a2))
-    best = None
-    # smallest first, orthogonal pairings preferred: witnesses come out
-    # small and deterministic
-    for r, n, beta in sorted((sup(k), abs(c + k * N2), (b1 + k * a1, b2 + k * a2))
-                             for k in range(-K, K + 1)):
-        if r > R:
-            break
-        if n == 0:  # an orthogonal pairing: (n, N_beta, N_alpha, 0)
-            values = (0, L.norm(beta) // 2, N2 // 2, 0)
-        else:
-            l, k = sorted((N2 // 2, L.norm(beta) // 2))
-            values = (n, k, l, n * n + l * l - 4 * l * k)
-        if values[3] <= 0:
-            return C1Report(verdict="COFINITE", witness_basis=(alpha, beta),
-                            condition_values=values)
-        if best is None or values[3] < best[3]:
-            best = values
-    return C1Report(verdict="CONDITION_FAILED", condition_values=best)
 
 
 def _strongly_indecomposable(L: GramLattice, labels) -> list[LatVec]:

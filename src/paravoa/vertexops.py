@@ -20,6 +20,10 @@ associativity (iterate) recursion for h(-n)-prefixed vectors, which is a
 finite sum here because every state in a positive-definite lattice
 module has degree >= 0; its annihilations h(j) w are cached as modes of
 h(-1)1, since Y(h(-1)1, z) = h(z).
+
+A state is never mutated once made: a mode of one word on one word with
+coefficient 1 is the mode cache's own state, handed out as it is, and
+every sum is built in a fresh dict.
 """
 
 from __future__ import annotations
@@ -59,6 +63,11 @@ __all__ = [
     "check_phi_hom",
     "from_tensor",
 ]
+
+
+# check_phi_hom refuses, with a ParavoaError, a check of more mode instances
+# than this: both of its routes hold one state per mode of a word pair
+PHI_HOM_MAX_INSTANCES = 10**6
 
 
 class TruncationOverflow(ParavoaError):
@@ -298,6 +307,12 @@ def _word_mode_w(sp: FockSpace, u: BasisWord, k: int, w: BasisWord) -> FockState
 
 
 def word_mode(sp: FockSpace, u: BasisWord, k: int, v: FockState) -> FockState:
+    """u_k v.  For v one word with coefficient 1 this is the mode cache's own
+    state, which no one mutates."""
+    if len(v.terms) == 1:
+        ((w, c),) = v.terms.items()
+        st = _word_mode_w(sp, u, k, w)
+        return st if c == 1 else st.scale(c)
     out: dict = {}
     for w, c in v:
         _add_into(out, _word_mode_w(sp, u, k, w).terms.items(), c)
@@ -305,11 +320,35 @@ def word_mode(sp: FockSpace, u: BasisWord, k: int, v: FockState) -> FockState:
 
 
 def state_mode(sp: FockSpace, a: FockState, k: int, v: FockState) -> FockState:
+    """a_k v.  For a and v single words with coefficient 1 this is the mode
+    cache's own state, which no one mutates."""
+    if len(a.terms) == 1:
+        ((u, c),) = a.terms.items()
+        st = word_mode(sp, u, k, v)
+        return st if c == 1 else st.scale(c)
     out: dict = {}
     for u, cu in a:
         for w, cw in v:
             _add_into(out, _word_mode_w(sp, u, k, w).terms.items(), cu * cw)
     return _adopt(FockState, out)
+
+
+def _state_modes(sp: FockSpace, a: FockState, lo: int, hi: int,
+                 v: FockState) -> list:
+    """[a_lo v, ..., a_hi v], each term pair of a and v visited once for all
+    the n: the twin of _tensor_modes on one space."""
+    ns = range(lo, hi + 1)
+    if len(a.terms) == 1 and len(v.terms) == 1:
+        return [state_mode(sp, a, n, v) for n in ns]
+    outs = [{} for _ in ns]
+    for u, cu in a:
+        for w, cw in v:
+            c = cu * cw
+            for out, n in zip(outs, ns):
+                st = _word_mode_w(sp, u, n, w)
+                if st:
+                    _add_into(out, st.terms.items(), c)
+    return [_adopt(FockState, t) for t in outs]
 
 
 def check_commutator(sp: FockSpace, a: FockState, b: FockState, m: int, n: int,
@@ -343,13 +382,11 @@ def check_lemma35(sp: FockSpace, beta, m: int, u: BasisWord, v: FockState,
         raise ParavoaError("beta must be orthogonal to u's label")
     du = sp.degree(u)
     dv = max((sp.degree(w) for w, _ in v), default=0)
+    bv = heis_mode(sp, beta, m, v)
     out = {}
     # n ranges so that deg(u_n v) and deg(u_n beta(m) v) stay within the cap
     for n in range(ctx.lowest_mode(du + dv), du + dv + max(-m, 0)):
-        r = heis_mode(sp, beta, m, word_mode(sp, u, n, v)) - word_mode(
-            sp, u, n, heis_mode(sp, beta, m, v)
-        )
-        out[n] = r
+        out[n] = heis_mode(sp, beta, m, word_mode(sp, u, n, v)) - word_mode(sp, u, n, bv)
     return out
 
 
@@ -482,6 +519,10 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
     adapted basis words, moved there by from_tensor, with modes computed by
     the full rank-two engine.  Right route: the split words convolved with
     two independent rank-one engines, the result moved by from_tensor.
+    Each route computes every mode n of a word pair in one pass over the
+    pair's terms (_state_modes, _tensor_modes), so it holds one state per
+    mode: a check of more than PHI_HOM_MAX_INSTANCES mode instances raises
+    ParavoaError before either route starts.
     Also checks that the conformal vector is the image of w1 (x) 1 + 1 (x)
     w2, and that per-degree dimensions match.
     """
@@ -496,6 +537,13 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
     labels = [(p,) for p in range(-pmax, pmax + 1)]
 
     by_degree = [adapted.basis(d, labels=labels) for d in range(degree_cap + 1)]
+    # u_n v fits for lowest_mode(du + dv) <= n < du + dv, one instance each
+    instances = sum(len(us) * len(vs) * (du + dv - ctx.lowest_mode(du + dv))
+                    for du, us in enumerate(by_degree) for dv, vs in enumerate(by_degree))
+    if instances > PHI_HOM_MAX_INSTANCES:
+        raise ParavoaError(
+            f"the tensor-factorization check has {instances} mode instances, "
+            f"above the bound {PHI_HOM_MAX_INSTANCES}: lower the ceiling or the cap")
 
     # from_tensor runs once per distinct (w1, w2) pair; a tensor state's
     # image is the sum of its pairs' images
@@ -517,17 +565,14 @@ def check_phi_hom(L: GramLattice, alpha: LatVec, degree_cap: int,
             pu = phi_map(FockState.of(u))
             graded = [(x, y, c, sp1.degree(x), sp2.degree(y)) for (x, y), c in pu]
             images.append((u, to_lattice(pu), graded, du))
-    instances = 0
     failures = []
     for u, fu, pu, du in images:
         for v, fv, pv, dv in images:
-            lo = ctx.lowest_mode(du + dv)
-            right = _tensor_modes(sp1, sp2, pu, lo, du + dv - 1, pv)
-            for n, tn in enumerate(right, lo):
-                lhs = state_mode(full, fu, n, fv)
-                rhs = to_lattice(tn)
-                instances += 1
-                if lhs != rhs:
+            lo, hi = ctx.lowest_mode(du + dv), du + dv - 1
+            left = _state_modes(full, fu, lo, hi, fv)
+            right = _tensor_modes(sp1, sp2, pu, lo, hi, pv)
+            for n, ln, tn in zip(range(lo, hi + 1), left, right):
+                if ln != to_lattice(tn):
                     failures.append({"u": u.to_str(), "v": v.to_str(), "n": n})
 
     expect: dict = {}

@@ -229,6 +229,60 @@ def test_the_output_check_sees_what_it_forbids():
                                  (9, "main")]
 
 
+TERMS_MUTATORS = ("pop", "update", "setdefault", "clear", "popitem")
+
+
+def _terms_writes(tree: ast.AST) -> list:
+    """(line, what) of each in-place write to a state's terms: an assignment
+    to, or del of, X.terms[...]; a pop, update, setdefault, clear or popitem
+    on X.terms; and an _add_into or _reduce call whose first argument is an
+    attribute."""
+    is_terms = lambda node: isinstance(node, ast.Attribute) and node.attr == "terms"
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and is_terms(node.value)
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            found.append((node.lineno, "terms[...]"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in TERMS_MUTATORS and is_terms(node.func.value):
+                found.append((node.lineno, f"terms.{node.func.attr}"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("_add_into", "_reduce") and node.args
+              and isinstance(node.args[0], ast.Attribute)):
+            found.append((node.lineno, node.func.id))
+    return found
+
+
+def test_no_state_is_written_in_place():
+    # the mode engine hands its cached states out as they are, so a state's
+    # terms are never written once it is made
+    assert [(path.stem, hit) for path in SRC
+            for hit in _terms_writes(ast.parse(path.read_text()))] == []
+
+
+def test_the_terms_check_sees_what_it_forbids():
+    bad = ast.parse(
+        "def f(st, w, c, sp):\n"
+        "    st.terms[w] = c\n"
+        "    st.terms[w] += c\n"
+        "    del sp.cache.terms[w]\n"
+        "    st.terms.pop(w)\n"
+        "    st.terms.update({w: c})\n"
+        "    st.terms.setdefault(w, c)\n"
+        "    st.terms.clear()\n"
+        "    st.terms.popitem()\n"
+        "    _add_into(st.terms, [(w, c)])\n"
+        "    _reduce(sp.row, st, 1, c)\n"
+        "    out = dict(st.terms)\n"
+        "    out[w] = st.terms[w]\n"
+        "    _add_into(out, st.terms.items(), c)\n"
+        "    return st.terms.get(w)\n")
+    assert sorted(_terms_writes(bad)) == [
+        (2, "terms[...]"), (3, "terms[...]"), (4, "terms[...]"), (5, "terms.pop"),
+        (6, "terms.update"), (7, "terms.setdefault"), (8, "terms.clear"),
+        (9, "terms.popitem"), (10, "_add_into"), (11, "_reduce")]
+
+
 SHARED = ("__init__", "__iter__", "__bool__", "__add__", "__sub__", "scale", "__eq__")
 
 

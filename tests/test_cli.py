@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from paravoa.cli import (
     COMMANDS,
@@ -426,6 +426,24 @@ def test_verify_ideal_counts_modes_past_a_machine_word(capsys, tmp_path, ceiling
     assert code == 0
     assert json.loads(out) == {"check": "ideal", "failures": [],
                                "instances": 14 * (ceiling + 1)}
+
+
+@pytest.mark.parametrize("ceiling,cap,words", [(10**30, "0", 1), (10**30, "2", 14),
+                                                (10**6, "0", 1), (40000, "1", 5)])
+def test_verify_iso_past_its_bound_exits_2(capsys, tmp_path, ceiling, cap, words):
+    # the check has words^2 * (ceiling + 1) mode instances, and past the bound
+    # it is refused before either route starts; at 10**30 it ended in a
+    # MemoryError traceback with exit 1
+    from paravoa.vertexops import PHI_HOM_MAX_INSTANCES
+
+    instances = words * words * (ceiling + 1)
+    assert instances > PHI_HOM_MAX_INSTANCES
+    path = a2_with(tmp_path, ("truncation", "maxDegree"), ceiling)
+    err = usage_error(capsys, "--config", path, "verify-iso", "--cap", cap,
+                      "--char-cap", "1")
+    assert err == (f"error: the tensor-factorization check has {instances} mode "
+                   f"instances, above the bound {PHI_HOM_MAX_INSTANCES}: lower the "
+                   "ceiling or the cap\n")
 
 
 def test_pretty_goes_to_stderr(capsys):
@@ -889,7 +907,7 @@ def paravoa_imports(importtime: str) -> set:
 
 
 @pytest.mark.parametrize("argv", [("classify", "P2"), ("borel", "1,1~1"),
-                                  ("saturate", "1,1", "0,-1")])
+                                  ("saturate", "1,1", "0,-1"), ("c1", "P2")])
 def test_geometry_commands_load_no_engine_layer(argv):
     _, err = fresh_process("-m", "paravoa.cli", "--config", "diag22", *argv)
     assert paravoa_imports(err) == {"paravoa", *(f"paravoa.{m}" for m in GEOMETRY)}
@@ -1197,11 +1215,6 @@ def with_faults(config, faults):
 def test_generated_configs_keep_the_cli_contract(tmp_path_factory, config, faults,
                                                  command):
     config = with_faults(config, faults)
-    ceiling = _field(_field(config, "truncation"), "maxDegree")
-    # verify-iso checks every mode down to the ceiling, and at a ceiling of
-    # 10**30 it holds one dict per mode until memory runs out, a fault not
-    # yet mended; so it runs only under the drawn ceilings
-    assume(command[0] != "verify-iso" or not (type(ceiling) is int and ceiling > 8))
     path = write_config(tmp_path_factory.getbasetemp() / "generated.json", config)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

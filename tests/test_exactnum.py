@@ -316,3 +316,26 @@ def test_mixed_field_error_message():
         with pytest.raises(ValueError,
                            match=r"^mixed quadratic fields: sqrt\(2\) vs sqrt\(1000003\)$"):
             op()
+
+
+def test_small_integers_are_shared_and_behave_as_new_ones():
+    # inside the shared range an integral result with D = 1 is one instance
+    # per value; just outside it, and in a field D > 1, each is new; either
+    # way it equals, hashes, prints and serializes as QuadScalar(k) does
+    from paravoa.exactnum import ONE, ZERO, _SHARED_INTS, _make
+
+    top = _SHARED_INTS
+    assert _make(0, 0, 1) is ZERO and _make(1, 0, 1) is ONE
+    for k in (-top - 1, -top, -1, 0, 1, 2, top, top + 1):
+        ref = QuadScalar(k)
+        got = [_make(k, 0, 1), _make(Fraction(2 * k, 2), 0, 1), QuadScalar(k) * 1,
+               QuadScalar(Fraction(2 * k + 1, 2)) - Fraction(1, 2), QuadScalar(k + 1) - ONE]
+        shared = -top <= k <= top
+        assert all((x is got[0]) == shared for x in got[1:]), k
+        assert (got[0] is ref) is False
+        for x in got:
+            assert x == ref and x == k and hash(x) == hash(ref) == hash(k)
+            assert (repr(x), str(x), x.to_json()) == (repr(ref), str(ref), ref.to_json())
+            assert (type(x._a), x._b, x.D) == (int, 0, 1)
+        in_field = QuadScalar(k, 1, 2) - QuadScalar(0, 1, 2)
+        assert in_field == ref and in_field.D == 2 and in_field is not got[0]

@@ -521,6 +521,41 @@ def test_phi_hom_sees_a_corrupted_basis_change(monkeypatch):
     assert rep["failures"] and not rep["omega_ok"]
 
 
+def test_state_modes_match_one_mode_at_a_time():
+    # one pass over the term pairs for every n gives what state_mode gives
+    # at each n, on single unit words (the cache's own states) and on sums
+    sp = FockSpace.full_lattice(A2)
+    u, w = make_word(((1, 0),), (1, 0)), make_word(((2, 1),), (0, 1))
+    a = FockState.of(u) + FockState.of(make_word((), (0, 1)), Fraction(-3, 2))
+    v = FockState.of(w) + FockState.of(make_word(((1, 1), (1, 0)), (0, 0)), 2)
+    for x, y in ((FockState.of(u), FockState.of(w)), (a, FockState.of(w)),
+                 (FockState.of(u, 5), v), (a, v)):
+        got = vertexops._state_modes(sp, x, -4, 3, y)
+        assert got == [state_mode(sp, x, n, y) for n in range(-4, 4)]
+        assert any(got)
+
+
+def test_phi_hom_refuses_a_check_past_its_bound(monkeypatch):
+    # at cap 0 the vacuum is the only word, so the check has ceiling + 1
+    # mode instances: at the bound it starts its routes, and one past the
+    # bound, or at 10**30, it raises before either route starts
+    bound = vertexops.PHI_HOM_MAX_INSTANCES
+
+    class Started(Exception):
+        pass
+
+    def started(*args):
+        raise Started
+
+    monkeypatch.setattr(vertexops, "_state_modes", started)
+    with pytest.raises(Started):
+        check_phi_hom(A2, (1, 0), 0, TruncationCtx(bound - 1))
+    for ceiling in (bound, 10**30):
+        with pytest.raises(ParavoaError, match=f"^the tensor-factorization check has "
+                           f"{ceiling + 1} mode instances, above the bound {bound}: "):
+            check_phi_hom(A2, (1, 0), 0, TruncationCtx(ceiling))
+
+
 # -- the reduced-form family, closed-form L(-1) and the mode cache -------------
 
 
@@ -621,7 +656,9 @@ def snapshot(s):
     return FockState(dict(s.terms))
 
 
-def test_mode_results_are_never_aliased():
+def test_mode_results_never_change_the_cache():
+    # results fed back into the engine, summed and scaled, leave every
+    # result and every cached state as it was
     sp = FockSpace.full_lattice(A2)
     u = make_word(((1, 0),), (1, 0))
     a = FockState.of(u) + sp.exp_state((0, 1)).scale(2)
@@ -644,13 +681,70 @@ def test_mode_results_are_never_aliased():
     assert list(first) == kept
     assert list(second) == kept
     assert all(cache[k] == s for k, s in cached.items())
-    # a single term with coefficient 1 still gets a fresh state
-    w1 = FockState.of(make_word((), (0, 1)))
-    got = word_mode(sp, u, -1, w1)
-    ref = snapshot(got)
-    assert got and all(got is not s for s in cache.values())
-    got.terms.clear()
-    assert word_mode(sp, u, -1, w1) == ref
+
+
+def test_a_mode_of_one_unit_word_on_one_is_the_cached_state():
+    # one word on one word, both with coefficient 1: the cache's own state,
+    # handed out as it is; any other coefficient scales a fresh copy
+    sp = FockSpace.full_lattice(A2)
+    u, w = make_word(((1, 0),), (1, 0)), make_word(((2, 1),), (0, 1))
+    for k in range(-3, 3):
+        got = state_mode(sp, FockState.of(u), k, FockState.of(w))
+        assert got is sp._mode_cache[(u, k, w)]
+        assert word_mode(sp, u, k, FockState.of(w)) is got
+    got = state_mode(sp, FockState.of(u), -1, FockState.of(w))
+    assert got
+    for a, v, c in ((FockState.of(u, 3), FockState.of(w), 3),
+                    (FockState.of(u), FockState.of(w, Fraction(-1, 2)), Fraction(-1, 2)),
+                    (FockState.of(u, 2), FockState.of(w, 5), 10)):
+        scaled = state_mode(sp, a, -1, v)
+        assert scaled is not got and scaled == got.scale(c)
+    assert word_mode(sp, u, -1, FockState.of(w, 7)) == got.scale(7)
+
+
+class _RecordingCache(dict):
+    """A mode cache that keeps a copy of each state's terms as it is stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = {}
+
+    def __setitem__(self, key, st):
+        self.stored[key] = dict(st.terms)
+        super().__setitem__(key, st)
+
+    def setdefault(self, key, st):
+        if key not in self:
+            self[key] = st
+        return self[key]
+
+
+def test_checks_leave_every_cached_state_as_it_was_stored():
+    from paravoa.zhu import reduce_35, star
+
+    sp = FockSpace.full_lattice(A2)
+    sp._mode_cache = cache = _RecordingCache()
+    ctx = TruncationCtx(12)
+    words = [make_word((), (0, 0)), make_word(((1, 0),), (0, 0)),
+             make_word(((1, 1),), (1, 0)), make_word((), (1, 1)),
+             make_word(((2, 0), (1, 1)), (0, 0)), make_word((), (-1, 0))]
+    states = [FockState.of(w) for w in words] + [
+        FockState.of(words[1]) + FockState.of(words[2], 2),
+        FockState.of(words[3], Fraction(-1, 3))]
+    # on A2, beta = a1 + 2 a2 is orthogonal to a1, so to u's mode and label
+    beta, u = (1, 2), make_word(((1, 0),), (1, 0))
+    for _ in range(2):
+        for a in states[:4]:
+            for b in states[4:]:
+                check_commutator(sp, a, b, 1, -1, states[0])
+                check_commutator(sp, b, a, 0, -2, states[1])
+                star(sp, a, b)
+                reduce_35(sp, a, b, 1, 0)
+        for m in (-2, 1):
+            for v in states[4:]:
+                assert not any(check_lemma35(sp, beta, m, u, v, ctx).values())
+    assert len(cache) > 100
+    assert {k: st.terms for k, st in cache.items()} == cache.stored
 
 
 def test_exp_mode_single_word_result_is_fresh():
